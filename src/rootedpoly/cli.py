@@ -2,8 +2,9 @@
 
 Subcommands: poly (circuit polynomial of a graph file), product (construct
 rooted products), verify (identity suites), spectrum (numeric roots).
-Exit codes: 0 success, 2 input or validation problem, 3 enumeration cap
-exceeded, 4 verification failure.  ROOTEDPOLY_CAP overrides the default cap.
+Exit codes: 0 success, 2 input or validation problem or a numeric failure,
+3 enumeration cap exceeded, 4 verification failure.  ROOTEDPOLY_CAP
+overrides the default cap.
 """
 
 from __future__ import annotations
@@ -227,7 +228,7 @@ def main(argv=None) -> int:
     except OracleCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (GraphFormatError, ValueError) as exc:
+    except (GraphFormatError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -27,6 +27,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
                     edge_join, strip_all_loops)
 from .oracle import (DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly,
@@ -480,68 +481,114 @@ def _keep_x(mode: WeightMode) -> WeightMode:
     return replace(mode, collapse_x=False)
 
 
-def monodendron_polys(unit: Graph, attach_sites: Sequence[int], tiers: int,
-                      mode: WeightMode, cap: int = DEFAULT_CAP) -> tuple[Poly, Poly]:
-    """Simple polynomials of the branch with the given tier count and of the
-    branch with its root deleted, computed tier by tier.
+def _core_poly(g: Graph, mode: WeightMode, cap: int) -> Poly:
+    """Polynomial of g with its loops stripped and one variable per vertex."""
+    free = strip_all_loops(g)
+    return specialize(circuit_poly(free, cap), _keep_x(mode), free, cap)
 
-    Per tier, every unit vertex receives an attachment: the previous branch at
-    the attach sites, a bare vertex elsewhere; unit loops ride on the
-    attachment roots so the core stays loop-free.
+
+def _gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
+    """x and the component weights the mode leaves symbolic; no cycle of a
+    unit or a core is longer than p."""
+    return (X,) + tuple(wvar(i) for i in range(1, p + 1) if mode.w_value(i) is None)
+
+
+def _attach(core_poly: Poly, loops: Sequence, flags: Sequence[bool], p_hat: Poly,
+            q_hat: Poly, mode: WeightMode) -> Poly:
+    """The core polynomial with the branch p_hat / q_hat at the flagged
+    vertices and a bare vertex elsewhere, each carrying its loop weight."""
+    w1 = mode.w1_unit
+    gamma = []
+    for loop, branch in zip(loops, flags):
+        if branch:
+            gamma.append((_shift_root_loop(p_hat, q_hat, loop, mode), q_hat, None))
+        else:
+            gamma.append((_unit_mul(Poly.variable(X) + mode.sigma_b * loop, w1), Poly.one(), None))
+    return rooted_product_poly(core_poly, gamma, ProductMode.CORE_LOOPS_STRIPPED, w1)
+
+
+def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple],
+              mode: WeightMode) -> list[tuple]:
+    """Rooted products of small loop-free cores with the branch P, of root-deleted
+    graph Q, at their flagged vertices, as (constant, exponents) over the base.
+
+    targets holds (core polynomial, loop weights, flags) per core.  Every
+    attachment ratio is P / (w1 * Q) plus a constant loop shift.  The base
+    factors g that P and Q share cancel from it, which leaves p_hat / q_hat in
+    lowest terms and of small degree; that is substituted into each core
+    polynomial and the result refined into the base.  The shared factors come
+    back as g**k, k the number of flagged vertices.
+    """
+    (cp, ep), (cq, eq) = p_cur, q_cur
+    shared = {i: min(e, eq[i]) for i, e in ep.items() if i in eq}
+    p_hat = base.factored(cp, {i: e - shared.get(i, 0) for i, e in ep.items()}).expand()
+    q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()}).expand()
+    carried = [{i: sum(flags) * e for i, e in shared.items()} for _, _, flags in targets]
+    found = []
+    for core_poly, loops, flags in targets:
+        found.append(base.absorb(_attach(core_poly, loops, flags, p_hat, q_hat, mode),
+                                 held=carried + [e for _, e in found]))
+    return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
+
+
+def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
+                     cap: int, base: CoprimeBase) -> tuple[tuple, tuple]:
+    """The branch P and its root-deleted graph Q as (constant, exponents)
+    over the base, tier by tier.
+
+    Every unit vertex takes an attachment, the previous branch at the attach
+    sites and a bare vertex elsewhere; the unit and the unit without its
+    root are the two cores of each tier.
     """
     if unit.root is None:
         raise ValueError("monodendron unit must be rooted")
-    sites = set(attach_sites)
-    keep = _keep_x(mode)
-    w1 = mode.w1_unit
-    xp = Poly.variable(X)
-    p_cur = _unit_mul(xp, w1)          # bare rooted vertex
-    q_cur = Poly.one()                 # nothing left after deleting its root
+    p_cur = base.absorb(_unit_mul(Poly.variable(X), mode.w1_unit))  # bare rooted vertex
+    q_cur = (1, {})                                                  # nothing left
     if tiers == 0:
         return p_cur, q_cur
-    unit_free = strip_all_loops(unit)
-    core_main = specialize(circuit_poly(unit_free, cap), keep, unit_free, cap)
-    deleted = delete_root(unit)
-    deleted_free = strip_all_loops(deleted)
-    core_del = specialize(circuit_poly(deleted_free, cap), keep, deleted_free, cap)
-    del_index = {}
-    nxt = 1
-    for v in range(1, unit.p + 1):
-        if v != unit.root:
-            del_index[v] = nxt
-            nxt += 1
-
+    sites = set(attach_sites)
+    targets = []
+    for g, kept in ((unit, range(1, unit.p + 1)),
+                    (delete_root(unit), [v for v in range(1, unit.p + 1) if v != unit.root])):
+        targets.append((_core_poly(g, mode, cap), [unit.loop(v) for v in kept],
+                        [v in sites for v in kept]))
     for _ in range(tiers):
-        def gamma_for(v: int) -> tuple:
-            if v in sites:
-                ph = _shift_root_loop(p_cur, q_cur, unit.loop(v), mode)
-                return (ph, q_cur, None)
-            ph = _unit_mul(xp + mode.sigma_b * unit.loop(v), w1)
-            return (ph, Poly.one(), None)
-
-        gamma_main = [gamma_for(v) for v in range(1, unit.p + 1)]
-        gamma_del = [None] * deleted.p
-        for v, idx in del_index.items():
-            gamma_del[idx - 1] = gamma_for(v)
-        p_new = rooted_product_poly(core_main, gamma_main,
-                                    ProductMode.CORE_LOOPS_STRIPPED, w1)
-        q_new = rooted_product_poly(core_del, gamma_del,
-                                    ProductMode.CORE_LOOPS_STRIPPED, w1)
-        p_cur, q_cur = p_new, q_new
+        p_cur, q_cur = _products(base, p_cur, q_cur, targets, mode)
     return p_cur, q_cur
 
 
-def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
-    """Simple circuit polynomial of a dendrimer by repeated factorization.
+def _merge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out = dict(a)
+    for i, e in b.items():
+        out[i] = out.get(i, 0) + e
+    return out
+
+
+def monodendron_polys(unit: Graph, attach_sites: Sequence[int], tiers: int,
+                      mode: WeightMode, cap: int = DEFAULT_CAP) -> tuple[Poly, Poly]:
+    """Simple polynomials of the branch with the given tier count and of the
+    branch with its root deleted, from the factored tier recursion."""
+    base = CoprimeBase(_gens(mode, unit.p))
+    p_cur, q_cur = _branch_factored(unit, attach_sites, tiers, mode, cap, base)
+    return base.factored(*p_cur).expand(), base.factored(*q_cur).expand()
+
+
+def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Factored:
+    """Simple circuit polynomial of a dendrimer as a product over a coprime base.
 
     Only the unit and the core are ever enumerated; the branches enter through
-    their polynomials, so the result scales to thousands of vertices.
+    their factored polynomials, so the result scales to thousands of vertices
+    while every factor stays small.
     """
-    p_br, q_br = monodendron_polys(spec.unit, spec.attach_sites, spec.generations, mode, cap)
     core = spec.core
-    core_free = strip_all_loops(core)
-    keep = _keep_x(mode)
-    core_poly = specialize(circuit_poly(core_free, cap), keep, core_free, cap)
-    gamma = [(_shift_root_loop(p_br, q_br, core.loop(v), mode), q_br, None)
-             for v in range(1, core.p + 1)]
-    return rooted_product_poly(core_poly, gamma, ProductMode.CORE_LOOPS_STRIPPED, mode.w1_unit)
+    base = CoprimeBase(_gens(mode, max(spec.unit.p, core.p)))
+    p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
+    target = (_core_poly(core, mode, cap), [core.loop(v) for v in range(1, core.p + 1)],
+              [True] * core.p)
+    [(const, exps)] = _products(base, p_cur, q_cur, [target], mode)
+    return base.factored(const, exps)
+
+
+def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
+    """Simple circuit polynomial of a dendrimer, expanded from its factored form."""
+    return dendrimer_factored(spec, mode, cap).expand()

@@ -1,21 +1,26 @@
 """Numeric roots of simple circuit polynomials, with multiplicity handling.
 
-Exact-coefficient polynomials are first split into square-free parts (so
-repeated roots come out with exact integer multiplicities), then each part is
-solved by companion-matrix eigenvalues and polished by Newton steps, with a
-Durand-Kerner sweep as fallback.  Roots within the cluster tolerance are
-merged.  Residuals are reported against the square-free part a root was
-extracted from, which keeps them meaningful for huge-coefficient inputs.
+Exact-coefficient polynomials are first split into square-free, pairwise
+coprime factors (so repeated roots come out with exact integer
+multiplicities), or arrive so factored; each factor is solved on its own by
+companion-matrix eigenvalues and polished by Newton steps, with a
+Durand-Kerner sweep as fallback.  Coefficients beyond the double range are
+scaled by exact powers of two first.  A Sturm count fixes how many roots of
+each factor are real.  Roots within the cluster tolerance are merged, but
+only within one factor.  Residuals are reported against the factor a root
+was extracted from, which keeps them meaningful for huge-coefficient inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-import sympy
 
+from .factored import Factored
 from .poly import Poly, X
 
 
@@ -42,27 +47,33 @@ class RootSet:
         return [value for value, _ in self.roots]
 
 
-def roots(p: Poly, cluster_tol: float = 1e-7) -> RootSet:
-    """All complex roots of a univariate polynomial in x."""
-    coeffs = p.univariate_coeffs(X)
-    degree = len(coeffs) - 1
+def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
+    """All complex roots of a univariate polynomial in x.
+
+    An exact polynomial is split into square-free, pairwise coprime factors
+    first; a Factored one already is.  Each factor is solved on its own and
+    its roots take its exponent as their exact multiplicity.  A Sturm count
+    decides how many roots of each factor are real, and those come out with
+    an imaginary part of exactly 0.  Roots are merged within the cluster
+    tolerance only inside one factor, never across factors.
+    """
+    if isinstance(p, Poly):
+        coeffs = p.univariate_coeffs(X)
+        if not p.is_exact():
+            return _rootset([_solve(coeffs, 1, None, cluster_tol)], len(coeffs) - 1, cluster_tol)
+        p = Factored.from_poly(p)
+    if p.gens != (X,):
+        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, p.gens))}")
+    found = [_solve([int(c) for c in f.all_coeffs()], m, f.count_roots, cluster_tol)
+             for f, m in p.factors]
+    return _rootset(found, p.degree(), cluster_tol)
+
+
+def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
+             cluster_tol: float) -> RootSet:
     if degree < 1:
         raise ValueError("polynomial of degree 0 has no roots")
-    found: list[tuple[complex, int, float]] = []  # value, multiplicity, residual
-    if p.is_exact():
-        t = sympy.Symbol("t")
-        sp = sympy.Poly([sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
-                         else sympy.Integer(c) for c in coeffs], t)
-        _, factors = sp.sqf_list()
-        for fac, mult in factors:
-            fc = [Fraction(c.p, c.q) for c in fac.all_coeffs()]
-            for z in _numeric_roots(fc):
-                found.append((z, mult, abs(_horner(fc, z))))
-    else:
-        fc = list(coeffs)
-        for z in _numeric_roots(fc):
-            found.append((z, 1, abs(_horner(fc, z))))
-    merged = _cluster(found, cluster_tol)
+    merged = [item for per_factor in found for item in per_factor]
     merged.sort(key=lambda item: (-item[0].real, -item[0].imag))
     return RootSet(
         roots=tuple((value, mult) for value, mult, _ in merged),
@@ -70,6 +81,38 @@ def roots(p: Poly, cluster_tol: float = 1e-7) -> RootSet:
         cluster_tol=cluster_tol,
         residuals=tuple(res for _, _, res in merged),
     )
+
+
+def _solve(coeffs: list, mult: int, count_real: Callable[[], int] | None,
+           tol: float) -> list[tuple[complex, int, float]]:
+    """Clustered roots of one factor, with their multiplicity and residual.
+
+    count_real, given for exact factors, counts the real roots exactly; it
+    is called only when some root came out with a nonzero imaginary part,
+    and that many roots with the smallest imaginary parts are made real.
+    Residuals are |f(z)| on the float coefficients the roots were found
+    from, so on the scaled polynomial when the coefficients needed scaling.
+    A root beyond the double range comes out infinite.
+    """
+    fc, shift = _float_coeffs(coeffs)
+    found = _numeric_roots(fc)
+    if count_real is not None and any(z.imag for z in found):
+        order = sorted(range(len(found)), key=lambda k: abs(found[k].imag))
+        for k in order[:count_real()]:
+            found[k] = complex(found[k].real, 0.0)
+    items = [(_times_power_of_two(z, shift), mult, abs(_horner(fc, z))) for z in found]
+    return _cluster(items, tol)
+
+
+def _times_power_of_two(z: complex, shift: int) -> complex:
+    """z * 2**shift; a part beyond the double range becomes infinite."""
+    def part(v: float) -> float:
+        try:
+            return math.ldexp(v, shift)
+        except OverflowError:
+            return math.copysign(math.inf, v)
+
+    return z if shift == 0 else complex(part(z.real), part(z.imag))
 
 
 def multiplicity_at(p: Poly, lam: int | Fraction) -> int:
@@ -99,13 +142,14 @@ def dendrimer_spectrum(spec, mode, cap: int | None = None, cluster_tol: float = 
     """Spectrum of a dendrimer, computed from its factorized polynomial.
 
     The simple circuit polynomial is assembled tier by tier from the unit's
-    polynomials; the full product graph is never constructed.
+    polynomials and kept as a product of small coprime factors, whose roots
+    are found one factor at a time; the full product graph is never
+    constructed and the polynomial is never expanded.
     """
     from . import factor  # local import; factor uses this module's root finder
 
     kwargs = {} if cap is None else {"cap": cap}
-    poly = factor.dendrimer_poly(spec, mode, **kwargs)
-    return roots(poly, cluster_tol)
+    return roots(factor.dendrimer_factored(spec, mode, **kwargs), cluster_tol)
 
 
 # -- internals ------------------------------------------------------------
@@ -114,35 +158,43 @@ def dendrimer_spectrum(spec, mode, cap: int | None = None, cluster_tol: float = 
 def _horner(coeffs, z: complex) -> complex:
     acc = 0j
     for c in coeffs:
-        acc = acc * z + complex(c)
+        acc = acc * z + c
     return acc
 
 
-def _float_coeffs(coeffs) -> list[complex]:
-    try:
-        out = [complex(c) for c in coeffs]
-        if all(abs(v) < float("inf") for v in out):
-            return out
-    except OverflowError:
-        pass
-    # Rescale by a common power of two; relative magnitudes are preserved.
-    bits = max(_bit_size(c) for c in coeffs)
-    shift = bits - 512
-    scale = Fraction(1, 2 ** shift)
-    return [complex(Fraction(c) * scale) for c in coeffs]
+# coefficients whose binary exponent stays within this bound convert to
+# doubles as they are, and so do the values met while polishing
+_PLAIN_EXPONENT = 1000
 
 
-def _bit_size(c) -> int:
-    if isinstance(c, Fraction):
-        return max(c.numerator.bit_length(), c.denominator.bit_length())
-    if isinstance(c, int):
-        return c.bit_length()
-    return 64
+def _float_coeffs(coeffs) -> tuple[list[complex], int]:
+    """Float coefficients of 2**-t * f(2**s * y), and s.
+
+    Exact coefficients far outside the double range are scaled exactly: s
+    puts the geometric mean of the nonzero roots near 1 and t the largest
+    coefficient near 1, both read off the coefficient bit sizes.  The roots
+    of f are 2**s times those of the result.
+    """
+    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return [complex(c) for c in coeffs], 0
+    exps = [_exponent(c) if c != 0 else None for c in coeffs]
+    if all(e is None or abs(e) <= _PLAIN_EXPONENT for e in exps):
+        return [complex(c) for c in coeffs], 0
+    n = len(coeffs) - 1
+    last = max(i for i, e in enumerate(exps) if e is not None)
+    shift = round((exps[last] - exps[0]) / last) if last else 0
+    top = max(e + shift * (n - i) for i, e in enumerate(exps) if e is not None)
+    return [complex(c * Fraction(2) ** (shift * (n - i) - top)) for i, c in enumerate(coeffs)], shift
 
 
-def _numeric_roots(coeffs) -> list[complex]:
+def _exponent(c) -> int:
+    """Roughly log2 |c| of a nonzero exact coefficient."""
+    c = Fraction(c)
+    return c.numerator.bit_length() - c.denominator.bit_length()
+
+
+def _numeric_roots(fc: list[complex]) -> list[complex]:
     """Roots of one (preferably square-free) polynomial, Newton-polished."""
-    fc = _float_coeffs(coeffs)
     while fc and fc[0] == 0:
         fc = fc[1:]
     degree = len(fc) - 1
@@ -212,6 +264,9 @@ def _cluster(found: list[tuple[complex, int, float]], tol: float) -> list[tuple[
             clusters.append([item])
     out = []
     for members in clusters:
+        if len(members) == 1:  # as found, which also keeps infinite roots intact
+            out.append(members[0])
+            continue
         total = sum(m for _, m, _ in members)
         mean = sum(v * m for v, m, _ in members) / total
         res = max(r for _, _, r in members)

@@ -140,3 +140,26 @@ def test_verify_failure_exit_code(files, capsys, monkeypatch):
     rc = main(["verify", "--suite", "dendrimer"])
     assert rc == EXIT_VERIFY
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+def test_spectrum_huge_weight_scales_exactly(tmp_path, capsys):
+    # x^2 - 2^1200: the coefficients overflow a double, the roots +-2^600 do not
+    doc = {"p": 2, "arcs": [{"from": 1, "to": 2, "w": 2 ** 1200}, {"from": 2, "to": 1, "w": 1}]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["spectrum", str(path), "--format", "json"])
+    assert rc == EXIT_OK
+    got = sorted(float(r["re"]) for r in json.loads(capsys.readouterr().out)["roots"])
+    assert got == pytest.approx([-2.0 ** 600, 2.0 ** 600], rel=1e-11)
+
+
+def test_numeric_failure_exit_code(files, capsys, monkeypatch):
+    import rootedpoly.cli as cli_mod
+
+    def overflowing(*args, **kwargs):
+        raise OverflowError("int too large to convert to float")
+
+    monkeypatch.setattr(cli_mod, "roots", overflowing)
+    assert main(["spectrum", files["k2"]]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: int too large to convert to float\n"

@@ -1,0 +1,139 @@
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, strategies as st
+
+from rootedpoly.factor import dendrimer_factored, dendrimer_poly
+from rootedpoly.factored import CoprimeBase, Factored
+from rootedpoly.graph import DendrimerSpec, Graph, dendrimer
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
+                               MATCHING_MINUS, PERMANENTAL, simple_circuit_poly)
+from rootedpoly.poly import Poly, X, parse_poly
+from rootedpoly.spectra import dendrimer_spectrum
+
+MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
+
+
+def test_from_poly_splits_square_free_parts():
+    f = Factored.from_poly(parse_poly("-2*x^5 + 4*x^4 - 2*x^3"))  # -2 x^3 (x - 1)^2
+    assert f.const == -2
+    assert sorted((str(g.as_expr()), m) for g, m in f.factors) == [("x", 3), ("x - 1", 2)]
+    assert f.degree() == 5
+    assert f.expand() == parse_poly("-2*x^5 + 4*x^4 - 2*x^3")
+
+
+def test_from_poly_rational_and_constant():
+    p = parse_poly("1/2*x^2 - 1/3")
+    f = Factored.from_poly(p)
+    assert f.factors[0][0].all_coeffs() == [3, 0, -2]
+    assert f.expand() == p
+    assert Factored.from_poly(Poly.const(Fraction(-3, 4))).expand() == Poly.const(Fraction(-3, 4))
+    with pytest.raises(ValueError):
+        Factored.from_poly(Poly.zero())
+
+
+def test_absorb_splits_an_element_and_rewrites_held_products():
+    base = CoprimeBase((X,))
+    c1, e1 = base.absorb(parse_poly("3*x^2 - 3"))
+    assert (c1, e1) == (3, {0: 1})
+    held = dict(e1)
+    c2, e2 = base.absorb(parse_poly("x^3 - 3*x + 2"), held=[held])  # (x - 1)^2 (x + 2)
+    assert base.factored(c1, held).expand() == parse_poly("3*x^2 - 3")
+    assert base.factored(c2, e2).expand() == parse_poly("x^3 - 3*x + 2")
+    assert sorted(str(g.as_expr()) for g in base.polys) == ["x + 1", "x + 2", "x - 1"]
+    assert sorted(e2.values()) == [1, 2]
+
+
+# -- the factored tier recursion against the built dendrimer ------------------------
+
+WEIGHTS = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+LIMIT = 12  # vertices of the built dendrimer, so the enumeration oracle stays quick
+
+
+@st.composite
+def weighted_graphs(draw, n: int) -> tuple[dict, dict]:
+    """Edges, one-way arcs or nothing between each pair; some loops."""
+    weight = st.sampled_from(WEIGHTS)
+    arcs = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            kind = draw(st.sampled_from(["none", "edge", "edge", "forward", "backward", "both"]))
+            if kind == "edge":
+                arcs[(i, j)] = arcs[(j, i)] = draw(weight)
+            if kind in ("forward", "both"):
+                arcs[(i, j)] = draw(weight)
+            if kind in ("backward", "both"):
+                arcs[(j, i)] = draw(weight)
+    loops = draw(st.dictionaries(st.integers(1, n), weight, max_size=n))
+    return arcs, loops
+
+
+def branch_size(unit_p: int, sites: int, tiers: int) -> int:
+    copies = tiers if sites == 1 else (sites ** tiers - 1) // (sites - 1)
+    return 1 + (unit_p - 1) * copies
+
+
+@st.composite
+def dendrimer_specs(draw) -> DendrimerSpec:
+    n = draw(st.integers(2, 4))
+    arcs, loops = draw(weighted_graphs(n))
+    root = draw(st.integers(1, n))
+    sites = draw(st.lists(st.sampled_from([v for v in range(1, n + 1) if v != root]),
+                          min_size=1, unique=True))
+    c = draw(st.integers(1, 3))
+    core_arcs, core_loops = draw(weighted_graphs(c))
+    tiers = [g for g in range(4) if c * branch_size(n, len(sites), g) <= LIMIT]
+    return DendrimerSpec(core=Graph(p=c, arcs=core_arcs, loops=core_loops),
+                         unit=Graph(p=n, arcs=arcs, loops=loops, root=root),
+                         attach_sites=tuple(sites), generations=draw(st.sampled_from(tiers)))
+
+
+def dense_matrix(g: Graph) -> np.ndarray:
+    m = np.zeros((g.p, g.p))
+    for (i, j), w in g.arcs.items():
+        m[i - 1, j - 1] = float(w)
+    for v, b in g.loops.items():
+        m[v - 1, v - 1] += float(b)
+    return m
+
+
+@given(dendrimer_specs(), st.sampled_from(MODES))
+def test_factored_recursion_matches_built_dendrimer(spec, mode):
+    built = dendrimer(spec)
+    assert dendrimer_poly(spec, mode) == simple_circuit_poly(built, mode, cap=built.p)
+
+    fac = dendrimer_factored(spec, mode)
+    polys = [f for f, _ in fac.factors]
+    for k, f in enumerate(polys):
+        assert not f.is_ground
+        assert [m for _, m in f.sqf_list()[1]] == [1]
+        for g in polys[k + 1:]:
+            assert f.gcd(g).is_ground
+    product = Poly.const(fac.const)
+    for f, m in fac.factors:
+        product = product * Factored(1, ((f, 1),), fac.gens).expand() ** m
+    assert fac.expand() == product
+
+    if mode is CHARACTERISTIC_STANDARD:
+        rs = dendrimer_spectrum(spec, mode)
+        assert rs.source_degree == built.p
+        want = list(np.linalg.eigvals(dense_matrix(built)))
+        scale = max(1.0, max(abs(v) for v in want))
+        # a defective eigenvalue of multiplicity m comes out of eigvals
+        # scattered by about eps**(1/m), but the mean of its copies is accurate
+        for value, mult in sorted(rs.roots, key=lambda vm: -vm[1]):
+            want.sort(key=lambda v: abs(v - value))
+            copies, want = want[:mult], want[mult:]
+            assert abs(sum(copies) / mult - value) <= 1e-6 * scale
+
+
+def test_generic_dendrimer_factors_are_multivariate():
+    spec = DendrimerSpec(core=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}),
+                         unit=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}, root=1),
+                         attach_sites=(2,), generations=2)
+    fac = dendrimer_factored(spec, GENERIC)
+    assert {str(v) for v in fac.gens} == {"x", "w1", "w2"}
+    assert fac.expand() == simple_circuit_poly(dendrimer(spec), GENERIC)
+    assert any(sympy.Symbol("w2") in f.free_symbols for f, _ in fac.factors)

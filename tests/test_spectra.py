@@ -138,3 +138,45 @@ def test_dendrimer_poly_never_builds_graph_beyond_cap():
                          attach_sites=(1, 3), generations=9)
     poly = dendrimer_poly(spec, CHAR, cap=4)
     assert poly.degree_in(X) == 1023
+
+
+def test_roots_scale_huge_coefficients_exactly():
+    x = Poly.variable(X)
+    rs = roots(x * x - 2 ** 1200)
+    assert [(v.real, v.imag, m) for v, m in rs.roots] == pytest.approx(
+        [(2.0 ** 600, 0, 1), (-2.0 ** 600, 0, 1)], rel=1e-12)
+    # 2^1100 is beyond the double range and comes out infinite; the root 1 survives it
+    rs = roots((x - 2 ** 1100) * (x - 1))
+    assert rs.roots[0] == (complex(math.inf, 0), 1)
+    assert rs.roots[1][1] == 1 and abs(rs.roots[1][0] - 1) < 1e-12
+    rs = roots((x - 2 ** 1000) * (x - 1))
+    assert [(v.real, m) for v, m in rs.roots] == pytest.approx([(2.0 ** 1000, 1), (1, 1)], rel=1e-12)
+
+
+def test_roots_never_merge_coprime_factors():
+    x = Poly.variable(X)
+    near = 1 + Fraction(1, 10 ** 9)
+    rs = roots((x - 1) ** 2 * (x - near))
+    assert [m for _, m in rs.roots] == [1, 2]
+    assert abs(rs.roots[0][0] - float(near)) < 1e-15 and abs(rs.roots[1][0] - 1) < 1e-15
+
+
+def test_dendrimer_spectrum_of_symmetric_matrix_is_exactly_real():
+    binary = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
+                           attach_sites=(1, 3), generations=7)
+    c4 = DendrimerSpec(core=cycle(4), unit=cycle(4).with_root(1), attach_sites=(2, 4),
+                       generations=6)
+    for spec in (binary, c4):
+        rs = dendrimer_spectrum(spec, CHAR)
+        assert all(v.imag == 0 for v in rs.values())
+
+
+def test_dendrimer_spectrum_path3_gen12():
+    spec = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
+                         attach_sites=(1, 3), generations=12)
+    rs = dendrimer_spectrum(spec, CHAR)
+    assert rs.source_degree == 8191
+    values = rs.expanded()
+    # tr A = 0 and tr A^2 = twice the 8190 edges of the tree
+    assert abs(sum(values)) < 1e-8
+    assert abs(sum(v * v for v in values) - 2 * 8190) < 1e-8
