@@ -70,12 +70,11 @@ def _poly_terms_json(p: Poly) -> list[dict]:
 def cmd_poly(args) -> int:
     g = _load_graph(args.graph)
     mode = mode_by_name(args.mode)
-    cap = args.cap
-    full = circuit_poly(g, cap)
+    full = circuit_poly(g, args.cap)
     if args.full:
-        result = specialize(full, mode, g, cap)
+        result = specialize(full, mode, g)
     else:
-        result = specialize(full, mode.simple(), g, cap)
+        result = specialize(full, mode.simple(), g)
     if args.format == "json":
         print(json.dumps({"text": str(result), "terms": _poly_terms_json(result)}, indent=2))
     else:
@@ -169,7 +168,7 @@ def cmd_spectrum(args) -> int:
         if not args.graph:
             raise GraphFormatError("need a graph file or --dendrimer spec")
         g = _load_graph(args.graph)
-        poly = specialize(circuit_poly(g, args.cap), mode.simple(), g, args.cap)
+        poly = specialize(circuit_poly(g, args.cap), mode.simple(), g)
         rs = roots(poly, cluster_tol=args.tol)
     _print_rootset(rs, args.format)
     return EXIT_OK

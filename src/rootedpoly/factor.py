@@ -235,15 +235,22 @@ def core_parts(core: Graph) -> tuple[tuple[int, ...], int, int]:
     return parts, n1, n2
 
 
-def bipartite_bivariate(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
-    """Circuit polynomial of a loopless bipartite core in the two part variables."""
+def _part_collapsed(core: Graph, cap: int) -> tuple[Poly, int, int]:
+    """Full polynomial of a loopless bipartite core with each x_i replaced by
+    the variable of its part, and the two part sizes."""
     if core.loops:
         raise ValueError("bipartite core must be loopless")
-    parts, _, _ = core_parts(core)
+    parts, p1, p2 = core_parts(core)
     full = circuit_poly(core, cap)
     collapsed = full.substitute_many(
         {xvar(i): Poly.variable(yvar(parts[i - 1])) for i in range(1, core.p + 1)})
-    return specialize(collapsed, replace(mode, collapse_x=False), core, cap)
+    return collapsed, p1, p2
+
+
+def bipartite_bivariate(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
+    """Circuit polynomial of a loopless bipartite core in the two part variables."""
+    collapsed, _, _ = _part_collapsed(core, cap)
+    return specialize(collapsed, replace(mode, collapse_x=False), core)
 
 
 def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> BipartiteExpansion:
@@ -253,13 +260,8 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
     y1**(p1-k) * y2**(p2-k); anything else raises.  Coefficients are
     normalized by the one-vertex unit weight, making the leading one 1.
     """
-    if core.loops:
-        raise ValueError("bipartite core must be loopless")
-    parts, p1, p2 = core_parts(core)
+    bivar, p1, p2 = _part_collapsed(core, cap)
     p = core.p
-    full = circuit_poly(core, cap)
-    bivar = full.substitute_many(
-        {xvar(i): Poly.variable(yvar(parts[i - 1])) for i in range(1, p + 1)})
     buckets: list[dict] = [dict() for _ in range(p2 + 1)]
     for mono, coeff in bivar.terms().items():
         e1 = e2 = 0
@@ -282,7 +284,7 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
             normalized = raw.divide_var_power(wvar(1), p - 2 * k)
         except ValueError as exc:
             raise ValueError(f"not bipartite-consistent: {exc}") from exc
-        delta.append(specialize(normalized, replace(mode, collapse_x=False), core, cap))
+        delta.append(specialize(normalized, replace(mode, collapse_x=False), core))
     return BipartiteExpansion(tuple(delta), p1, p2)
 
 
@@ -484,7 +486,7 @@ def _keep_x(mode: WeightMode) -> WeightMode:
 def _core_poly(g: Graph, mode: WeightMode, cap: int) -> Poly:
     """Polynomial of g with its loops stripped and one variable per vertex."""
     free = strip_all_loops(g)
-    return specialize(circuit_poly(free, cap), _keep_x(mode), free, cap)
+    return specialize(circuit_poly(free, cap), _keep_x(mode), free)
 
 
 def _gens(mode: WeightMode, p: int) -> tuple[Var, ...]:

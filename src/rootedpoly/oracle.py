@@ -95,10 +95,6 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     Enumerates packings of vertex-disjoint directed cycles; uncovered vertices
     are fixed points contributing (x_i + b_i) * w_1 each.
     """
-    return _circuit_poly_signed(g, cap, sigma_b=1)
-
-
-def _circuit_poly_signed(g: Graph, cap: int, sigma_b: int) -> Poly:
     p = g.p
     if p > cap:
         raise OracleCapExceeded(f"graph has {p} vertices, enumeration cap is {cap}")
@@ -115,7 +111,7 @@ def _circuit_poly_signed(g: Graph, cap: int, sigma_b: int) -> Poly:
         for length in cycles:
             wexp[length] += 1
         base = tuple((wvar(i), e) for i, e in enumerate(wexp) if i and e)
-        # Expand the product of (x_v + sigma_b * b_v) over fixed vertices.
+        # Expand the product of (x_v + b_v) over fixed vertices.
         loopy = [v for v in fixed if g.loop(v) != 0]
         plain = [v for v in fixed if g.loop(v) == 0]
 
@@ -132,7 +128,7 @@ def _circuit_poly_signed(g: Graph, cap: int, sigma_b: int) -> Poly:
                 return
             v = loopy[idx]
             assemble(idx + 1, chosen + [v], c)
-            assemble(idx + 1, chosen, c * sigma_b * g.loop(v))
+            assemble(idx + 1, chosen, c * g.loop(v))
 
         assemble(0, [], coeff)
 
@@ -169,14 +165,15 @@ def _circuit_poly_signed(g: Graph, cap: int, sigma_b: int) -> Poly:
     return Poly(terms)
 
 
-def specialize(P: Poly, mode: WeightMode, g: Graph, cap: int = DEFAULT_CAP) -> Poly:
-    """Apply a weight mode to the full polynomial computed from g.
+def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
+    """Apply a weight mode to the full polynomial P of g.
 
-    A negative loop-sign convention is applied by recomputing the enumeration
-    with loop weights negated rather than by substitution.
+    In P a vertex variable x_v occurs only on a fixed point of a cover, and
+    there always in the factor (x_v + b_v), so P is a polynomial in the sums
+    x_v + b_v.  Substituting x_v -> x_v + (sigma_b - 1) * b_v therefore turns
+    every such factor into x_v + sigma_b * b_v exactly, and x_v -> 1 - b_v
+    turns it into 1.
     """
-    if mode.sigma_b == -1 and g.loops:
-        P = _circuit_poly_signed(g, max(cap, g.p), sigma_b=-1)
     mapping: dict = {}
     for v in P.variables():
         if v.kind == 3:  # w variable
@@ -186,16 +183,20 @@ def specialize(P: Poly, mode: WeightMode, g: Graph, cap: int = DEFAULT_CAP) -> P
             elif mode.halve_rest and v.index >= 3:
                 mapping[v] = Poly.monomial([(v, 1)], Fraction(1, 2))
         elif v.kind == 1:  # per-vertex variable
+            b = g.loop(v.index)
+            shift = (mode.sigma_b - 1) * b
             if mode.x_to_one:
-                mapping[v] = 1 - mode.sigma_b * g.loop(v.index)
+                mapping[v] = 1 - b
             elif mode.collapse_x:
-                mapping[v] = Poly.variable(X)
+                mapping[v] = Poly.variable(X) + shift
+            elif shift:
+                mapping[v] = Poly.variable(v) + shift
     return P.substitute_many(mapping)
 
 
 def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
     """Specialized polynomial with all vertex variables collapsed into x."""
-    return specialize(circuit_poly(g, cap), mode.simple(), g, cap)
+    return specialize(circuit_poly(g, cap), mode.simple(), g)
 
 
 # -- independent cross-checks -------------------------------------------------
@@ -321,14 +322,10 @@ def cycle_index_sym(p: int) -> Poly:
     return total
 
 
-def negate_loops(g: Graph) -> Graph:
-    return replace(g, loops={v: -b for v, b in g.loops.items()})
-
-
 __all__ = [
     "DEFAULT_CAP", "OracleCapExceeded", "WeightMode", "GENERIC", "UNDIRECTED_COVERS",
     "PERMANENTAL", "CHARACTERISTIC_UNIFORM", "CHARACTERISTIC_STANDARD",
     "MATCHING_PLUS", "MATCHING_MINUS", "SIMPLE", "MODES", "mode_by_name",
     "circuit_poly", "specialize", "simple_circuit_poly", "char_poly_det",
-    "permanental_poly_check", "cycle_index_sym", "negate_loops",
+    "permanental_poly_check", "cycle_index_sym",
 ]

@@ -245,9 +245,6 @@ class Poly:
         other = _as_poly(other)
         if not self._terms or not other._terms:
             return Poly.zero()
-        fast = _dense_mul(self, other)
-        if fast is not None:
-            return fast
         out: dict[Mono, Coeff] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
@@ -410,39 +407,6 @@ def _as_poly(value) -> Poly:
     if isinstance(value, (int, Fraction, float, complex)):
         return Poly.const(value)
     raise TypeError(f"cannot interpret {value!r} as a polynomial")
-
-
-def _dense_mul(a: Poly, b: Poly) -> Poly | None:
-    """Convolution fast path for two sizeable polynomials univariate in x."""
-    if len(a._terms) < 24 or len(b._terms) < 24:
-        return None
-    for p in (a, b):
-        for mono in p._terms:
-            if len(mono) > 1 or (mono and mono[0][0] != X):
-                return None
-    da = a.degree_in(X)
-    db = b.degree_in(X)
-    ca = [0] * (da + 1)
-    for mono, c in a._terms.items():
-        ca[mono[0][1] if mono else 0] = c
-    cb = [0] * (db + 1)
-    for mono, c in b._terms.items():
-        cb[mono[0][1] if mono else 0] = c
-    out = [0] * (da + db + 1)
-    for i, ai in enumerate(ca):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(cb):
-            if bj != 0:
-                out[i + j] += ai * bj
-    terms: dict[Mono, Coeff] = {}
-    for e, c in enumerate(out):
-        c = _norm_coeff(c)
-        if c != 0:
-            terms[((X, e),) if e else _ONE_MONO] = c
-    p = Poly.__new__(Poly)
-    p._terms = terms
-    return p
 
 
 # -- coefficient and term formatting --------------------------------------

@@ -154,9 +154,9 @@ def attachment_triple(h: Graph, extra_root_loop, mode: WeightMode, cap: int,
             del_map[v] = nxt
             nxt += 1
     ren_del = {xvar(d): Poly.variable(xvar(vmap[v])) for v, d in del_map.items()}
-    ph = specialize(circuit_poly(hhat, cap), keep, hhat, cap).substitute_many(ren)
-    ptri = specialize(circuit_poly(htri, cap), keep, htri, cap).substitute_many(ren)
-    pl = specialize(circuit_poly(hdel, cap), keep, hdel, cap).substitute_many(ren_del)
+    ph = specialize(circuit_poly(hhat, cap), keep, hhat).substitute_many(ren)
+    ptri = specialize(circuit_poly(htri, cap), keep, htri).substitute_many(ren)
+    pl = specialize(circuit_poly(hdel, cap), keep, hdel).substitute_many(ren_del)
     return ph, pl, ptri
 
 

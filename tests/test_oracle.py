@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,15 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_matches_direct_permutation_sum(g):
     assert circuit_poly(g) == brute_circuit_poly(g)
+
+
+@pytest.mark.parametrize("mode", [CHARACTERISTIC_STANDARD, MATCHING_MINUS], ids=lambda m: m.name)
+@given(g=small_graphs())
+def test_negative_loop_sign_by_substitution_matches_permutation_sum(mode, g):
+    got = specialize(circuit_poly(g), replace(mode, collapse_x=False), g)
+    want = brute_circuit_poly(g, sigma_b=-1).substitute_many(
+        {wvar(i): mode.w_value(i) for i in range(1, g.p + 1)})
+    assert got == want
 
 
 @given(small_graphs())
@@ -164,7 +174,7 @@ def test_directed_three_cycle():
     assert circuit_poly(g) == parse_poly("x1*x2*x3*w1^3 + w3")
 
 
-def test_signed_loops_enter_via_recomputation():
+def test_signed_loops_enter_via_substitution():
     g = Graph(p=1, loops={1: 3})
     assert simple_circuit_poly(g, CHARACTERISTIC_STANDARD) == parse_poly("x - 3")
     assert simple_circuit_poly(g, PERMANENTAL) == parse_poly("x + 3")

@@ -1,0 +1,31 @@
+"""The example scripts run end to end on the sources in src/."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> str:
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_isospectral_pair():
+    out = run_script("isospectral_pair.py")
+    assert "identical:            True" in out
+    assert "(equal: True )" in out
+
+
+def test_dendrimer_scaling():
+    out = run_script("dendrimer_scaling.py", "--max-generations", "4")
+    rows = [line.split() for line in out.splitlines()[1:]]
+    # generation, then the vertex count of the binary path(3) dendrimer
+    assert [(int(r[0]), int(r[1])) for r in rows] == [(j, 2 ** (j + 1) - 1) for j in range(5)]
