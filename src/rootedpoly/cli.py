@@ -42,15 +42,18 @@ def _default_cap() -> int:
         raise GraphFormatError(f"ROOTEDPOLY_CAP must be a positive integer, got {value!r}")
 
 
-def _load_graph(path: str) -> Graph:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise GraphFormatError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return graph_from_json(data)
+
+
+def _load_graph(path: str) -> Graph:
+    return graph_from_json(_read_json(path))
 
 
 def _poly_terms_json(p: Poly) -> list[dict]:
@@ -125,13 +128,9 @@ def cmd_verify(args) -> int:
 
 
 def _load_dendrimer_spec(path: str) -> DendrimerSpec:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise GraphFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise GraphFormatError("dendrimer spec must be a JSON object")
     for key in ("core", "unit", "attach_sites", "generations"):
         if key not in data:
             raise GraphFormatError(f"dendrimer spec missing field {key!r}")
@@ -213,7 +212,8 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
     p_spec.add_argument("--dendrimer", help="dendrimer spec JSON file")
     p_spec.add_argument("--mode", default="characteristic-standard")
     p_spec.add_argument("--cap", type=int, default=cap)
-    p_spec.add_argument("--tol", type=float, default=1e-7)
+    p_spec.add_argument("--tol", type=float, default=1e-7,
+                        help="reported as cluster_tol; the roots of exact input are never merged")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)
     return parser

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
-                    edge_join, strip_all_loops)
+                    edge_join, normalize_parts, strip_all_loops)
 from .oracle import (DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly,
                      specialize)
 from .poly import (Poly, Var, X, divides, multilinear_ratio_substitute,
@@ -227,12 +227,10 @@ def spectral_product_from_loops(bg_roots: RootSet, h: Graph, mode: WeightMode,
 
 
 def core_parts(core: Graph) -> tuple[tuple[int, ...], int, int]:
-    parts = core.parts if core.parts is not None else bipartition(core)
-    n1, n2 = parts.count(1), parts.count(2)
-    if n1 < n2 or (n1 == n2 and core.p and parts[0] == 2):
-        parts = tuple(3 - x for x in parts)
-        n1, n2 = n2, n1
-    return parts, n1, n2
+    """The core's normalized bipartition (its own or a computed one) and the
+    two part sizes."""
+    parts = normalize_parts(core).parts if core.parts is not None else bipartition(core)
+    return parts, parts.count(1), parts.count(2)
 
 
 def _part_collapsed(core: Graph, cap: int) -> tuple[Poly, int, int]:

@@ -77,9 +77,6 @@ class Graph:
     def loop(self, i: int) -> Weight:
         return self.loops.get(i, 0)
 
-    def is_rooted(self) -> bool:
-        return self.root is not None
-
     def with_root(self, r: int) -> "Graph":
         return replace(self, root=r)
 
@@ -103,10 +100,6 @@ class Graph:
 
 
 # -- small factories -----------------------------------------------------
-
-
-def empty(n: int) -> Graph:
-    return Graph(p=n)
 
 
 def k1(loop: Weight = 0, rooted: bool = True) -> Graph:
@@ -170,24 +163,13 @@ def coalesce(g: Graph, h: Graph) -> Graph:
     """Identify the two roots into one coalescence node.
 
     The merged node keeps the sum of both root loop weights and becomes the
-    root of the result; h's other vertices are appended after g's.
+    root of the result; h's other vertices are appended after g's.  This is
+    the rooted product with h at g's root and a bare vertex elsewhere.
     """
-    rg = _require_root(g, "coalesce")
-    rh = _require_root(h, "coalesce")
-    mapping = {rh: rg}
-    nxt = g.p + 1
-    for v in range(1, h.p + 1):
-        if v != rh:
-            mapping[v] = nxt
-            nxt += 1
-    arcs = dict(g.arcs)
-    for (i, j), w in h.arcs.items():
-        arcs[(mapping[i], mapping[j])] = w
-    loops = dict(g.loops)
-    for v, b in h.loops.items():
-        t = mapping[v]
-        loops[t] = loops.get(t, 0) + b
-    return Graph(p=g.p + h.p - 1, arcs=arcs, loops=loops, root=rg)
+    gamma = [k1()] * g.p
+    gamma[_require_root(g, "coalesce") - 1] = h
+    product, _ = rooted_product(g, gamma)
+    return product
 
 
 def multiple_coalesce(members: Sequence[Graph]) -> Graph:
@@ -206,6 +188,8 @@ def rooted_product(core: Graph, gamma: Sequence[Graph]) -> tuple[Graph, list[dic
 
     Returns the product and, per member, the map from member vertex indices
     to product vertex indices (the member root maps to its core vertex).
+    The non-root vertices of each member follow, member by member, after the
+    core's.  Every composite graph of this module is grafted here.
     """
     if len(gamma) != core.p:
         raise ValueError(f"gamma has {len(gamma)} members for a core with {core.p} vertices")
@@ -291,21 +275,13 @@ def edge_join(h1: Graph, h2: Graph, weight_product: Weight) -> Graph:
     """Disjoint union of two rooted graphs joined root-to-root by a 2-cycle.
 
     The forward arc carries weight_product and the reverse arc weight 1, so
-    the joining 2-cycle contributes exactly weight_product.
+    the joining 2-cycle contributes exactly weight_product.  This is the
+    rooted product of h1 and h2 over a 2-vertex core carrying that 2-cycle;
+    a zero weight leaves the core without arcs.
     """
-    r1 = _require_root(h1, "edge_join")
-    r2 = _require_root(h2, "edge_join")
-    off = h1.p
-    arcs = dict(h1.arcs)
-    for (i, j), w in h2.arcs.items():
-        arcs[(i + off, j + off)] = w
-    if weight_product != 0:
-        arcs[(r1, r2 + off)] = weight_product
-        arcs[(r2 + off, r1)] = 1
-    loops = dict(h1.loops)
-    for v, b in h2.loops.items():
-        loops[v + off] = b
-    return Graph(p=h1.p + h2.p, arcs=arcs, loops=loops)
+    arcs = {(1, 2): weight_product, (2, 1): 1} if weight_product != 0 else {}
+    product, _ = rooted_product(Graph(p=2, arcs=arcs), [h1, h2])
+    return product
 
 
 # -- dendrimers ----------------------------------------------------------------
@@ -333,12 +309,8 @@ class DendrimerSpec:
                 raise ValueError(f"attach site {s} out of range")
             if s == self.unit.root:
                 raise ValueError("attach sites must exclude the unit root")
-        if self.generations < 0:
-            raise ValueError("generations must be nonnegative")
-
-    @property
-    def progressive_degree(self) -> int:
-        return len(self.attach_sites)
+        if not isinstance(self.generations, int) or self.generations < 0:
+            raise ValueError("generations must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -357,30 +329,12 @@ def monodendron(unit: Graph, attach_sites: Sequence[int], tiers: int) -> Monoden
     unit at each outermost attach site of tier j-1.  A branch with j tiers
     contains (d**j - 1) / (d - 1) unit copies for progressive degree d.
     """
-    r = _require_root(unit, "monodendron unit")
-    sites = tuple(attach_sites)
-    if tiers == 0:
-        return Monodendron(k1(), (1,), 0)
-    arcs = dict(unit.arcs)
-    loops = dict(unit.loops)
-    p = unit.p
-    frontier = list(sites)
-    for _ in range(tiers - 1):
-        new_frontier = []
-        for site in frontier:
-            mapping = {r: site}
-            for v in range(1, unit.p + 1):
-                if v != r:
-                    p += 1
-                    mapping[v] = p
-            for (i, j), w in unit.arcs.items():
-                arcs[(mapping[i], mapping[j])] = w
-            for v, b in unit.loops.items():
-                t = mapping[v]
-                loops[t] = loops.get(t, 0) + b
-            new_frontier.extend(mapping[s] for s in sites)
-        frontier = new_frontier
-    return Monodendron(Graph(p=p, arcs=arcs, loops=loops, root=r), tuple(frontier), tiers)
+    _require_root(unit, "monodendron unit")
+    one_tier = Monodendron(unit, tuple(attach_sites), 1)
+    out = Monodendron(k1(), (1,), 0)
+    for _ in range(tiers):
+        out = monodendron_star(out, one_tier)
+    return out
 
 
 def monodendron_star(a: Monodendron, b: Monodendron) -> Monodendron:
@@ -389,25 +343,12 @@ def monodendron_star(a: Monodendron, b: Monodendron) -> Monodendron:
     For branches built from the same unit the result is the canonical branch
     with a.tiers + b.tiers tiers.
     """
-    arcs = dict(a.graph.arcs)
-    loops = dict(a.graph.loops)
-    p = a.graph.p
-    rb = _require_root(b.graph, "monodendron_star")
-    frontier = []
+    gamma = [k1()] * a.graph.p
     for site in a.frontier:
-        mapping = {rb: site}
-        for v in range(1, b.graph.p + 1):
-            if v != rb:
-                p += 1
-                mapping[v] = p
-        for (i, j), w in b.graph.arcs.items():
-            arcs[(mapping[i], mapping[j])] = w
-        for v, bw in b.graph.loops.items():
-            t = mapping[v]
-            loops[t] = loops.get(t, 0) + bw
-        frontier.extend(mapping[s] for s in b.frontier)
-    g = Graph(p=p, arcs=arcs, loops=loops, root=a.graph.root)
-    return Monodendron(g, tuple(frontier), a.tiers + b.tiers)
+        gamma[site - 1] = b.graph
+    product, maps = rooted_product(a.graph, gamma)
+    frontier = tuple(maps[site - 1][s] for site in a.frontier for s in b.frontier)
+    return Monodendron(product, frontier, a.tiers + b.tiers)
 
 
 def dendrimer(spec: DendrimerSpec) -> Graph:

@@ -192,9 +192,6 @@ class Poly:
                     deg = e
         return deg
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self._terms), default=0)
-
     def is_exact(self) -> bool:
         return all(_is_exact(c) for c in self._terms.values())
 
@@ -204,9 +201,6 @@ class Poly:
             if mono:
                 raise ValueError(f"polynomial is not constant: {self}")
         return self._terms.get(_ONE_MONO, 0)
-
-    def coefficient(self, mono: Mono) -> Coeff:
-        return self._terms.get(mono, 0)
 
     # -- ring operations -----------------------------------------------
 

@@ -3,12 +3,13 @@
 Exact-coefficient polynomials are first split into square-free, pairwise
 coprime factors (so repeated roots come out with exact integer
 multiplicities), or arrive so factored; each factor is solved on its own by
-companion-matrix eigenvalues and polished by Newton steps, with a
-Durand-Kerner sweep as fallback.  Coefficients beyond the double range are
-scaled by exact powers of two first.  A Sturm count fixes how many roots of
-each factor are real.  Roots within the cluster tolerance are merged, but
-only within one factor.  Residuals are reported against the factor a root
-was extracted from, which keeps them meaningful for huge-coefficient inputs.
+companion-matrix eigenvalues and polished by Newton steps.  Coefficients
+beyond the double range are scaled by exact powers of two first.  A Sturm
+count fixes how many roots of each factor are real.  The multiplicities of
+exact input come from the factorization alone; only the roots of a
+float-coefficient polynomial are merged within the cluster tolerance.
+Residuals are reported against the factor a root was extracted from, which
+keeps them meaningful for huge-coefficient inputs.
 """
 
 from __future__ import annotations
@@ -52,20 +53,21 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
 
     An exact polynomial is split into square-free, pairwise coprime factors
     first; a Factored one already is.  Each factor is solved on its own and
-    its roots take its exponent as their exact multiplicity.  A Sturm count
-    decides how many roots of each factor are real, and those come out with
-    an imaginary part of exactly 0.  Roots are merged within the cluster
-    tolerance only inside one factor, never across factors.
+    its roots take its exponent as their exact multiplicity.  The roots of a
+    square-free factor are simple, so they are never merged, however close.
+    A Sturm count decides how many roots of each factor are real, and those
+    come out with an imaginary part of exactly 0.  Only a polynomial with
+    float coefficients has its roots merged within the cluster tolerance.
     """
     if isinstance(p, Poly):
         coeffs = p.univariate_coeffs(X)
         if not p.is_exact():
-            return _rootset([_solve(coeffs, 1, None, cluster_tol)], len(coeffs) - 1, cluster_tol)
+            found = _cluster(_solve(coeffs, 1, None), cluster_tol)
+            return _rootset([found], len(coeffs) - 1, cluster_tol)
         p = Factored.from_poly(p)
     if p.gens != (X,):
         raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, p.gens))}")
-    found = [_solve([int(c) for c in f.all_coeffs()], m, f.count_roots, cluster_tol)
-             for f, m in p.factors]
+    found = [_solve([int(c) for c in f.all_coeffs()], m, f.count_roots) for f, m in p.factors]
     return _rootset(found, p.degree(), cluster_tol)
 
 
@@ -83,9 +85,9 @@ def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
     )
 
 
-def _solve(coeffs: list, mult: int, count_real: Callable[[], int] | None,
-           tol: float) -> list[tuple[complex, int, float]]:
-    """Clustered roots of one factor, with their multiplicity and residual.
+def _solve(coeffs: list, mult: int,
+           count_real: Callable[[], int] | None) -> list[tuple[complex, int, float]]:
+    """The roots of one factor, each with the factor's multiplicity and its residual.
 
     count_real, given for exact factors, counts the real roots exactly; it
     is called only when some root came out with a nonzero imaginary part,
@@ -100,8 +102,7 @@ def _solve(coeffs: list, mult: int, count_real: Callable[[], int] | None,
         order = sorted(range(len(found)), key=lambda k: abs(found[k].imag))
         for k in order[:count_real()]:
             found[k] = complex(found[k].real, 0.0)
-    items = [(_times_power_of_two(z, shift), mult, abs(_horner(fc, z))) for z in found]
-    return _cluster(items, tol)
+    return [(_times_power_of_two(z, shift), mult, abs(_horner(fc, z))) for z in found]
 
 
 def _times_power_of_two(z: complex, shift: int) -> complex:
@@ -195,20 +196,9 @@ def _exponent(c) -> int:
 
 def _numeric_roots(fc: list[complex]) -> list[complex]:
     """Roots of one (preferably square-free) polynomial, Newton-polished."""
-    while fc and fc[0] == 0:
-        fc = fc[1:]
     degree = len(fc) - 1
-    if degree < 1:
-        return []
-    try:
-        raw = [complex(z) for z in np.roots(fc)]
-        bad = any(not np.isfinite(z.real) or not np.isfinite(z.imag) for z in raw)
-    except Exception:
-        raw, bad = [], True
-    if bad or len(raw) != degree:
-        raw = _durand_kerner(fc)
     deriv = [c * (degree - i) for i, c in enumerate(fc[:-1])]
-    return [_newton_polish(fc, deriv, z) for z in raw]
+    return [_newton_polish(fc, deriv, complex(z)) for z in np.roots(fc)]
 
 
 def _newton_polish(fc, deriv, z: complex, steps: int = 40) -> complex:
@@ -228,32 +218,9 @@ def _newton_polish(fc, deriv, z: complex, steps: int = 40) -> complex:
     return best
 
 
-def _durand_kerner(fc, max_iter: int = 500) -> list[complex]:
-    degree = len(fc) - 1
-    lead = fc[0]
-    monic = [c / lead for c in fc]
-    z = [(0.4 + 0.9j) ** k for k in range(1, degree + 1)]
-    for _ in range(max_iter):
-        moved = 0.0
-        for i in range(degree):
-            num = _horner(monic, z[i])
-            den = 1.0 + 0j
-            for j in range(degree):
-                if j != i:
-                    den *= z[i] - z[j]
-            if den == 0:
-                z[i] += 1e-6 + 1e-6j
-                continue
-            delta = num / den
-            z[i] -= delta
-            moved = max(moved, abs(delta))
-        if moved < 1e-14:
-            break
-    return z
-
-
 def _cluster(found: list[tuple[complex, int, float]], tol: float) -> list[tuple[complex, int, float]]:
-    """Greedy union of roots within tol of each other (multiplicity-weighted mean)."""
+    """Greedy union of roots within tol of each other (multiplicity-weighted mean);
+    for float-coefficient input only, whose multiplicities no factorization gives."""
     clusters: list[list[tuple[complex, int, float]]] = []
     for item in sorted(found, key=lambda it: (it[0].real, it[0].imag)):
         for members in clusters:

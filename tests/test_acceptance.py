@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from _brute import random_graph, six_vertex_tree
 from rootedpoly import factor, verify
 from rootedpoly.factor import (bipartite_bivariate, bipartite_delta,
@@ -101,11 +103,18 @@ def test_criterion_3_root_reproduction():
     _report(3, "printed root list reproduced", ok)
 
 
-def test_criterion_4_exact_equivalence_suites():
+@pytest.fixture(scope="module")
+def exact_suites():
+    """The products and bipartite suite reports, run once for criteria 4 and 7,
+    and the seconds both took."""
     start = time.time()
     products = verify.run_products_suite()
     bipartite = verify.run_bipartite_suite()
-    elapsed = time.time() - start
+    return products, bipartite, time.time() - start
+
+
+def test_criterion_4_exact_equivalence_suites(exact_suites):
+    products, bipartite, elapsed = exact_suites
     ok = products.passed and bipartite.passed and elapsed < 300.0
     detail = "; ".join(f"{r.identity}:{r.instances}" for r in
                        products.identities + bipartite.identities)
@@ -127,11 +136,10 @@ def test_criterion_6_bipartite_structure():
             report.passed, f"({counts}, {report.elapsed:.1f}s)")
 
 
-def test_criterion_7_divisibility():
-    products = verify.run_products_suite()
+def test_criterion_7_divisibility(exact_suites):
+    products, bipartite, _ = exact_suites
     by_id = {r.identity: r for r in products.identities}
     lemma = by_id["attachment-power-divisibility"]
-    bipartite = verify.run_bipartite_suite()
     by_id.update({r.identity: r for r in bipartite.identities})
     zero = by_id["zero-root-divisibility"]
     ok = lemma.status == "pass" and zero.status == "pass"

@@ -153,6 +153,39 @@ def test_spectrum_huge_weight_scales_exactly(tmp_path, capsys):
     assert got == pytest.approx([-2.0 ** 600, 2.0 ** 600], rel=1e-11)
 
 
+def test_spectrum_keeps_close_simple_roots_apart(tmp_path, capsys):
+    # x^2 - 10^-16: the roots +-1e-8 lie within the cluster tolerance but are simple
+    w = "1/100000000"
+    doc = {"p": 2, "arcs": [{"from": 1, "to": 2, "w": w}, {"from": 2, "to": 1, "w": w}]}
+    path = tmp_path / "close.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path), "--format", "json"]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)["roots"]
+    assert [r["multiplicity"] for r in got] == [1, 1]
+    assert [float(r["re"]) for r in got] == pytest.approx([1e-8, -1e-8], rel=1e-11)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"core": {"p": 1}, "unit": {"p": 2, "root": 1}, "generations": 2}',
+     "error: dendrimer spec missing field 'attach_sites'\n"),
+    ('{"core": {"p": 1},', None),
+    ("3", "error: dendrimer spec must be a JSON object\n"),
+    ('{"core": {"p": 1}, "unit": {"p": 2, "edges": [{"a": 1, "b": 2}], "root": 1},'
+     ' "attach_sites": [2], "generations": 2.5}',
+     "error: bad dendrimer spec: generations must be a nonnegative integer\n"),
+])
+def test_bad_dendrimer_spec_exit_code(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["spectrum", "--dendrimer", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if message is not None:
+        assert err == message
+    else:
+        assert err.startswith(f"error: {path}:1:")
+
+
 def test_numeric_failure_exit_code(files, capsys, monkeypatch):
     import rootedpoly.cli as cli_mod
 

@@ -161,6 +161,14 @@ def test_roots_never_merge_coprime_factors():
     assert abs(rs.roots[0][0] - float(near)) < 1e-15 and abs(rs.roots[1][0] - 1) < 1e-15
 
 
+def test_roots_of_exact_input_are_never_merged():
+    # 10^16 x^2 - 1 is square-free: its roots +-1e-8 are simple, although
+    # closer together than the cluster tolerance
+    rs = roots(parse_poly("10000000000000000*x^2 - 1"))
+    assert [m for _, m in rs.roots] == [1, 1]
+    assert [v.real for v in rs.values()] == pytest.approx([1e-8, -1e-8], rel=1e-12)
+
+
 def test_dendrimer_spectrum_of_symmetric_matrix_is_exactly_real():
     binary = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
                            attach_sites=(1, 3), generations=7)
