@@ -19,7 +19,7 @@ from . import verify
 from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
-                     specialize)
+                     simple_circuit_poly, specialize)
 from .poly import Poly
 from .spectra import dendrimer_spectrum, roots
 
@@ -73,11 +73,10 @@ def _poly_terms_json(p: Poly) -> list[dict]:
 def cmd_poly(args) -> int:
     g = _load_graph(args.graph)
     mode = mode_by_name(args.mode)
-    full = circuit_poly(g, args.cap)
     if args.full:
-        result = specialize(full, mode, g)
+        result = specialize(circuit_poly(g, args.cap), mode, g)
     else:
-        result = specialize(full, mode.simple(), g)
+        result = simple_circuit_poly(g, mode, args.cap)
     if args.format == "json":
         print(json.dumps({"text": str(result), "terms": _poly_terms_json(result)}, indent=2))
     else:
@@ -167,8 +166,7 @@ def cmd_spectrum(args) -> int:
         if not args.graph:
             raise GraphFormatError("need a graph file or --dendrimer spec")
         g = _load_graph(args.graph)
-        poly = specialize(circuit_poly(g, args.cap), mode.simple(), g)
-        rs = roots(poly, cluster_tol=args.tol)
+        rs = roots(simple_circuit_poly(g, mode, args.cap), cluster_tol=args.tol)
     _print_rootset(rs, args.format)
     return EXIT_OK
 

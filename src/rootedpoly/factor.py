@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
-                    edge_join, normalize_parts, strip_all_loops)
+                    edge_join, normalize_parts, strip_all_loops, strip_root_loops)
 from .oracle import (DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly,
                      specialize)
 from .poly import (Poly, Var, X, divides, multilinear_ratio_substitute,
@@ -105,6 +105,14 @@ def _unit_mul(p: Poly, unit) -> Poly:
     return p * unit
 
 
+def _shift_root_loop(p: Poly, q: Poly, extra, mode: WeightMode) -> Poly:
+    """Polynomial of a rooted graph after adding extra loop weight at its root;
+    p and q are those of the graph and of the graph without its root."""
+    if extra == 0 or mode.x_to_one:  # x_to_one discards loop weights
+        return p
+    return p + _unit_mul(q, mode.w1_unit) * (mode.sigma_b * extra)
+
+
 def _unit_divide(p: Poly, unit, k: int) -> Poly:
     if k == 0:
         return p
@@ -114,12 +122,31 @@ def _unit_divide(p: Poly, unit, k: int) -> Poly:
         return p.divide_var_power(wvar(1), k)
     if unit == 1:
         return p
-    if isinstance(unit, (int, Fraction)):
-        return p * (Fraction(1) / unit) ** k
-    return p * (1 / unit) ** k
+    return p * (Fraction(1) / unit) ** k
 
 
 # -- coalescence and rooted products ------------------------------------------
+
+
+def attachment_polys(h: Graph, mode: WeightMode, cap: int = DEFAULT_CAP,
+                     vmap: dict[int, int] | None = None) -> tuple[Poly, Poly, Poly]:
+    """Polynomials P(H), P(H - r) and P(H~) of a rooted graph H, where H~ is
+    H with the loop at its root removed: simple ones, or with vmap given,
+    ones that keep the vertex variables, renamed from H's vertex v to x_vmap[v].
+
+    Only H~ and H - r are enumerated: a loop of weight b at the root adds
+    sigma_b * b * w1 * P(H - r) to P(H~).
+    """
+    mode = mode.simple() if vmap is None else replace(mode, collapse_x=False)
+    tri, rest = strip_root_loops(h), delete_root(h)
+    ptri = specialize(circuit_poly(tri, cap), mode, tri)
+    pl = specialize(circuit_poly(rest, cap), mode, rest)
+    if vmap is not None:
+        others = [v for v in range(1, h.p + 1) if v != h.root]  # H - r numbers them 1, 2, ...
+        ptri = ptri.substitute_many({xvar(v): Poly.variable(xvar(g)) for v, g in vmap.items()})
+        pl = pl.substitute_many({xvar(k): Poly.variable(xvar(vmap[v]))
+                                 for k, v in enumerate(others, start=1)})
+    return _shift_root_loop(ptri, pl, h.loop(h.root), mode), pl, ptri
 
 
 def coalescence_poly(bg: Poly, bh_minus_r: Poly, bh_tri: Poly, root_var: Var,
@@ -175,29 +202,33 @@ def simple_rooted_product_poly(bg_simple: Poly, bh_tri: Poly, bh_minus_r: Poly,
     ghat = [_unit_divide(g, w1_unit, p - i) for i, g in enumerate(gammas)]
     if ghat[0] != Poly.one():
         raise ValueError("gamma0 != 1: core polynomial is not monic after unit normalization")
+    tri, rest = _powers(bh_tri, p), _powers(bh_minus_r, p)
     total = Poly.zero()
-    tri_pow = Poly.one()
-    powers_tri = [Poly.one()]
-    for _ in range(p):
-        tri_pow = tri_pow * bh_tri
-        powers_tri.append(tri_pow)
-    del_pow = Poly.one()
     for g in range(p + 1):
-        total = total + ghat[g] * powers_tri[p - g] * del_pow
-        if g < p:
-            del_pow = del_pow * bh_minus_r
+        total = total + ghat[g] * tri[p - g] * rest[g]
     return total
+
+
+def _powers(p: Poly, n: int) -> list[Poly]:
+    """[1, p, p**2, ..., p**n]."""
+    out = [Poly.one()]
+    for _ in range(n):
+        out.append(out[-1] * p)
+    return out
 
 
 def spectral_product_form(bg_roots: RootSet, bh_tri: Poly, bh_minus_r: Poly,
                           w1_unit: Unit = 1) -> Poly:
     """Numeric product polynomial from the core roots: one factor per root."""
-    p = bg_roots.source_degree
-    den = _unit_mul(bh_minus_r, w1_unit)
-    prod = Poly.one()
-    for lam, mult in bg_roots.roots:
-        prod = prod * (bh_tri - lam * den) ** mult
-    return _unit_divide(prod, w1_unit, p)
+    prod = _root_product(Poly.one(), bh_tri, _unit_mul(bh_minus_r, w1_unit), bg_roots)
+    return _unit_divide(prod, w1_unit, bg_roots.source_degree)
+
+
+def _root_product(prod: Poly, a: Poly, b: Poly, roots: RootSet) -> Poly:
+    """prod times (a - t * b)**m for each root t of multiplicity m."""
+    for t, mult in roots.roots:
+        prod = prod * (a - t * b) ** mult
+    return prod
 
 
 def spectral_product_from_loops(bg_roots: RootSet, h: Graph, mode: WeightMode,
@@ -294,19 +325,10 @@ def restricted_product_poly(delta: BipartiteExpansion, ph1: Poly, pl1: Poly,
     their roots; pl1/pl2 are their root-deleted polynomials.
     """
     p1, p2 = delta.p1, delta.p2
-    pow1 = [Poly.one()]
-    for _ in range(p1):
-        pow1.append(pow1[-1] * ph1)
-    pow2 = [Poly.one()]
-    for _ in range(p2):
-        pow2.append(pow2[-1] * ph2)
+    pow1, pow2, lpow = _powers(ph1, p1), _powers(ph2, p2), _powers(pl1 * pl2, p2)
     total = Poly.zero()
-    lpow = Poly.one()
-    l12 = pl1 * pl2
     for k in range(p2 + 1):
-        total = total + delta.delta[k] * pow1[p1 - k] * pow2[p2 - k] * lpow
-        if k < p2:
-            lpow = lpow * l12
+        total = total + delta.delta[k] * pow1[p1 - k] * pow2[p2 - k] * lpow[k]
     return total
 
 
@@ -335,12 +357,7 @@ def one_sided_product_poly(delta: BipartiteExpansion, ph: Poly, pl: Poly,
 
 def mu_squares(delta: BipartiteExpansion, cluster_tol: float = 1e-7) -> MuSquares:
     """Squared symmetric roots of the core from its expansion coefficients."""
-    coeffs = delta.constants()
-    q = Poly.from_univariate_coeffs(coeffs)
-    if delta.p2 == 0:
-        empty = RootSet(roots=(), source_degree=0, cluster_tol=cluster_tol, residuals=())
-        return MuSquares(empty, q)
-    return MuSquares(numeric_roots(q, cluster_tol), q)
+    return _mu_squares(delta.constants(), cluster_tol)
 
 
 def mu_squares_from_simple(simple: Poly, p1: int, p2: int,
@@ -363,10 +380,14 @@ def mu_squares_from_simple(simple: Poly, p1: int, p2: int,
         if i // 2 > p2:
             raise ValueError(f"spectrum not symmetric: not divisible by x^{p1 - p2}")
         qc[i // 2] = c
+    return _mu_squares(qc, cluster_tol)
+
+
+def _mu_squares(qc: list, cluster_tol: float) -> MuSquares:
+    """The roots of q(z) with descending coefficients qc; none when q is constant."""
     q = Poly.from_univariate_coeffs(qc)
-    if p2 == 0:
-        empty = RootSet(roots=(), source_degree=0, cluster_tol=cluster_tol, residuals=())
-        return MuSquares(empty, q)
+    if len(qc) == 1:
+        return MuSquares(RootSet(roots=(), source_degree=0, cluster_tol=cluster_tol, residuals=()), q)
     return MuSquares(numeric_roots(q, cluster_tol), q)
 
 
@@ -375,12 +396,7 @@ def restricted_spectral_form(mu2: RootSet, ph1: Poly, pl1: Poly, ph2: Poly,
     """Numeric restricted-product polynomial built from the squared core roots."""
     if mu2.source_degree != p2:
         raise ValueError(f"expected {p2} squared roots, got {mu2.source_degree}")
-    a = ph1 * ph2
-    b = pl1 * pl2
-    prod = ph1 ** (p1 - p2)
-    for m, mult in mu2.roots:
-        prod = prod * (a - m * b) ** mult
-    return prod
+    return _root_product(ph1 ** (p1 - p2), ph1 * ph2, pl1 * pl2, mu2)
 
 
 def restricted_product_from_edge_join(mu2: RootSet, h1: Graph, h2: Graph,
@@ -412,12 +428,8 @@ def reciprocal_check(core: Graph, h1: Graph, h2: Graph, mode: WeightMode,
     if p1 != p2:
         raise ValueError(f"parts unequal: {p1} != {p2}")
     delta = bipartite_delta(core, mode, cap)
-    polys = {}
-    for h in (h1, h2):
-        polys[id(h)] = (simple_circuit_poly(h, mode, cap),
-                        simple_circuit_poly(delete_root(h), mode, cap))
-    ph1, pl1 = polys[id(h1)]
-    ph2, pl2 = polys[id(h2)]
+    ph1, pl1, _ = attachment_polys(h1, mode, cap)
+    ph2, pl2, _ = attachment_polys(h2, mode, cap)
     direct = restricted_product_poly(delta, ph1, pl1, ph2, pl2)
     swapped = restricted_product_poly(delta, ph2, pl2, ph1, pl1)
     return direct == swapped
@@ -466,13 +478,6 @@ def common_multiplicity(poly1: Poly, poly2: Poly, lam, tol: float = 1e-8) -> Com
 
 
 # -- dendrimers -------------------------------------------------------------------
-
-
-def _shift_root_loop(p: Poly, q: Poly, extra, mode: WeightMode) -> Poly:
-    """Polynomial of a rooted graph after adding extra loop weight at its root."""
-    if extra == 0:
-        return p
-    return p + _unit_mul(q, mode.w1_unit) * (mode.sigma_b * extra)
 
 
 def _keep_x(mode: WeightMode) -> WeightMode:

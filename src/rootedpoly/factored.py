@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import sympy
 
@@ -67,10 +67,6 @@ def _positive(f: sympy.Poly) -> sympy.Poly:
     return -f if f.LC() < 0 else f
 
 
-def _lead(f: sympy.Poly) -> int:
-    return int(f.LC())
-
-
 @dataclass(frozen=True)
 class Factored:
     """const * prod f**m over square-free, pairwise coprime factors f."""
@@ -82,13 +78,8 @@ class Factored:
     @staticmethod
     def from_poly(p: Poly) -> "Factored":
         """Square-free decomposition of an exact nonzero polynomial."""
-        if p.is_zero():
-            raise ValueError("the zero polynomial has no factorization")
-        gens = tuple(sorted(p.variables() | {X}))
-        scale, f = _to_sympy(p, gens)
-        _, pairs = f.sqf_list()
-        factors = tuple((_positive(g), k) for g, k in pairs)
-        return Factored(_norm_coeff(scale * _lead(f) / _leads(factors)), factors, gens)
+        base = CoprimeBase(sorted(p.variables() | {X}))
+        return base.factored(*base.absorb(p))
 
     def degree(self, v: Var = X) -> int:
         k = self.gens.index(v)
@@ -114,13 +105,6 @@ class Factored:
         return _from_sympy(heap[0][2], self.gens, self.const, shift)
 
 
-def _leads(factors: Iterable[tuple[sympy.Poly, int]]) -> int:
-    out = 1
-    for f, m in factors:
-        out *= _lead(f) ** m
-    return out
-
-
 class CoprimeBase:
     """A growing list of square-free, pairwise coprime, primitive polynomials.
 
@@ -139,7 +123,7 @@ class CoprimeBase:
         scale, h = _to_sympy(p, self.gens)
         if h.is_zero:
             raise ValueError("the zero polynomial has no factorization")
-        lead = scale * _lead(h)
+        lead = scale * int(h.LC())
         exps: dict[int, int] = {}
         for i in range(len(self.polys)):
             if h.is_ground:
@@ -176,7 +160,7 @@ class CoprimeBase:
             for g, k in pairs:
                 exps[len(self.polys)] = k
                 self.polys.append(_positive(g))
-        const = lead / _leads((self.polys[j], k) for j, k in exps.items())
+        const = lead / math.prod(int(self.polys[j].LC()) ** k for j, k in exps.items())
         return _norm_coeff(const), exps
 
     def factored(self, const, exps: dict[int, int]) -> Factored:

@@ -287,27 +287,7 @@ class Poly:
         """Simultaneously replace several variables (values may be constants)."""
         if not mapping:
             return self
-        polys = {v: _as_poly(q) for v, q in mapping.items()}
-        power_cache: dict[tuple[Var, int], Poly] = {}
-        total = Poly.zero()
-        for mono, coeff in self._terms.items():
-            kept = []
-            factors = []
-            for v, e in mono:
-                if v in polys:
-                    key = (v, e)
-                    f = power_cache.get(key)
-                    if f is None:
-                        f = polys[v] ** e
-                        power_cache[key] = f
-                    factors.append(f)
-                else:
-                    kept.append((v, e))
-            term = Poly({tuple(kept): coeff})
-            for f in factors:
-                term = term * f
-            total = total + term
-        return total
+        return _substitute(self, {v: (_as_poly(q), None) for v, q in mapping.items()})
 
     def evaluate(self, assignment: Mapping[Var, Coeff]) -> Coeff:
         """Evaluate at a point; exact when all inputs are exact."""
@@ -430,7 +410,48 @@ def _format_term(mono: Mono, coeff: Coeff, first: bool) -> str:
     return f"- {body}" if negative else f"+ {body}"
 
 
-# -- ratio substitution -----------------------------------------------------
+# -- substitution -------------------------------------------------------------
+
+
+def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
+    """p with each v in table replaced by num, or by num/den times
+    den**deg_v(p) when den is given.  A term keeps its other variables and is
+    multiplied by num**e per plain target, in its own variable order, then by
+    num**e and den**(deg - e) per ratio target, in table order."""
+    degs = {v: p.degree_in(v) for v, (_, den) in table.items() if den is not None}
+    cache: dict[tuple[Var, int, int], Poly] = {}
+
+    def power(v: Var, e: int, side: int) -> Poly:
+        key = (v, e, side)
+        f = cache.get(key)
+        if f is None:
+            f = cache[key] = table[v][side] ** e
+        return f
+
+    total = Poly.zero()
+    for mono, coeff in p._terms.items():
+        kept = []
+        factors = []
+        seen: dict[Var, int] = {}
+        for v, e in mono:
+            if v not in table:
+                kept.append((v, e))
+            elif v in degs:
+                seen[v] = e
+            else:  # the cache lookup of power(v, e, 0), inlined on this hot path
+                f = cache.get((v, e, 0))
+                factors.append(power(v, e, 0) if f is None else f)
+        for v, d in degs.items():
+            e = seen.get(v, 0)
+            if e:
+                factors.append(power(v, e, 0))
+            if d - e:
+                factors.append(power(v, d - e, 1))
+        term = Poly({tuple(kept): coeff})
+        for f in factors:
+            term = term * f
+        total = total + term
+    return total
 
 
 def ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly:
@@ -441,42 +462,10 @@ def ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly
     """
     if not targets:
         return p
-    degs = {v: p.degree_in(v) for v, _, _ in targets}
     table = {v: (num, den) for v, num, den in targets}
     if len(table) != len(targets):
         raise ValueError("duplicate target variable")
-    cache: dict[tuple[Var, int, bool], Poly] = {}
-
-    def power(v: Var, e: int, num_side: bool) -> Poly:
-        key = (v, e, num_side)
-        f = cache.get(key)
-        if f is None:
-            base = table[v][0] if num_side else table[v][1]
-            f = base ** e
-            cache[key] = f
-        return f
-
-    total = Poly.zero()
-    for mono, coeff in p.terms().items():
-        kept = []
-        factors = []
-        seen: dict[Var, int] = {}
-        for v, e in mono:
-            if v in table:
-                seen[v] = e
-            else:
-                kept.append((v, e))
-        for v, d in degs.items():
-            e = seen.get(v, 0)
-            if e:
-                factors.append(power(v, e, True))
-            if d - e:
-                factors.append(power(v, d - e, False))
-        term = Poly({tuple(kept): coeff})
-        for f in factors:
-            term = term * f
-        total = total + term
-    return total
+    return _substitute(p, table)
 
 
 def multilinear_ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from . import factor, spectra
 from .factor import ProductMode
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complete,
-                    cycle, delete_root, from_edges, k1, monodendron, monodendron_star,
+                    cycle, from_edges, k1, monodendron, monodendron_star,
                     path, rooted_product, restricted_rooted_product, star,
                     strip_all_loops, strip_root_loops)
 from .oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode,
@@ -138,33 +138,11 @@ def attachment_triple(h: Graph, extra_root_loop, mode: WeightMode, cap: int,
     into the product graph's numbering; otherwise the simple collapse applies.
     """
     hhat = attach_root_loop(h, extra_root_loop + h.loop(h.root))
-    htri = strip_root_loops(h)
-    hdel = delete_root(h)
-    if vmap is None:
-        simple = mode.simple()
-        return (simple_circuit_poly(hhat, simple, cap),
-                simple_circuit_poly(hdel, simple, cap),
-                simple_circuit_poly(htri, simple, cap))
-    keep = replace(mode, collapse_x=False)
-    ren = {xvar(v): Poly.variable(xvar(g)) for v, g in vmap.items()}
-    del_map = {}
-    nxt = 1
-    for v in range(1, h.p + 1):
-        if v != h.root:
-            del_map[v] = nxt
-            nxt += 1
-    ren_del = {xvar(d): Poly.variable(xvar(vmap[v])) for v, d in del_map.items()}
-    ph = specialize(circuit_poly(hhat, cap), keep, hhat).substitute_many(ren)
-    ptri = specialize(circuit_poly(htri, cap), keep, htri).substitute_many(ren)
-    pl = specialize(circuit_poly(hdel, cap), keep, hdel).substitute_many(ren_del)
-    return ph, pl, ptri
+    return factor.attachment_polys(hhat, mode, cap, vmap)
 
 
 def _with_loops(g: Graph, loops: dict[int, int]) -> Graph:
-    merged = dict(g.loops)
-    for v, b in loops.items():
-        merged[v] = merged.get(v, 0) + b
-    return Graph(p=g.p, arcs=g.arcs, loops=merged, root=g.root, parts=g.parts)
+    return replace(g, loops={**g.loops, **{v: g.loop(v) + b for v, b in loops.items()}})
 
 
 def coeff_deviation(exact: Poly, numeric: Poly) -> float:
@@ -182,10 +160,12 @@ def coeff_deviation(exact: Poly, numeric: Poly) -> float:
 # -- products suite ---------------------------------------------------------------
 
 
-def run_products_suite(cap: int = SUITE_CAP, tol: float = 0.0) -> SuiteReport:
+def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
     """Exact composition identities for coalescences and rooted products."""
     t0 = time.time()
     w1 = Poly.variable(wvar(1))
+    simple_generic = GENERIC.simple()
+    simple_char = CHARACTERISTIC_STANDARD.simple()
     rep_coal = IdentityReport("coalescence-substitution")
     rep_attach = IdentityReport("rooted-product-stripped-attachments")
     rep_core = IdentityReport("rooted-product-stripped-core")
@@ -224,7 +204,8 @@ def run_products_suite(cap: int = SUITE_CAP, tol: float = 0.0) -> SuiteReport:
                 triples = [attachment_triple(h, core.loop(k + 1), GENERIC, cap, maps[k])
                            for k, h in enumerate(gamma)]
                 core_hat = _with_loops(core, {k + 1: h.loop(h.root) for k, h in enumerate(gamma)})
-                got_a = factor.rooted_product_poly(circuit_poly(core_hat, cap), triples,
+                full_hat = circuit_poly(core_hat, cap)
+                got_a = factor.rooted_product_poly(full_hat, triples,
                                                    ProductMode.ROOT_LOOPS_STRIPPED, w1)
                 got_c = factor.rooted_product_poly(circuit_poly(strip_all_loops(core), cap),
                                                    triples, ProductMode.CORE_LOOPS_STRIPPED, w1)
@@ -234,10 +215,8 @@ def run_products_suite(cap: int = SUITE_CAP, tol: float = 0.0) -> SuiteReport:
 
                 if fam_idx < len(attachments):  # uniform: simple-polynomial routes
                     h = gamma[0]
-                    want_simple = want.substitute_many(
-                        {xvar(i): Poly.variable(X) for i in range(1, product.p + 1)})
-                    bg = circuit_poly(core_hat, cap).substitute_many(
-                        {xvar(i): Poly.variable(X) for i in range(1, core.p + 1)})
+                    want_simple = specialize(want, simple_generic, product)
+                    bg = specialize(full_hat, simple_generic, core_hat)
                     ph, pl, ptri = attachment_triple(h, 0, GENERIC, cap, vmap=None)
                     # direct substitution into the simple core polynomial
                     raw = ratio_substitute(bg, [(X, ptri, pl * w1)])
@@ -248,13 +227,10 @@ def run_products_suite(cap: int = SUITE_CAP, tol: float = 0.0) -> SuiteReport:
                     rep_exp.record(got_exp == want_simple, detail=detail)
 
                     # zero-root divisibility of the product polynomial
-                    mode = CHARACTERISTIC_STANDARD
-                    bg_s = simple_circuit_poly(core_hat, mode, cap)
-                    s = spectra.multiplicity_at(bg_s, 0)
+                    s = spectra.multiplicity_at(specialize(full_hat, simple_char, core_hat), 0)
                     if s >= 1:
-                        tri_s = simple_circuit_poly(strip_root_loops(h), mode, cap)
-                        prod_s = simple_circuit_poly(product, mode, cap)
-                        ok, _ = divides(tri_s ** s, prod_s)
+                        tri_s = simple_circuit_poly(strip_root_loops(h), simple_char, cap)
+                        ok, _ = divides(tri_s ** s, specialize(want, simple_char, product))
                         rep_div.record(ok, detail=detail)
 
     report = SuiteReport("products", [rep_coal, rep_attach, rep_core, rep_sub, rep_exp, rep_div])
@@ -266,15 +242,12 @@ def run_products_suite(cap: int = SUITE_CAP, tol: float = 0.0) -> SuiteReport:
 
 
 def _restricted_constituents(h1: Graph, h2: Graph, mode: WeightMode, cap: int):
-    out = []
-    for h in (h1, h2):
-        out.append((simple_circuit_poly(h, mode, cap),
-                    simple_circuit_poly(delete_root(h), mode, cap)))
-    return out[0] + out[1]
+    """P(H1), P(H1 - r), P(H2), P(H2 - r)."""
+    return factor.attachment_polys(h1, mode, cap)[:2] + factor.attachment_polys(h2, mode, cap)[:2]
 
 
-def run_bipartite_suite(cap: int = SUITE_CAP, tol: float = 0.0,
-                        seed: int = 20260809, reciprocal_samples: int = 24) -> SuiteReport:
+def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
+                        reciprocal_samples: int = 24) -> SuiteReport:
     """Exact identities special to bipartite cores."""
     t0 = time.time()
     w1 = Poly.variable(wvar(1))
@@ -297,15 +270,10 @@ def run_bipartite_suite(cap: int = SUITE_CAP, tol: float = 0.0,
 
         # single-parity powers, part-difference divisibility, leading delta 1
         simple = simple_circuit_poly(core, CHARACTERISTIC_STANDARD, cap)
-        coeffs = simple.univariate_coeffs(X)
-        parity_ok = all(c == 0 for i, c in enumerate(coeffs) if i % 2 == 1)
-        low = min((core.p - i for i, c in enumerate(coeffs) if c != 0), default=core.p)
         char_delta = factor.bipartite_delta(core, CHARACTERISTIC_STANDARD, cap)
-        regen = Poly.zero()
-        for k, d in enumerate(char_delta.delta):
-            regen = regen + d * Poly.monomial([(X, core.p - 2 * k)])
-        rep_struct.record(parity_ok and low >= p1 - p2 and regen == simple,
-                          detail=core_name)
+        rep_struct.record(all(_parity_and_divisibility(simple, p1, p2))
+                          and _from_delta(char_delta) == simple, detail=core_name)
+        zero_mult = spectra.multiplicity_at(simple, 0)
         pairs = [(a, a) for a in attachments]
         pairs += [(attachments[i], attachments[(i + 2) % len(attachments)])
                   for i in range(len(attachments))]
@@ -323,8 +291,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, tol: float = 0.0,
             rep_sub.record(got_sub == want, detail=detail)
 
             # zero-root divisibility for the characteristic specialization
-            s = spectra.multiplicity_at(simple, 0)
-            if s >= p1 - p2:
+            if zero_mult >= p1 - p2:
                 c1, d1, c2, d2 = _restricted_constituents(h1, h2, CHARACTERISTIC_STANDARD, cap)
                 prod_char = factor.restricted_product_poly(char_delta, c1, d1, c2, d2)
                 report = factor.zero_divisibility_report(simple, c1, c2, prod_char, p1, p2)
@@ -346,8 +313,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, tol: float = 0.0,
                     else:
                         product, _ = restricted_rooted_product(core_loopy, k1(), h)
                     want = simple_circuit_poly(product, GENERIC, cap)
-                    ph = simple_circuit_poly(h, simple_generic, cap)
-                    pl = simple_circuit_poly(delete_root(h), simple_generic, cap)
+                    ph, pl, _ = factor.attachment_polys(h, GENERIC, cap)
                     got = factor.one_sided_product_poly(delta, ph, pl, b, GENERIC, larger)
                     rep = rep_one_l if larger else rep_one_s
                     rep.record(got == want, detail=f"{core_name}+{h_name} b={b}")
@@ -375,6 +341,19 @@ def run_bipartite_suite(cap: int = SUITE_CAP, tol: float = 0.0,
     return report
 
 
+def _parity_and_divisibility(simple: Poly, p1: int, p2: int) -> tuple[bool, bool]:
+    """Whether a simple polynomial has powers of one parity only, and whether
+    x**(p1 - p2) divides it."""
+    coeffs = simple.univariate_coeffs(X)
+    return not any(coeffs[1::2]), not any(coeffs[len(coeffs) - (p1 - p2):])
+
+
+def _from_delta(delta: factor.BipartiteExpansion) -> Poly:
+    """sum_k delta_k * x**(p - 2k): the simple polynomial an expansion stands for."""
+    p = delta.p1 + delta.p2
+    return sum((d * Poly.monomial([(X, p - 2 * k)]) for k, d in enumerate(delta.delta)), Poly.zero())
+
+
 def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -> SuiteReport:
     """Structural facts for every loopless bipartite graph up to a size bound:
     single-parity simple polynomial, divisibility by the part-difference power,
@@ -386,19 +365,14 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
     mode = CHARACTERISTIC_STANDARD
     for g, p1, p2 in bipartite_graph_classes(max_vertices):
         simple = simple_circuit_poly(g, mode, cap)
-        coeffs = simple.univariate_coeffs(X)
-        p = len(coeffs) - 1
-        parity_ok = all(c == 0 for i, c in enumerate(coeffs) if i % 2 == 1)
-        rep_parity.record(parity_ok, detail=f"p1={p1} p2={p2}")
-        low = next((p - i for i in range(p, -1, -1) if coeffs[i] != 0), p)
-        rep_div.record(low >= p1 - p2, detail=f"p1={p1} p2={p2}")
+        parity_ok, divisible = _parity_and_divisibility(simple, p1, p2)
+        detail = f"p1={p1} p2={p2}"
+        rep_parity.record(parity_ok, detail=detail)
+        rep_div.record(divisible, detail=detail)
         try:
             delta = factor.bipartite_delta(g, mode, cap)
-            regen = Poly.zero()
-            for k, d in enumerate(delta.delta):
-                regen = regen + d * Poly.monomial([(X, p - 2 * k)])
-            rep_sync.record(delta.delta[0] == Poly.one() and regen == simple,
-                            detail=f"p1={p1} p2={p2}")
+            rep_sync.record(delta.delta[0] == Poly.one() and _from_delta(delta) == simple,
+                            detail=detail)
         except ValueError as exc:
             rep_sync.record(False, detail=str(exc))
     report = SuiteReport("bipartite-structure", [rep_parity, rep_div, rep_sync])
@@ -464,16 +438,13 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                     loop_values = {core.loop(v) + h.loop(h.root) for v in range(1, core.p + 1)}
                     if len(loop_values) != 1:
                         continue  # root-product factors need a uniform unit
-                    b = loop_values.pop()
-                    tri = simple_circuit_poly(strip_root_loops(h), mode, cap)
-                    pl = simple_circuit_poly(delete_root(h), mode, cap)
-                    ph_b = tri + pl * (mode.sigma_b * b * mode.w1)
+                    hb = attach_root_loop(h, loop_values.pop())
+                    ph_b, pl, _ = factor.attachment_polys(hb, mode, cap)
                     exact = factor.simple_rooted_product_poly(bg_free, ph_b, pl, core.p,
                                                               mode.w1)
                     dev = coeff_deviation(exact, factor.spectral_product_form(
                         free_roots, ph_b, pl, mode.w1))
                     rep_roots.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
-                    hb = attach_root_loop(h, b)
                     dev = coeff_deviation(exact, factor.spectral_product_from_loops(
                         free_roots, hb, mode, cap))
                     rep_loops.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
@@ -505,9 +476,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
             # one-sided squared-root forms with loop-weighted bare vertices
             for b in (0, 2):
                 for larger in (True, False):
-                    h = complete(2).with_root(1)
-                    ph = simple_circuit_poly(h, mode, cap)
-                    pl = simple_circuit_poly(delete_root(h), mode, cap)
+                    ph, pl, _ = factor.attachment_polys(complete(2).with_root(1), mode, cap)
                     exact = factor.one_sided_product_poly(delta, ph, pl, b, mode, larger)
                     unit = Poly.variable(X) * mode.w1 + mode.sigma_b * b * mode.w1
                     if larger:
@@ -538,14 +507,14 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     twig = complete(2).with_root(1)
     for j in range(0, 9):
         spec = DendrimerSpec(core=k1(rooted=False), unit=twig, attach_sites=(2,), generations=j)
-        rs = spectra.dendrimer_spectrum(spec, mode)
+        factored = factor.dendrimer_factored(spec, mode)
+        rs = spectra.roots(factored)
         n = j + 1
         expect = sorted((2 * math.cos(k * math.pi / (n + 1)) for k in range(1, n + 1)),
                         reverse=True)
         got = sorted((v.real for v in rs.expanded()), reverse=True)
         dev = max(abs(a - b) for a, b in zip(expect, got))
-        built_ok = factor.dendrimer_poly(spec, mode) == char_poly_det(
-            path(n)) if n > 0 else True
+        built_ok = factored.expand() == char_poly_det(path(n))
         rep_path.record(dev <= tol and built_ok, dev, f"generations={j}")
 
     branch_units = [(complete(2).with_root(1), (2,), [(0, 3), (2, 3), (3, 2), (1, 4)]),
@@ -563,10 +532,10 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
 
     big = DendrimerSpec(core=k1(rooted=False), unit=unit, attach_sites=sites, generations=9)
     start = time.time()
-    poly = factor.dendrimer_poly(big, mode)
-    rs = spectra.dendrimer_spectrum(big, mode)
+    factored = factor.dendrimer_factored(big, mode)
+    rs = spectra.roots(factored)
     elapsed = time.time() - start
-    degree = poly.degree_in(X)
+    degree = factored.degree()
     rep_scale.record(degree == 1023 and rs.source_degree == 1023 and elapsed < 10.0,
                      detail=f"degree={degree} elapsed={elapsed:.2f}s")
 
@@ -588,11 +557,6 @@ SUITES = {
 
 
 def run_suites(names, cap: int = SUITE_CAP, tol: float = 1e-8) -> list[SuiteReport]:
-    reports = []
-    for name in names:
-        runner = SUITES[name]
-        if name in ("products", "bipartite"):
-            reports.append(runner(cap=cap))
-        else:
-            reports.append(runner(cap=cap, tol=tol))
-    return reports
+    """Run the named suites; tol reaches the numeric ones, the exact ones have none."""
+    return [SUITES[name](cap=cap) if name in ("products", "bipartite")
+            else SUITES[name](cap=cap, tol=tol) for name in names]

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +197,20 @@ def test_numeric_failure_exit_code(files, capsys, monkeypatch):
     assert main(["spectrum", files["k2"]]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err == "error: int too large to convert to float\n"
+
+
+# Outputs of `poly` recorded before the substitution engines were merged; any
+# change to str(Poly), the JSON term order or a coefficient shows here.
+PINNED_GRAPH = {"p": 3, "arcs": [{"from": 1, "to": 2, "w": "1/2"}, {"from": 2, "to": 3, "w": "-3/4"},
+                                 {"from": 3, "to": 1, "w": 2}, {"from": 2, "to": 1, "w": "5/3"}],
+                "loops": [{"at": 1, "b": "2/3"}, {"at": 3, "b": -1}]}
+PINNED = json.loads((Path(__file__).parent / "data" / "poly_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_poly_output_is_pinned(case, tmp_path, capsys):
+    mode, form, fmt = case.split()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(PINNED_GRAPH))
+    assert main(["poly", str(path), "--mode", mode, f"--{form}", "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == PINNED[case]

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from _brute import six_vertex_tree
-from rootedpoly.factor import (BipartiteExpansion, ProductMode, bipartite_bivariate,
-                               bipartite_delta, coalescence_poly, common_multiplicity,
+from rootedpoly.factor import (BipartiteExpansion, ProductMode, attachment_polys,
+                               bipartite_bivariate, bipartite_delta, coalescence_poly,
+                               common_multiplicity,
                                dendrimer_poly, monodendron_polys, mu_squares,
                                mu_squares_from_simple, one_sided_product_poly,
                                reciprocal_check, restricted_product_from_edge_join,
@@ -13,12 +15,12 @@ from rootedpoly.factor import (BipartiteExpansion, ProductMode, bipartite_bivari
                                restricted_substitution_poly, rooted_product_poly,
                                simple_rooted_product_poly, spectral_product_form,
                                spectral_product_from_loops, zero_divisibility_report)
-from rootedpoly.graph import (DendrimerSpec, Graph, bipartition, complete, cycle,
-                              delete_root, dendrimer, k1, path,
+from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complete,
+                              cycle, delete_root, dendrimer, k1, path,
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL,
-                               char_poly_det, circuit_poly, simple_circuit_poly)
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MODES, PERMANENTAL,
+                               char_poly_det, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar
 from rootedpoly.spectra import roots
 
@@ -281,6 +283,26 @@ def test_restricted_spectral_and_edge_join_on_path():
                     restricted_product_from_edge_join(mu.root_set, TWIG, TWIG, CHAR, 2, 2)):
         cn = [complex(c) for c in numeric.univariate_coeffs(X)]
         assert max(abs(a - b) for a, b in zip(ce, cn)) < 1e-9
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_attachment_polys_match_enumeration(mode):
+    """P(H) comes from P(H~) and P(H - r) by the root-loop shift; it must equal
+    the enumerated polynomial in every mode, with and without vmap."""
+    mode = MODES[mode]
+    directed = Graph(p=3, arcs={(1, 2): Fraction(1, 2), (2, 3): -2, (3, 1): 3, (2, 1): 1},
+                     loops={2: Fraction(2, 3)}, root=1)
+    for h in (TWIG, path(3).with_root(2), k1(loop=2), directed):
+        for b in (0, 1, Fraction(-2, 3)):
+            hb = attach_root_loop(h, b)
+            ph, pl, ptri = attachment_polys(hb, mode)
+            assert ph == simple_circuit_poly(hb, mode)
+            assert pl == simple_circuit_poly(delete_root(hb), mode)
+            assert ptri == simple_circuit_poly(strip_root_loops(hb), mode)
+            keep = replace(mode, collapse_x=False)
+            ph, _, ptri = attachment_polys(hb, mode, vmap={v: v for v in range(1, hb.p + 1)})
+            assert ph == specialize(circuit_poly(hb), keep, hb)
+            assert ptri == specialize(circuit_poly(strip_root_loops(hb)), keep, strip_root_loops(hb))
 
 
 def test_reciprocal_flagship_and_cycle():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from rootedpoly.poly import (Poly, X, divides, multilinear_ratio_substitute,
                              parse_poly, ratio_substitute, wvar, xvar, yvar)
@@ -182,3 +182,33 @@ def test_divides_roundtrip(dc, pc):
     product = d * q
     ok, got = divides(d, product)
     assert ok and d * got == product
+
+
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+POINTS = st.fixed_dictionaries({v: FRACTIONS for v in VARS})
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), st.one_of(polys(), FRACTIONS), max_size=3),
+       POINTS)
+@example(parse_poly("x1*w1 + x1^2 - x*x1^3"), {xvar(1): x + Fraction(1, 2), wvar(1): 3},
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+def test_substitution_commutes_with_evaluation(p, mapping, point):
+    moved = {v: q.evaluate(point) if isinstance(q, Poly) else q for v, q in mapping.items()}
+    assert p.substitute_many(mapping).evaluate(point) == p.evaluate({**point, **moved})
+
+
+@given(polys(),
+       st.lists(st.tuples(st.sampled_from(VARS), st.one_of(polys(), FRACTIONS.map(Poly.const)),
+                          st.one_of(polys(), FRACTIONS.map(Poly.const))),
+                max_size=3, unique_by=lambda t: t[0]),
+       POINTS)
+@example(parse_poly("x1*w1 + x1^2 - x*x1^3 + 2"), [(xvar(1), x - 1, Poly.variable(wvar(2)) + 1)],
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+def test_ratio_substitution_is_scaled_evaluation(p, targets, point):
+    dens = {v: den.evaluate(point) for v, _, den in targets}
+    assume(all(d != 0 for d in dens.values()))
+    moved = {v: Fraction(num.evaluate(point)) / dens[v] for v, num, _ in targets}
+    want = p.evaluate({**point, **moved})
+    for v, _, _ in targets:
+        want *= dens[v] ** p.degree_in(v)
+    assert ratio_substitute(p, targets).evaluate(point) == want

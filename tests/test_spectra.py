@@ -48,6 +48,17 @@ def test_roots_float_coefficients():
     assert abs(values[1] - math.sqrt(2)) < 1e-12
 
 
+def test_roots_of_float_coefficients_merge_within_cluster_tol():
+    # (x - 1)^2 (x - 3) in floats: the double root comes out as two roots
+    # about 1e-8 apart, which merge into one of multiplicity 2; 3 stays apart
+    p = Poly.from_univariate_coeffs([1.0, -5.0, 7.0, -3.0])
+    rs = roots(p, cluster_tol=1e-6)
+    assert [m for _, m in rs.roots] == [1, 2]
+    assert abs(rs.roots[0][0] - 3) < 1e-12 and abs(rs.roots[1][0] - 1) < 1e-7
+    assert len(rs.residuals) == 2
+    assert [m for _, m in roots(p, cluster_tol=1e-12).roots] == [1, 1, 1]
+
+
 def test_roots_conjugate_closure():
     p = simple_circuit_poly(Graph(p=3, arcs={(1, 2): 1, (2, 3): 1, (3, 1): 1}), CHAR)
     rs = roots(p)
