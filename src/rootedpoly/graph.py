@@ -305,11 +305,11 @@ class DendrimerSpec:
         if len(set(sites)) != len(sites):
             raise ValueError("attach sites must be distinct")
         for s in sites:
-            if not 1 <= s <= self.unit.p:
-                raise ValueError(f"attach site {s} out of range")
+            if type(s) is not int or not 1 <= s <= self.unit.p:
+                raise ValueError(f"attach site {s!r} out of range")
             if s == self.unit.root:
                 raise ValueError("attach sites must exclude the unit root")
-        if not isinstance(self.generations, int) or self.generations < 0:
+        if type(self.generations) is not int or self.generations < 0:
             raise ValueError("generations must be a nonnegative integer")
 
 
@@ -427,6 +427,12 @@ def _weight_from_json(value, where: str) -> Weight:
     raise GraphFormatError(f"{where}: weight must be an integer or 'num/den' string")
 
 
+def _index_from_json(value, where: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int, and no vertex index
+        raise GraphFormatError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
 def _weight_to_json(w: Weight):
     if isinstance(w, int):
         return w
@@ -447,7 +453,7 @@ def graph_from_json(data: Mapping) -> Graph:
     if "p" not in data:
         raise GraphFormatError("missing field 'p'")
     p = data["p"]
-    if not isinstance(p, int) or p < 0:
+    if type(p) is not int or p < 0:
         raise GraphFormatError(f"'p' must be a nonnegative integer, got {p!r}")
     arcs: dict[tuple[int, int], Weight] = {}
     for k, entry in enumerate(data.get("arcs", [])):
@@ -455,6 +461,7 @@ def graph_from_json(data: Mapping) -> Graph:
             i, j = entry["from"], entry["to"]
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"arcs[{k}]: need 'from' and 'to'") from exc
+        i, j = _index_from_json(i, f"arcs[{k}].from"), _index_from_json(j, f"arcs[{k}].to")
         w = _weight_from_json(entry.get("w", 1), f"arcs[{k}]")
         arcs[(i, j)] = arcs.get((i, j), 0) + w
     for k, entry in enumerate(data.get("edges", [])):
@@ -462,6 +469,7 @@ def graph_from_json(data: Mapping) -> Graph:
             a, b = entry["a"], entry["b"]
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"edges[{k}]: need 'a' and 'b'") from exc
+        a, b = _index_from_json(a, f"edges[{k}].a"), _index_from_json(b, f"edges[{k}].b")
         w = _weight_from_json(entry.get("w", 1), f"edges[{k}]")
         arcs[(a, b)] = arcs.get((a, b), 0) + w
         arcs[(b, a)] = arcs.get((b, a), 0) + w
@@ -471,12 +479,16 @@ def graph_from_json(data: Mapping) -> Graph:
             at = entry["at"]
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"loops[{k}]: need 'at'") from exc
+        at = _index_from_json(at, f"loops[{k}].at")
         b = _weight_from_json(entry.get("b", 0), f"loops[{k}]")
         loops[at] = loops.get(at, 0) + b
-    parts = data.get("parts")
+    root, parts = data.get("root"), data.get("parts")
     try:
-        return Graph(p=p, arcs=arcs, loops=loops, root=data.get("root"),
-                     parts=tuple(parts) if parts is not None else None)
+        if root is not None:
+            root = _index_from_json(root, "'root'")
+        if parts is not None:
+            parts = tuple(_index_from_json(x, f"parts[{k}]") for k, x in enumerate(parts))
+        return Graph(p=p, arcs=arcs, loops=loops, root=root, parts=parts)
     except GraphFormatError:
         raise
     except (TypeError, ValueError) as exc:

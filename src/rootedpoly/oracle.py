@@ -1,10 +1,10 @@
-"""Ground-truth circuit polynomials by cycle-cover enumeration.
+"""Ground-truth circuit polynomials by a recursion over covered vertex sets.
 
 The full polynomial of a graph sums, over all permutations of the vertex set,
 the product of matrix entries x_i + b_i on fixed points and arc weights along
-longer cycles, times w_l per cycle of length l.  Permutations with a zero arc
-factor are pruned by enumerating disjoint directed cycle packings instead of
-the raw factorial loop; the result is term-for-term identical.
+longer cycles, times w_l per cycle of length l.  One memoized recursion over
+the set of covered vertices computes it, the directed cycles on one vertex set
+entering once with their arc weights summed; it equals the permutation sum.
 
 Specializations assign values to the w variables and fix the sign convention
 for loop weights; independent cross-checks (exact determinant, permanent via
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph
-from .poly import Mono, Poly, X, wvar, xvar
+from .poly import Poly, X, wvar, xvar
 
 DEFAULT_CAP = 9
 
@@ -63,7 +63,7 @@ class WeightMode:
 
 GENERIC = WeightMode("generic")
 # cover counting on undirected loopless graphs: each cycle of length >= 3
-# picks up both orientations in the enumeration, so its weight is halved
+# picks up both orientations in its cycle sum, so its weight is halved
 UNDIRECTED_COVERS = WeightMode("undirected-covers", halve_rest=True, x_to_one=True)
 # per(x*I + A + diag b)
 PERMANENTAL = WeightMode("permanental", w1=1, w2=1, w_rest=1)
@@ -92,8 +92,10 @@ def mode_by_name(name: str) -> WeightMode:
 def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     """Full circuit polynomial in x_1..x_p and w_1..w_p.
 
-    Enumerates packings of vertex-disjoint directed cycles; uncovered vertices
-    are fixed points contributing (x_i + b_i) * w_1 each.
+    cover(covered) sums the covers of the other vertices.  The lowest of them,
+    v, is a fixed point with factor (x_v + b_v) * w_1, or the lowest vertex of
+    directed cycles on a vertex set of size l, with factor w_l times their
+    summed arc weights.  The memo lives for one call.
     """
     p = g.p
     if p > cap:
@@ -101,67 +103,40 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in g.arcs.items():
         out[i].append((j, w))
-    terms: dict[Mono, object] = {}
-    fixed: list[int] = []
-    cycles: list[int] = []  # cycle lengths; arc weights folded into coeff
+    # x_S * prod w_l^e_l is coded as bits(S) + 2^p * sum e_l * (p+1)^(l-1),
+    # so multiplying two monomials adds their codes
+    wcode = [0] + [(p + 1) ** (k - 1) << p for k in range(1, p + 1)]
+    cycles: dict[int, dict] = {v: {} for v in range(1, p + 1)}  # lowest vertex -> {set: weight}
 
-    def emit(coeff):
-        wexp = [0] * (p + 1)
-        wexp[1] = len(fixed)
-        for length in cycles:
-            wexp[length] += 1
-        base = tuple((wvar(i), e) for i, e in enumerate(wexp) if i and e)
-        # Expand the product of (x_v + b_v) over fixed vertices.
-        loopy = [v for v in fixed if g.loop(v) != 0]
-        plain = [v for v in fixed if g.loop(v) == 0]
+    def walk(v: int, u: int, used: int, acc):
+        for t, w in out[u]:
+            if t == v:
+                cycles[v][used] = cycles[v].get(used, 0) + acc * w
+            elif t > v and not used >> (t - 1) & 1:
+                walk(v, t, used | 1 << (t - 1), acc * w)
 
-        def assemble(idx: int, chosen: list[int], c):
-            if idx == len(loopy):
-                xpart = tuple((xvar(v), 1) for v in sorted(plain + chosen))
-                mono = xpart + base
-                prev = terms.get(mono, 0)
-                new = prev + c
-                if new == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = new
-                return
-            v = loopy[idx]
-            assemble(idx + 1, chosen + [v], c)
-            assemble(idx + 1, chosen, c * g.loop(v))
+    for v in cycles:
+        walk(v, v, 1 << (v - 1), 1)
+    memo = {(1 << p) - 1: {0: 1}}
 
-        assemble(0, [], coeff)
+    def cover(mask: int) -> dict[int, object]:
+        if mask not in memo:
+            bit = ~mask & (mask + 1)
+            v = bit.bit_length()
+            choices = [(bit, bit + wcode[1], 1), (bit, wcode[1], g.loop(v))]
+            choices += [(t, wcode[t.bit_count()], s) for t, s in cycles[v].items() if not t & mask]
+            d = memo[mask] = {}
+            for t, code, c in choices:
+                if c != 0:
+                    for key, coeff in cover(mask | t).items():
+                        d[key + code] = d.get(key + code, 0) + c * coeff
+        return memo[mask]
 
-    full = (1 << p) - 1
-
-    def cover(mask: int, coeff):
-        if mask == full:
-            emit(coeff)
-            return
-        v = 1
-        while mask >> (v - 1) & 1:
-            v += 1
-        # v stays fixed
-        fixed.append(v)
-        cover(mask | 1 << (v - 1), coeff)
-        fixed.pop()
-        # or v anchors a directed cycle of length >= 2 over unused vertices
-
-        def extend(u: int, used: int, length: int, acc):
-            for (t, w) in out[u]:
-                if t == v:
-                    if length >= 2:
-                        cycles.append(length)
-                        cover(used, coeff * acc * w)
-                        cycles.pop()
-                elif t > v and not used >> (t - 1) & 1:
-                    extend(t, used | 1 << (t - 1), length + 1, acc * w)
-
-        extend(v, mask | 1 << (v - 1), 1, 1)
-
-    if p == 0:
-        return Poly.one()
-    cover(0, 1)
+    terms = {}
+    for key, coeff in cover(0).items():
+        mono = [(xvar(v), 1) for v in range(1, p + 1) if key >> (v - 1) & 1]
+        mono += [(wvar(k), e) for k in range(1, p + 1) if (e := key // wcode[k] % (p + 1))]
+        terms[tuple(mono)] = coeff
     return Poly(terms)
 
 

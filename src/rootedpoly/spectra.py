@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .factored import Factored
+from .oracle import DEFAULT_CAP
 from .poly import Poly, X
 
 
@@ -139,7 +140,7 @@ def multiplicity_at(p: Poly, lam: int | Fraction) -> int:
     return count
 
 
-def dendrimer_spectrum(spec, mode, cap: int | None = None, cluster_tol: float = 1e-7) -> RootSet:
+def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 1e-7) -> RootSet:
     """Spectrum of a dendrimer, computed from its factorized polynomial.
 
     The simple circuit polynomial is assembled tier by tier from the unit's
@@ -149,8 +150,7 @@ def dendrimer_spectrum(spec, mode, cap: int | None = None, cluster_tol: float = 
     """
     from . import factor  # local import; factor uses this module's root finder
 
-    kwargs = {} if cap is None else {"cap": cap}
-    return roots(factor.dendrimer_factored(spec, mode, **kwargs), cluster_tol)
+    return roots(factor.dendrimer_factored(spec, mode, cap), cluster_tol)
 
 
 # -- internals ------------------------------------------------------------

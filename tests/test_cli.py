@@ -174,6 +174,14 @@ def test_spectrum_keeps_close_simple_roots_apart(tmp_path, capsys):
     ('{"core": {"p": 1}, "unit": {"p": 2, "edges": [{"a": 1, "b": 2}], "root": 1},'
      ' "attach_sites": [2], "generations": 2.5}',
      "error: bad dendrimer spec: generations must be a nonnegative integer\n"),
+    ('{"core": {"p": 1}, "unit": {"p": 2, "edges": [{"a": 1, "b": 2}], "root": 1},'
+     ' "attach_sites": [2], "generations": true}',
+     "error: bad dendrimer spec: generations must be a nonnegative integer\n"),
+    ('{"core": {"p": 1}, "unit": {"p": 2, "edges": [{"a": 1, "b": 2}], "root": 1},'
+     ' "attach_sites": [true], "generations": 2}',
+     "error: bad dendrimer spec: attach site True out of range\n"),
+    ('{"core": {"p": true}, "unit": {"p": 2, "root": 1}, "attach_sites": [2], "generations": 2}',
+     "error: bad dendrimer spec: 'p' must be a nonnegative integer, got True\n"),
 ])
 def test_bad_dendrimer_spec_exit_code(tmp_path, capsys, text, message):
     path = tmp_path / "spec.json"

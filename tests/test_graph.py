@@ -238,6 +238,15 @@ def test_json_errors():
         graph_from_json({"p": 2, "arcs": [{"from": 1}]})
     with pytest.raises(GraphFormatError, match="rational"):
         graph_from_json({"p": 2, "arcs": [{"from": 1, "to": 2, "w": "x"}]})
+    # JSON booleans and floats are no vertex counts or indices
+    for doc, where in [({"p": True}, "'p'"),
+                       ({"p": 2, "arcs": [{"from": 1, "to": 2.0}]}, "arcs\\[0\\].to"),
+                       ({"p": 2, "edges": [{"a": True, "b": 2}]}, "edges\\[0\\].a"),
+                       ({"p": 2, "root": True}, "'root'"),
+                       ({"p": 2, "edges": [{"a": 1, "b": 2}], "parts": [1, True]}, "parts\\[1\\]"),
+                       ({"p": 2, "loops": [{"at": 1.0, "b": 1}]}, "loops\\[0\\].at")]:
+        with pytest.raises(GraphFormatError, match=where):
+            graph_from_json(doc)
 
 
 def test_graph_validation():

@@ -3,7 +3,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _brute import (brute_circuit_poly, brute_determinant, brute_permanent,
                     random_graph, undirected_cover_poly, x_matrix)
@@ -45,7 +45,16 @@ def small_graphs(draw):
     return random_graph(rng, p, directed=draw(st.booleans()), loops=draw(st.booleans()))
 
 
+# the two orientations of the triangle cancel on the vertex set {1, 2, 3}
+OPPOSED_TRIANGLE = Graph(p=3, arcs={(1, 2): 1, (2, 3): 1, (3, 1): 1, (2, 1): -1, (3, 2): -1, (1, 3): -1})
+# larger than the graphs drawn below, with a loop on every vertex
+LOOPED_SEVEN = Graph(p=7, arcs=random_graph(random.Random(7), 7, directed=True).arcs,
+                     loops={v: Fraction(v, 2) for v in range(1, 8)})
+
+
 @given(small_graphs())
+@example(OPPOSED_TRIANGLE)
+@example(LOOPED_SEVEN)
 def test_matches_direct_permutation_sum(g):
     assert circuit_poly(g) == brute_circuit_poly(g)
 
