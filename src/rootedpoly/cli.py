@@ -31,15 +31,10 @@ EXIT_VERIFY = 4
 
 def _default_cap() -> int:
     value = os.environ.get("ROOTEDPOLY_CAP")
-    if value is None:
-        return DEFAULT_CAP
     try:
-        cap = int(value)
-        if cap < 1:
-            raise ValueError
-        return cap
-    except ValueError:
-        raise GraphFormatError(f"ROOTEDPOLY_CAP must be a positive integer, got {value!r}")
+        return DEFAULT_CAP if value is None else _positive_int(value)
+    except argparse.ArgumentTypeError as exc:
+        raise GraphFormatError(f"ROOTEDPOLY_CAP {exc}") from None
 
 
 def _read_json(path: str):
@@ -110,8 +105,11 @@ def cmd_product(args) -> int:
     doc["provenance"] = provenance
     text = json.dumps(doc, indent=2)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise GraphFormatError(f"{args.output}: {exc}") from exc
     else:
         print(text)
     return EXIT_OK
@@ -171,6 +169,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0 <= value <= sys.float_info.max:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser(cap: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootedpoly",
@@ -185,7 +196,7 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
                        help="collapse all vertex variables into x (default)")
     group.add_argument("--full", action="store_true",
                        help="keep the per-vertex variables")
-    p_poly.add_argument("--cap", type=int, default=cap)
+    p_poly.add_argument("--cap", type=_positive_int, default=cap)
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
     p_poly.set_defaults(func=cmd_poly)
 
@@ -201,16 +212,16 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run identity verification suites")
     p_ver.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
-    p_ver.add_argument("--cap", type=int, default=max(cap, verify.SUITE_CAP))
-    p_ver.add_argument("--tol", type=float, default=1e-8)
+    p_ver.add_argument("--cap", type=_positive_int, default=max(cap, verify.SUITE_CAP))
+    p_ver.add_argument("--tol", type=_tolerance, default=1e-8)
     p_ver.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="numeric roots of the simple polynomial")
     p_spec.add_argument("graph", nargs="?", help="graph JSON file")
     p_spec.add_argument("--dendrimer", help="dendrimer spec JSON file")
     p_spec.add_argument("--mode", default="characteristic-standard")
-    p_spec.add_argument("--cap", type=int, default=cap)
-    p_spec.add_argument("--tol", type=float, default=1e-7,
+    p_spec.add_argument("--cap", type=_positive_int, default=cap)
+    p_spec.add_argument("--tol", type=_tolerance, default=1e-7,
                         help="reported as cluster_tol; the roots of exact input are never merged")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)

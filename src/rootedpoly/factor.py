@@ -293,19 +293,12 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
     p = core.p
     buckets: list[dict] = [dict() for _ in range(p2 + 1)]
     for mono, coeff in bivar.terms().items():
-        e1 = e2 = 0
-        rest = []
-        for v, e in mono:
-            if v == yvar(1):
-                e1 = e
-            elif v == yvar(2):
-                e2 = e
-            else:
-                rest.append((v, e))
+        rest = dict(mono)
+        e1, e2 = rest.pop(yvar(1), 0), rest.pop(yvar(2), 0)
         k = p1 - e1
         if k != p2 - e2 or not 0 <= k <= p2:
             raise ValueError(f"not bipartite-consistent: monomial y1^{e1}*y2^{e2}")
-        buckets[k][tuple(rest)] = coeff
+        buckets[k][tuple(rest.items())] = coeff
     delta = []
     for k, bucket in enumerate(buckets):
         raw = Poly(bucket)

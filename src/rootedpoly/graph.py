@@ -433,6 +433,13 @@ def _index_from_json(value, where: str) -> int:
     return value
 
 
+def _json_array(data: Mapping, field: str) -> list:
+    value = data.get(field, [])
+    if not isinstance(value, list):
+        raise GraphFormatError(f"'{field}' must be a JSON array, got {value!r}")
+    return value
+
+
 def _weight_to_json(w: Weight):
     if isinstance(w, int):
         return w
@@ -456,7 +463,7 @@ def graph_from_json(data: Mapping) -> Graph:
     if type(p) is not int or p < 0:
         raise GraphFormatError(f"'p' must be a nonnegative integer, got {p!r}")
     arcs: dict[tuple[int, int], Weight] = {}
-    for k, entry in enumerate(data.get("arcs", [])):
+    for k, entry in enumerate(_json_array(data, "arcs")):
         try:
             i, j = entry["from"], entry["to"]
         except (TypeError, KeyError) as exc:
@@ -464,7 +471,7 @@ def graph_from_json(data: Mapping) -> Graph:
         i, j = _index_from_json(i, f"arcs[{k}].from"), _index_from_json(j, f"arcs[{k}].to")
         w = _weight_from_json(entry.get("w", 1), f"arcs[{k}]")
         arcs[(i, j)] = arcs.get((i, j), 0) + w
-    for k, entry in enumerate(data.get("edges", [])):
+    for k, entry in enumerate(_json_array(data, "edges")):
         try:
             a, b = entry["a"], entry["b"]
         except (TypeError, KeyError) as exc:
@@ -474,7 +481,7 @@ def graph_from_json(data: Mapping) -> Graph:
         arcs[(a, b)] = arcs.get((a, b), 0) + w
         arcs[(b, a)] = arcs.get((b, a), 0) + w
     loops: dict[int, Weight] = {}
-    for k, entry in enumerate(data.get("loops", [])):
+    for k, entry in enumerate(_json_array(data, "loops")):
         try:
             at = entry["at"]
         except (TypeError, KeyError) as exc:
@@ -487,7 +494,7 @@ def graph_from_json(data: Mapping) -> Graph:
         if root is not None:
             root = _index_from_json(root, "'root'")
         if parts is not None:
-            parts = tuple(_index_from_json(x, f"parts[{k}]") for k, x in enumerate(parts))
+            parts = tuple(_index_from_json(x, f"parts[{k}]") for k, x in enumerate(_json_array(data, "parts")))
         return Graph(p=p, arcs=arcs, loops=loops, root=root, parts=parts)
     except GraphFormatError:
         raise

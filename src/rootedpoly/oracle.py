@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graph import Graph
-from .poly import Poly, X, wvar, xvar
+from .poly import Poly, X, _from_keys, _key, wvar, xvar
 
 DEFAULT_CAP = 9
 
@@ -95,7 +95,8 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     cover(covered) sums the covers of the other vertices.  The lowest of them,
     v, is a fixed point with factor (x_v + b_v) * w_1, or the lowest vertex of
     directed cycles on a vertex set of size l, with factor w_l times their
-    summed arc weights.  The memo lives for one call.
+    summed arc weights.  The memo lives for one call; its term dicts are keyed
+    by Poly's own monomial keys, so multiplying in a factor adds its key.
     """
     p = g.p
     if p > cap:
@@ -103,9 +104,8 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in g.arcs.items():
         out[i].append((j, w))
-    # x_S * prod w_l^e_l is coded as bits(S) + 2^p * sum e_l * (p+1)^(l-1),
-    # so multiplying two monomials adds their codes
-    wcode = [0] + [(p + 1) ** (k - 1) << p for k in range(1, p + 1)]
+    xkey = [0] + [_key([(xvar(v), 1)]) for v in range(1, p + 1)]
+    wkey = [0] + [_key([(wvar(k), 1)]) for k in range(1, p + 1)]
     cycles: dict[int, dict] = {v: {} for v in range(1, p + 1)}  # lowest vertex -> {set: weight}
 
     def walk(v: int, u: int, used: int, acc):
@@ -123,8 +123,8 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
         if mask not in memo:
             bit = ~mask & (mask + 1)
             v = bit.bit_length()
-            choices = [(bit, bit + wcode[1], 1), (bit, wcode[1], g.loop(v))]
-            choices += [(t, wcode[t.bit_count()], s) for t, s in cycles[v].items() if not t & mask]
+            choices = [(bit, xkey[v] + wkey[1], 1), (bit, wkey[1], g.loop(v))]
+            choices += [(t, wkey[t.bit_count()], s) for t, s in cycles[v].items() if not t & mask]
             d = memo[mask] = {}
             for t, code, c in choices:
                 if c != 0:
@@ -132,12 +132,7 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
                         d[key + code] = d.get(key + code, 0) + c * coeff
         return memo[mask]
 
-    terms = {}
-    for key, coeff in cover(0).items():
-        mono = [(xvar(v), 1) for v in range(1, p + 1) if key >> (v - 1) & 1]
-        mono += [(wvar(k), e) for k in range(1, p + 1) if (e := key // wcode[k] % (p + 1))]
-        terms[tuple(mono)] = coeff
-    return Poly(terms)
+    return _from_keys(cover(0))
 
 
 def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:

@@ -1,10 +1,10 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from monomials to nonzero coefficients.  A monomial is a
-sorted tuple of (variable, exponent) pairs; a coefficient is an int or a
-Fraction for exact work, or a float/complex in the numeric root pipelines.
-Integer-valued Fractions are normalised to int, exact zeros are never stored,
-so two polynomials are equal iff their term dictionaries are equal.
+A polynomial is a map from monomials to nonzero coefficients; a coefficient
+is an int or a Fraction for exact work, or a float/complex in the numeric root
+pipelines.  Integer-valued Fractions are normalised to int, exact zeros are
+never stored, so two polynomials are equal iff their term dictionaries are
+equal.
 
 Variables come in four kinds with a fixed canonical order:
 
@@ -13,13 +13,26 @@ Variables come in four kinds with a fixed canonical order:
 where ``x`` is the collapsed vertex variable of simple polynomials, ``x_i``
 the per-vertex variables, ``y_1``/``y_2`` the collective part variables of
 bipartite cores, and ``w_i`` the weight of a cover component on i vertices.
+
+Inside a Poly a monomial is one integer key holding a 32-bit exponent field
+per variable: x in slot 0, y_i in slot i, x_i in slot 2i+1 and w_i in slot
+2i+2.  Multiplying two monomials adds their keys.  Every exponent stays below
+2**31, so such a sum never carries into the next field; a product or a
+monomial that reaches 2**31 raises OverflowError.  The canonical order plays
+no part in storage; it is used only where terms are printed or shown, in
+terms(), whose monomials are sorted tuples of (variable, exponent) pairs, and
+for the order in which evaluation and substitution apply a term's variables.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from functools import cache, reduce
+from itertools import compress
+from operator import itemgetter, or_
+from struct import Struct
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 Coeff = Union[int, Fraction, float, complex]
 
@@ -69,9 +82,64 @@ def wvar(i: int) -> Var:
     return Var(_KIND_W, i)
 
 
-Mono = tuple  # tuple[tuple[Var, int], ...], sorted by Var, exponents > 0
+Mono = tuple  # public view: tuple[tuple[Var, int], ...], sorted by Var, exponents > 0
 
-_ONE_MONO: Mono = ()
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
+_LIMIT = 1 << (_WIDTH - 1)
+
+
+def _var(slot: int) -> Var:
+    if slot < 3:
+        return (X, yvar(1), yvar(2))[slot]
+    return xvar(slot // 2) if slot % 2 else wvar(slot // 2 - 1)
+
+
+@cache
+def _shift(v: Var) -> int:
+    """Bit offset of v's exponent field."""
+    slot = (0, 2 * v.index + 1, v.index, 2 * v.index + 2)[v.kind]
+    if slot < 0 or _var(slot) != v:
+        raise ValueError(f"not a polynomial variable: {v!r}")
+    return _WIDTH * slot
+
+
+def _key(pairs: Iterable[tuple[Var, int]]) -> int:
+    """Packed key of a monomial given as (variable, exponent) pairs."""
+    key = 0
+    for v, e in pairs:
+        if not 0 <= e < _LIMIT:
+            raise OverflowError(f"exponent {e} of {v} is outside 0..2**{_WIDTH - 1}-1")
+        key += e << _shift(v)
+    return key
+
+
+@cache
+def _layout(n: int) -> tuple:
+    """For n fields: their unpacker, a reordering into canonical variable
+    order, the variables in that order, and the top bit of every field."""
+    order = sorted(range(n), key=_var)
+    reorder = itemgetter(*order) if n > 1 else tuple  # itemgetter(s) alone gives no tuple
+    return (Struct(f"<{n}I").unpack, reorder, tuple(map(_var, order)),
+            int.from_bytes(b"\0\0\0\x80" * n, "little"))
+
+
+def _exponents(keys: Sequence[int]) -> tuple[tuple[Var, ...], list[tuple[int, ...]]]:
+    """The variables of the fields the keys use, in canonical order, and
+    each key's exponents of them."""
+    n = -(-reduce(or_, keys, 0).bit_length() // _WIDTH)
+    unpack, reorder, variables, _ = _layout(n)
+    return variables, [reorder(unpack(key.to_bytes(4 * n, "little"))) for key in keys]
+
+
+def _pairs(variables: tuple[Var, ...], e: tuple[int, ...]) -> Iterator[tuple[Var, int]]:
+    return zip(compress(variables, e), compress(e, e))
+
+
+def _mono(key: int) -> Mono:
+    """The sorted (variable, exponent) tuple of a packed key."""
+    variables, (e,) = _exponents([key])
+    return tuple(_pairs(variables, e))
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
@@ -84,40 +152,38 @@ def _is_exact(c: Coeff) -> bool:
     return isinstance(c, (int, Fraction))
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    """Merge two sorted exponent tuples, adding exponents of shared variables."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
+def _mul(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
+    """Product of two packed term dicts; coefficients are not normalised.
+    OverflowError when an exponent reaches 2**31, before it can carry."""
+    out: dict[int, Coeff] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            c = out.get(key, 0) + ca * cb
+            if c == 0:
+                out.pop(key, None)
+            else:
+                out[key] = c
+    seen = reduce(or_, out, 0)
+    if seen & _layout(-(-seen.bit_length() // _WIDTH))[3]:
+        raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
+    return out
+
+
+def _add_into(out: dict[int, Coeff], terms: dict[int, Coeff]) -> None:
+    for key, coeff in terms.items():
+        c = _norm_coeff(out.get(key, 0) + coeff)
+        if c == 0:
+            out.pop(key, None)
         else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+            out[key] = c
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
-
-
-def _mono_sort_key(m: Mono):
-    # Descending total degree, then graded-lex on the canonical variable order.
-    return (-_mono_degree(m), tuple((v, -e) for v, e in m))
+def _from_keys(terms: Mapping[int, Coeff]) -> "Poly":
+    """A Poly from packed keys, dropping zero terms and normalising the rest."""
+    p = Poly.__new__(Poly)
+    p._terms = {key: _norm_coeff(c) for key, c in terms.items() if c != 0}
+    return p
 
 
 class Poly:
@@ -126,13 +192,7 @@ class Poly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Coeff] | None = None):
-        cleaned: dict[Mono, Coeff] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _norm_coeff(coeff)
-                if coeff != 0:
-                    cleaned[mono] = coeff
-        self._terms = cleaned
+        self._terms = _from_keys({_key(mono): c for mono, c in (terms or {}).items()})._terms
 
     # -- constructors --------------------------------------------------
 
@@ -142,65 +202,50 @@ class Poly:
 
     @staticmethod
     def one() -> "Poly":
-        return Poly({_ONE_MONO: 1})
+        return _from_keys({0: 1})
 
     @staticmethod
     def const(c: Coeff) -> "Poly":
-        return Poly({_ONE_MONO: c})
+        return _from_keys({0: c})
 
     @staticmethod
     def variable(v: Var) -> "Poly":
-        return Poly({((v, 1),): 1})
+        return _from_keys({1 << _shift(v): 1})
 
     @staticmethod
     def monomial(pairs: Iterable[tuple[Var, int]], coeff: Coeff = 1) -> "Poly":
-        mono = tuple(sorted((v, e) for v, e in pairs if e != 0))
-        return Poly({mono: coeff})
+        return _from_keys({_key(pairs): coeff})
 
     @staticmethod
     def from_univariate_coeffs(coeffs: Sequence[Coeff], v: Var = X) -> "Poly":
         """Build a univariate polynomial from descending coefficients."""
         deg = len(coeffs) - 1
-        terms: dict[Mono, Coeff] = {}
-        for k, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            e = deg - k
-            terms[((v, e),) if e else _ONE_MONO] = c
-        return Poly(terms)
+        return _from_keys({_key([(v, deg - k)]): c for k, c in enumerate(coeffs)})
 
     # -- inspection ----------------------------------------------------
 
     def terms(self) -> dict[Mono, Coeff]:
-        return dict(self._terms)
+        variables, exponents = _exponents(list(self._terms))
+        return {tuple(_pairs(variables, e)): c for e, c in zip(exponents, self._terms.values())}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for mono in self._terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return {v for v, _ in _mono(reduce(or_, self._terms, 0))}
 
     def degree_in(self, v: Var) -> int:
-        deg = 0
-        for mono in self._terms:
-            for mv, e in mono:
-                if mv == v and e > deg:
-                    deg = e
-        return deg
+        shift = _shift(v)
+        return max((key >> shift & _FIELD for key in self._terms), default=0)
 
     def is_exact(self) -> bool:
         return all(_is_exact(c) for c in self._terms.values())
 
     def constant_value(self) -> Coeff:
         """The value of a constant polynomial; error on any variable term."""
-        for mono in self._terms:
-            if mono:
-                raise ValueError(f"polynomial is not constant: {self}")
-        return self._terms.get(_ONE_MONO, 0)
+        if any(self._terms):
+            raise ValueError(f"polynomial is not constant: {self}")
+        return self._terms.get(0, 0)
 
     # -- ring operations -----------------------------------------------
 
@@ -211,23 +256,13 @@ class Poly:
         if not other._terms:
             return self
         out = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            c = out.get(mono, 0) + coeff
-            c = _norm_coeff(c)
-            if c == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        _add_into(out, other._terms)
+        return _from_keys(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {m: -c for m, c in self._terms.items()}
-        return p
+        return _from_keys({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         return self.__add__(-_as_poly(other))
@@ -239,16 +274,7 @@ class Poly:
         other = _as_poly(other)
         if not self._terms or not other._terms:
             return Poly.zero()
-        out: dict[Mono, Coeff] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                c = out.get(mono, 0) + ca * cb
-                if c == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = c
-        return Poly(out)
+        return _from_keys(_mul(self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -292,9 +318,9 @@ class Poly:
     def evaluate(self, assignment: Mapping[Var, Coeff]) -> Coeff:
         """Evaluate at a point; exact when all inputs are exact."""
         total: Coeff = 0
-        for mono, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             term = coeff
-            for v, e in mono:
+            for v, e in _mono(key):
                 if v not in assignment:
                     raise ValueError(f"no value assigned to variable {v}")
                 term = term * assignment[v] ** e
@@ -313,63 +339,48 @@ class Poly:
             if v.kind in (_KIND_X, _KIND_Y):
                 raise ValueError(f"polynomial has vertex variable {v}, not univariate in x")
         deg = self.degree_in(X)
-        buckets: list[dict[Mono, Coeff]] = [dict() for _ in range(deg + 1)]
-        for mono, coeff in self._terms.items():
-            e = 0
-            rest = []
-            for v, ev in mono:
-                if v == X:
-                    e = ev
-                else:
-                    rest.append((v, ev))
-            buckets[deg - e][tuple(rest)] = coeff
-        return [Poly(b) for b in buckets]
+        buckets: list[dict[int, Coeff]] = [dict() for _ in range(deg + 1)]
+        for key, coeff in self._terms.items():
+            e = key & _FIELD
+            buckets[deg - e][key - e] = coeff
+        return [_from_keys(b) for b in buckets]
 
     def univariate_coeffs(self, v: Var = X) -> list[Coeff]:
         """Descending numeric coefficients; error if any other variable occurs."""
+        shift = _shift(v)
         deg = self.degree_in(v)
         out: list[Coeff] = [0] * (deg + 1)
-        for mono, coeff in self._terms.items():
-            if len(mono) > 1 or (mono and mono[0][0] != v):
-                bad = [str(mv) for mv, _ in mono if mv != v]
+        for key, coeff in self._terms.items():
+            e = key >> shift & _FIELD
+            if key != e << shift:
+                bad = [str(mv) for mv, _ in _mono(key) if mv != v]
                 raise ValueError(f"polynomial is not univariate in {v}: contains {bad}")
-            e = mono[0][1] if mono else 0
             out[deg - e] = coeff
         return out
 
     def divide_var_power(self, v: Var, k: int) -> "Poly":
         """Exact division by v**k; error if any term lacks the factor."""
+        if k < 0:
+            raise ValueError(f"negative power {k} of {v}")
         if k == 0:
             return self
-        out: dict[Mono, Coeff] = {}
-        for mono, coeff in self._terms.items():
-            shifted = []
-            found = False
-            for mv, e in mono:
-                if mv == v:
-                    if e < k:
-                        raise ValueError(f"term {_format_term(mono, coeff, first=True)} not divisible by {v}^{k}")
-                    found = True
-                    if e > k:
-                        shifted.append((mv, e - k))
-                else:
-                    shifted.append((mv, e))
-            if not found:
-                raise ValueError(f"term {_format_term(mono, coeff, first=True)} not divisible by {v}^{k}")
-            out[tuple(shifted)] = coeff
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        shift = _shift(v)
+        out: dict[int, Coeff] = {}
+        for key, coeff in self._terms.items():
+            if key >> shift & _FIELD < k:
+                raise ValueError(f"term {_format_term(_mono(key), coeff, first=True)} not divisible by {v}^{k}")
+            out[key - (k << shift)] = coeff
+        return _from_keys(out)
 
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        parts = []
-        for i, mono in enumerate(sorted(self._terms, key=_mono_sort_key)):
-            parts.append(_format_term(mono, self._terms[mono], first=(i == 0)))
-        return " ".join(parts)
+        # descending total degree, then graded-lex on the canonical variable order
+        variables, exponents = _exponents(list(self._terms))
+        rows = sorted(zip(exponents, self._terms.values()), key=lambda r: (sum(r[0]), r[0]), reverse=True)
+        return " ".join(_format_term(_pairs(variables, e), c, first=(i == 0)) for i, (e, c) in enumerate(rows))
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -396,12 +407,10 @@ def _format_coeff(c: Coeff) -> str:
     return f"{c:.12g}"
 
 
-def _format_term(mono: Mono, coeff: Coeff, first: bool) -> str:
+def _format_term(mono: Iterable[tuple[Var, int]], coeff: Coeff, first: bool) -> str:
     negative = not isinstance(coeff, complex) and coeff < 0
     mag = -coeff if negative else coeff
-    factors = []
-    for v, e in mono:
-        factors.append(str(v) if e == 1 else f"{v}^{e}")
+    factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
     if not factors or mag != 1 or not _is_exact(mag):
         factors.insert(0, _format_coeff(mag))
     body = "*".join(factors)
@@ -416,42 +425,35 @@ def _format_term(mono: Mono, coeff: Coeff, first: bool) -> str:
 def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     """p with each v in table replaced by num, or by num/den times
     den**deg_v(p) when den is given.  A term keeps its other variables and is
-    multiplied by num**e per plain target, in its own variable order, then by
+    multiplied by num**e per plain target, in canonical variable order, then by
     num**e and den**(deg - e) per ratio target, in table order."""
     degs = {v: p.degree_in(v) for v, (_, den) in table.items() if den is not None}
-    cache: dict[tuple[Var, int, int], Poly] = {}
+    moved = sum(_FIELD << _shift(v) for v in table)
+    powers: dict[tuple[Var, int, int], dict[int, Coeff]] = {}
 
-    def power(v: Var, e: int, side: int) -> Poly:
-        key = (v, e, side)
-        f = cache.get(key)
-        if f is None:
-            f = cache[key] = table[v][side] ** e
-        return f
+    def power(v: Var, e: int, side: int) -> dict[int, Coeff]:
+        if (v, e, side) not in powers:
+            powers[v, e, side] = (table[v][side] ** e)._terms
+        return powers[v, e, side]
 
-    total = Poly.zero()
-    for mono, coeff in p._terms.items():
-        kept = []
-        factors = []
-        seen: dict[Var, int] = {}
-        for v, e in mono:
-            if v not in table:
-                kept.append((v, e))
-            elif v in degs:
-                seen[v] = e
-            else:  # the cache lookup of power(v, e, 0), inlined on this hot path
-                f = cache.get((v, e, 0))
-                factors.append(power(v, e, 0) if f is None else f)
+    variables, exponents = _exponents([key & moved for key in p._terms])
+    total: dict[int, Coeff] = {}
+    for (key, coeff), row in zip(p._terms.items(), exponents):
+        factors = [power(v, e, 0) for v, e in _pairs(variables, row) if v not in degs]
         for v, d in degs.items():
-            e = seen.get(v, 0)
+            e = key >> _shift(v) & _FIELD
             if e:
                 factors.append(power(v, e, 0))
             if d - e:
                 factors.append(power(v, d - e, 1))
-        term = Poly({tuple(kept): coeff})
+        term = {key & ~moved: coeff}
         for f in factors:
-            term = term * f
-        total = total + term
-    return total
+            term = _mul(term, f)
+        if total:
+            _add_into(total, term)
+        else:  # as Poly.__add__ returns its other operand when it is zero
+            total = term
+    return _from_keys(total)
 
 
 def ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly:
@@ -526,8 +528,6 @@ def parse_poly(text: str) -> Poly:
     compact = text.replace(" ", "")
     if not compact:
         raise ValueError("empty polynomial text")
-    if compact == "0":
-        return Poly.zero()
     total = Poly.zero()
     for chunk in _TERM_SPLIT.split(compact):
         if not chunk:
@@ -547,19 +547,10 @@ def parse_poly(text: str) -> Poly:
             if not m:
                 raise ValueError(f"cannot parse factor {factor!r}")
             if m.group("num") is not None:
-                val = Fraction(int(m.group("num")), int(m.group("den") or 1))
-                coeff = coeff * val
+                coeff *= Fraction(int(m.group("num")), int(m.group("den") or 1))
             else:
                 name = m.group("var")
-                exp = int(m.group("exp") or 1)
-                if name == "x":
-                    v = X
-                elif name[0] == "x":
-                    v = xvar(int(name[1:]))
-                elif name[0] == "y":
-                    v = yvar(int(name[1:]))
-                else:
-                    v = wvar(int(name[1:]))
-                pairs.append((v, exp))
+                v = X if name == "x" else {"x": xvar, "y": yvar, "w": wvar}[name[0]](int(name[1:]))
+                pairs.append((v, int(m.group("exp") or 1)))
         total = total + Poly.monomial(pairs, coeff)
     return total

@@ -1,16 +1,20 @@
-"""Every function the benchmark's tracer patches still exists under its name."""
+"""The benchmark's tracer still fits the program: every function it patches
+exists under its name, and its probes read the values they return."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from rootedpoly import cli
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
-def _targets():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up while it loads
@@ -18,7 +22,11 @@ def _targets():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return [(mod, attr) for mod, attr, *_ in module.TARGETS if mod.startswith("rootedpoly")]
+    return module
+
+
+def _targets():
+    return [(mod, attr) for mod, attr, *_ in _load_tracing().TARGETS if mod.startswith("rootedpoly")]
 
 
 @pytest.mark.parametrize("modname, attr", _targets())
@@ -29,3 +37,19 @@ def test_traced_target_resolves(modname, attr):
         assert callable(vars(getattr(owner, cls_name)).get(method))
     else:
         assert callable(getattr(owner, attr, None))
+
+
+def test_traced_run_records_probes(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"p": 3, "edges": [{"a": 1, "b": 2}, {"a": 2, "b": 3, "w": "1/2"}],
+                                "loops": [{"at": 1, "b": -1}]}))
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["poly", str(path), "--full", "--format", "json"]) == 0
+        assert cli.main(["spectrum", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    probed = {s.name for s in tracer.spans if s is not None and s.probe is not None}
+    assert {"oracle.circuit_poly", "oracle.specialize", "poly.mul", "spectra.roots"} <= probed

@@ -222,3 +222,40 @@ def test_poly_output_is_pinned(case, tmp_path, capsys):
     path.write_text(json.dumps(PINNED_GRAPH))
     assert main(["poly", str(path), "--mode", mode, f"--{form}", "--format", fmt]) == EXIT_OK
     assert capsys.readouterr().out == PINNED[case]
+
+
+def test_non_array_graph_field_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"p": 2, "arcs": 5}))
+    assert main(["poly", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: 'arcs' must be a JSON array, got 5\n"
+
+
+def test_product_unwritable_output_exit_code(files, capsys):
+    out = str(files["dir"] / "missing" / "x.json")
+    assert main(["product", files["k2"], "--gamma", files["twig"], files["twig"], "-o", out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "{k2}", "--tol", "nan", "--format", "json"],
+    ["spectrum", "{k2}", "--tol", "inf"],
+    ["spectrum", "{k2}", "--tol", "-0.5"],
+    ["verify", "--suite", "dendrimer", "--tol", "nan"],
+    ["verify", "--suite", "dendrimer", "--tol", "one"],
+    ["poly", "{k2}", "--cap", "0"],
+    ["spectrum", "{k2}", "--cap", "-5"],
+    ["verify", "--suite", "dendrimer", "--cap", "0"],
+])
+def test_bad_numeric_option_exits_through_argparse(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(**files) for a in argv])
+    assert exc.value.code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--tol" in err or "--cap" in err
+
+
+def test_boundary_numeric_options_accepted(files, capsys):
+    assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "1"]) == EXIT_CAP
+    assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "2"]) == EXIT_OK

@@ -244,7 +244,15 @@ def test_json_errors():
                        ({"p": 2, "edges": [{"a": True, "b": 2}]}, "edges\\[0\\].a"),
                        ({"p": 2, "root": True}, "'root'"),
                        ({"p": 2, "edges": [{"a": 1, "b": 2}], "parts": [1, True]}, "parts\\[1\\]"),
-                       ({"p": 2, "loops": [{"at": 1.0, "b": 1}]}, "loops\\[0\\].at")]:
+                       ({"p": 2, "loops": [{"at": 1.0, "b": 1}]}, "loops\\[0\\].at"),
+                       # arcs, edges, loops and parts must be JSON arrays
+                       ({"p": 2, "arcs": 5}, "'arcs'"),
+                       ({"p": 2, "arcs": None}, "'arcs'"),
+                       ({"p": 2, "edges": None}, "'edges'"),
+                       ({"p": 2, "edges": {"a": 1}}, "'edges'"),
+                       ({"p": 2, "loops": 3}, "'loops'"),
+                       ({"p": 2, "loops": "x"}, "'loops'"),
+                       ({"p": 2, "parts": 5}, "'parts'")]:
         with pytest.raises(GraphFormatError, match=where):
             graph_from_json(doc)
 

@@ -125,9 +125,25 @@ def test_canonical_text():
     assert str(Fraction(1, 2) * Poly.variable(wvar(3))) == "1/2*w3"
 
 
+def test_exponent_limit():
+    # a term's exponents are fields of one integer key; none may reach 2**31
+    for v in (X, wvar(13)):
+        with pytest.raises(OverflowError):
+            Poly.monomial([(v, 2 ** 31)])
+        big = Poly.monomial([(v, 2 ** 30)])
+        with pytest.raises(OverflowError):
+            big * big
+        with pytest.raises(OverflowError):
+            (Poly.variable(yvar(2)) + big) ** 2
+        top = big * Poly.monomial([(v, 2 ** 30 - 1)])
+        assert top.degree_in(v) == 2 ** 31 - 1 and top.variables() == {v}
+        with pytest.raises(ValueError, match="negative"):
+            big.divide_var_power(v, -1)
+
+
 # -- property-based checks ---------------------------------------------------
 
-VARS = [X, xvar(1), xvar(2), wvar(1), wvar(2)]
+VARS = [X, xvar(1), xvar(2), yvar(1), yvar(2), wvar(1), wvar(2), xvar(13), wvar(13)]
 
 
 @st.composite
