@@ -485,7 +485,7 @@ def _core_poly(g: Graph, mode: WeightMode, cap: int) -> Poly:
     return specialize(circuit_poly(free, cap), _keep_x(mode), free)
 
 
-def _gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
+def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
     """x and the component weights the mode leaves symbolic; no cycle of a
     unit or a core is longer than p."""
     return (X,) + tuple(wvar(i) for i in range(1, p + 1) if mode.w_value(i) is None)
@@ -566,7 +566,7 @@ def monodendron_polys(unit: Graph, attach_sites: Sequence[int], tiers: int,
                       mode: WeightMode, cap: int = DEFAULT_CAP) -> tuple[Poly, Poly]:
     """Simple polynomials of the branch with the given tier count and of the
     branch with its root deleted, from the factored tier recursion."""
-    base = CoprimeBase(_gens(mode, unit.p))
+    base = CoprimeBase(weight_gens(mode, unit.p))
     p_cur, q_cur = _branch_factored(unit, attach_sites, tiers, mode, cap, base)
     return base.factored(*p_cur).expand(), base.factored(*q_cur).expand()
 
@@ -579,7 +579,7 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
     while every factor stays small.
     """
     core = spec.core
-    base = CoprimeBase(_gens(mode, max(spec.unit.p, core.p)))
+    base = CoprimeBase(weight_gens(mode, max(spec.unit.p, core.p)))
     p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
     target = (_core_poly(core, mode, cap), [core.loop(v) for v in range(1, core.p + 1)],
               [True] * core.p)

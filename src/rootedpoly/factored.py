@@ -10,15 +10,26 @@ whenever a new polynomial arrives, splitting an element when the newcomer
 divides part of it, so that several products can be kept over one shared
 base (Bernstein, "Factoring into coprimes in essentially linear time",
 J. Algorithms, 2005).  The gcd and square-free work is done by sympy.
+
+Expanding a univariate product never multiplies two big polynomials.  With
+P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
+derivative gives D P' = N P, so each coefficient of P follows from the s
+before it, s = deg D (J.C.P. Miller's recurrence for powers of power series;
+Knuth, TAOCP vol. 2, 4.7).  A product of degree n costs about n * s products
+of a big integer by a small one.  Dendrimer polynomials have few small
+factors raised to high powers, so s is tiny against n there; when s is
+close to n, as for a high-degree product of square-free factors, the cost
+is n**2 and a product tree would be faster.  A product with symbolic
+weights would need exact division by D(0), a polynomial in the weights, so
+it is multiplied out as Poly values instead.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 import sympy
@@ -41,20 +52,58 @@ def _to_sympy(p: Poly, gens: Sequence[Var]) -> tuple[Fraction, sympy.Poly]:
                 raise ValueError(f"variable {v} outside {', '.join(map(str, gens))}")
             exps[position[v]] = e
         rep[tuple(exps)] = int(c * den)
-    return Fraction(1, den), sympy.Poly.from_dict(rep, *_symbols(gens), domain=sympy.ZZ)
+    symbols = [sympy.Symbol(str(v)) for v in gens]
+    return Fraction(1, den), sympy.Poly.from_dict(rep, *symbols, domain=sympy.ZZ)
 
 
-def _symbols(gens: Sequence[Var]) -> list[sympy.Symbol]:
-    return [sympy.Symbol(str(v)) for v in gens]
+def _from_sympy(f: sympy.Poly, gens: Sequence[Var]) -> Poly:
+    """f as a Poly in gens."""
+    return Poly({tuple(zip(gens, exps)): int(c) for exps, c in f.terms()})
 
 
-def _from_sympy(f: sympy.Poly, gens: Sequence[Var], const, shift: Sequence[int]) -> Poly:
-    """const * f * prod gens**shift as a Poly."""
-    terms = {}
-    for exps, c in f.terms():
-        mono = tuple((v, e + s) for v, e, s in zip(gens, exps, shift) if e + s)
-        terms[mono] = _norm_coeff(const * int(c))
-    return Poly(terms)
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two ascending coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
+
+
+def _power_product(factors: Sequence[tuple[list[int], int]]) -> list[int]:
+    """Ascending coefficients of prod g**m over ascending integer
+    coefficient lists g with g(0) != 0, by the recurrence D P' = N P with
+    D = prod g (coefficients d_t) and N = sum m g' D / g (coefficients n_t).
+
+    Comparing the coefficients of x**(j-1) gives
+    d_0 j p_j = sum_{t=1..s} (n_{t-1} - (j - t) d_t) p_{j-t}; the division is
+    exact, and a remainder raises ArithmeticError rather than being dropped.
+    """
+    den = [1]
+    for g, _ in factors:
+        den = _times(den, g)
+    s = len(den) - 1
+    num = [0] * s
+    for i, (g, m) in enumerate(factors):
+        if len(g) < 2:
+            continue
+        term = [m * k * c for k, c in enumerate(g)][1:]
+        for k, (h, _) in enumerate(factors):
+            if k != i:
+                term = _times(term, h)
+        num = [a + b for a, b in zip(num, term)]
+    degree = sum((len(g) - 1) * m for g, m in factors)
+    # the window p[j:j + s] holds p_{j-s} .. p_{j-1}, so the weights run t = s .. 1
+    a_desc = [num[t - 1] + t * den[t] for t in range(s, 0, -1)]
+    den_desc = den[s:0:-1]
+    p = [0] * s + [math.prod(g[0] ** m for g, m in factors)]
+    for j in range(1, degree + 1):
+        window = p[j:j + s]
+        q, r = divmod(sum(map(mul, a_desc, window)) - j * sum(map(mul, den_desc, window)), den[0] * j)
+        if r:
+            raise ArithmeticError(f"inexact division in the power recurrence at x^{j}")
+        p.append(q)
+    return p[s:]
 
 
 def _positive(f: sympy.Poly) -> sympy.Poly:
@@ -86,23 +135,29 @@ class Factored:
         return sum(f.degree(k) * m for f, m in self.factors)
 
     def expand(self) -> Poly:
-        """The product as one polynomial, multiplied out along a balanced tree:
-        the two smallest partial products are always joined first.  A factor
-        that is a single variable only shifts exponents."""
-        shift = [0] * len(self.gens)
-        order = itertools.count()  # ties never compare two polynomials
-        heap = [(0, next(order), sympy.Poly(1, *_symbols(self.gens), domain=sympy.ZZ))]
+        """The product as one polynomial.
+
+        In x alone each factor is split into x**a times g with g(0) != 0;
+        the x**a parts only shift exponents, and the powers of the g are
+        expanded together by the recurrence D P' = N P of the module
+        docstring, in about n * s products of a big integer by a small one
+        for degree n and s the summed degree of the g.  The constant is
+        applied last and the Poly built once.  With symbolic weights the
+        powers are multiplied out as Poly values, smallest first.
+        """
+        if self.gens != (X,):
+            total = Poly.const(self.const)
+            for f, m in sorted(self.factors, key=lambda fm: fm[0].total_degree() * fm[1]):
+                total = total * _from_sympy(f, self.gens) ** m
+            return total
+        shift, parts = 0, []
         for f, m in self.factors:
-            if f.is_monomial:
-                shift = [s + e * m for s, e in zip(shift, f.monoms()[0])]
-            else:
-                heap.append((f.total_degree() * m, next(order), f ** m))
-        heapq.heapify(heap)
-        while len(heap) > 1:
-            da, _, a = heapq.heappop(heap)
-            db, _, b = heapq.heappop(heap)
-            heapq.heappush(heap, (da + db, next(order), a * b))
-        return _from_sympy(heap[0][2], self.gens, self.const, shift)
+            coeffs = [int(c) for c in reversed(f.all_coeffs())]
+            a = next(k for k, c in enumerate(coeffs) if c)
+            shift += a * m
+            parts.append((coeffs[a:], m))
+        p = _power_product(parts)
+        return Poly.from_univariate_coeffs([self.const * c for c in reversed(p)] + [0] * shift)
 
 
 class CoprimeBase:

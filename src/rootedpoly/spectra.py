@@ -66,10 +66,14 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
             found = _cluster(_solve(coeffs, 1, None), cluster_tol)
             return _rootset([found], len(coeffs) - 1, cluster_tol)
         p = Factored.from_poly(p)
-    if p.gens != (X,):
-        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, p.gens))}")
+    _require_univariate(p.gens)
     found = [_solve([int(c) for c in f.all_coeffs()], m, f.count_roots) for f, m in p.factors]
     return _rootset(found, p.degree(), cluster_tol)
+
+
+def _require_univariate(gens) -> None:
+    if gens != (X,):
+        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, gens))}")
 
 
 def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
@@ -146,10 +150,12 @@ def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 
     The simple circuit polynomial is assembled tier by tier from the unit's
     polynomials and kept as a product of small coprime factors, whose roots
     are found one factor at a time; the full product graph is never
-    constructed and the polynomial is never expanded.
+    constructed and the polynomial is never expanded.  A mode that leaves
+    a component weight symbolic is rejected before the recursion runs.
     """
     from . import factor  # local import; factor uses this module's root finder
 
+    _require_univariate(factor.weight_gens(mode, max(spec.unit.p, spec.core.p)))
     return roots(factor.dendrimer_factored(spec, mode, cap), cluster_tol)
 
 

@@ -7,6 +7,7 @@ code paths with the production enumeration, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from rootedpoly.graph import Graph, from_edges
@@ -174,3 +175,15 @@ def random_graph(rng, p: int, directed: bool = False, loops: bool = False,
             if rng.random() < 0.4:
                 loop_map[v] = rng.choice(values)
     return Graph(p=p, arcs=arcs, loops=loop_map)
+
+
+def tree_char_value(parent: list[int], t: Fraction) -> Fraction:
+    """det(t*I - A) of the unweighted tree in which each vertex v > 0 hangs
+    from parent[v] < v.  Leaves are eliminated upwards, d(v) = t - sum of
+    1/d(c) over the children c of v, and the determinant is the product of
+    the d(v); every d(v) must be nonzero, as it is for t beyond the spectral
+    radius."""
+    d = [Fraction(t)] * len(parent)
+    for v in range(len(parent) - 1, 0, -1):
+        d[parent[v]] -= 1 / d[v]
+    return Fraction(math.prod(x.numerator for x in d), math.prod(x.denominator for x in d))

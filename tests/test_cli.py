@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -259,3 +262,19 @@ def test_bad_numeric_option_exits_through_argparse(files, capsys, argv):
 def test_boundary_numeric_options_accepted(files, capsys):
     assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "1"]) == EXIT_CAP
     assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "2"]) == EXIT_OK
+
+
+def test_closed_stdout_pipe_exits_quietly(files):
+    """The reader of stdout is gone before the first write, as in `... | head`."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", "spectrum", files["tree"]],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")

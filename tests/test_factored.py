@@ -5,15 +5,28 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
 from rootedpoly.factored import CoprimeBase, Factored
-from rootedpoly.graph import DendrimerSpec, Graph, dendrimer
+from rootedpoly.graph import DendrimerSpec, Graph, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, PERMANENTAL, simple_circuit_poly)
-from rootedpoly.poly import Poly, X, parse_poly
+from rootedpoly.poly import Poly, X, parse_poly, wvar
 from rootedpoly.spectra import dendrimer_spectrum
 
 MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
+
+
+def hand_built(const, powers: list[tuple[str, int]], gens=(X,)) -> tuple[Factored, Poly]:
+    """A Factored value built directly from (polynomial text, exponent)
+    pairs, and the same product multiplied out as Poly values."""
+    symbols = [sympy.Symbol(str(v)) for v in gens]
+    fac = Factored(const, tuple((sympy.Poly(sympy.sympify(text.replace("^", "**")), *symbols), m)
+                                for text, m in powers), tuple(gens))
+    want = Poly.const(const)
+    for text, m in powers:
+        want = want * parse_poly(text) ** m
+    return fac, want
 
 
 def test_from_poly_splits_square_free_parts():
@@ -22,6 +35,9 @@ def test_from_poly_splits_square_free_parts():
     assert sorted((str(g.as_expr()), m) for g, m in f.factors) == [("x", 3), ("x - 1", 2)]
     assert f.degree() == 5
     assert f.expand() == parse_poly("-2*x^5 + 4*x^4 - 2*x^3")
+    # a factor with a zero constant term that is not a monomial
+    fac, want = hand_built(1, [("x^2 - 2*x", 3)])
+    assert fac.expand() == want
 
 
 def test_from_poly_rational_and_constant():
@@ -30,6 +46,11 @@ def test_from_poly_rational_and_constant():
     assert f.factors[0][0].all_coeffs() == [3, 0, -2]
     assert f.expand() == p
     assert Factored.from_poly(Poly.const(Fraction(-3, 4))).expand() == Poly.const(Fraction(-3, 4))
+    for const, powers in [(Fraction(5, 7), []),
+                          (Fraction(-3, 2), [("x", 4), ("x - 1", 2), ("x^2 + x + 1", 3),
+                                             ("2*x + 3", 5), ("x^3 - 2", 7)])]:
+        fac, want = hand_built(const, powers)
+        assert fac.expand() == want
     with pytest.raises(ValueError):
         Factored.from_poly(Poly.zero())
 
@@ -137,3 +158,25 @@ def test_generic_dendrimer_factors_are_multivariate():
     assert {str(v) for v in fac.gens} == {"x", "w1", "w2"}
     assert fac.expand() == simple_circuit_poly(dendrimer(spec), GENERIC)
     assert any(sympy.Symbol("w2") in f.free_symbols for f, _ in fac.factors)
+    # a multivariate factor with no constant term
+    fac, want = hand_built(Fraction(-2, 3), [("x^2*w1^2 + w2", 3), ("x + w1", 2), ("x", 1)],
+                           (X, wvar(1), wvar(2)))
+    assert fac.expand() == want
+
+
+def test_dendrimer_poly_of_an_8191_vertex_binary_tree():
+    """The gen-12 binary path(3) dendrimer is the complete binary tree of
+    depth 12; its polynomial is checked at points away from the spectrum
+    against leaf elimination on the explicitly built tree."""
+    spec = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
+                         attach_sites=(1, 3), generations=12)
+    coeffs = dendrimer_poly(spec, CHARACTERISTIC_STANDARD).univariate_coeffs(X)
+    n = 2 ** 13 - 1
+    assert (len(coeffs) - 1, coeffs[0]) == (n, 1)
+    parent = [-1] + [(v - 1) // 2 for v in range(1, n)]
+    for t in (Fraction(3), Fraction(-4), Fraction(7, 2)):
+        acc, scale = 0, 1  # Horner on b**n * P(a / b), in integers
+        for c in coeffs:
+            acc = acc * t.numerator + c * scale
+            scale *= t.denominator
+        assert Fraction(acc, t.denominator ** n) == tree_char_value(parent, t)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from rootedpoly import factor
 from rootedpoly.factor import dendrimer_poly
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, k1, path, star)
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, PERMANENTAL, char_poly_det,
-                               simple_circuit_poly)
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, SIMPLE,
+                               char_poly_det, simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly
 from rootedpoly.spectra import RootSet, dendrimer_spectrum, multiplicity_at, roots
 
@@ -123,6 +124,16 @@ def test_dendrimer_spectrum_zero_generations_is_core_root():
     # under the determinant convention the loop enters negated
     rs = dendrimer_spectrum(spec, CHAR)
     assert abs(rs.roots[0][0] - 2) < 1e-12
+
+
+def test_dendrimer_spectrum_rejects_symbolic_weights_before_the_recursion(monkeypatch):
+    def recursion(*args, **kwargs):
+        raise AssertionError("the tier recursion ran")
+
+    monkeypatch.setattr(factor, "dendrimer_factored", recursion)
+    for mode in (GENERIC, SIMPLE):
+        with pytest.raises(ValueError, match="polynomial is not univariate in x: contains"):
+            dendrimer_spectrum(path_spec(3), mode)
 
 
 def test_dendrimer_spectrum_paths():
