@@ -114,13 +114,19 @@ def _key(pairs: Iterable[tuple[Var, int]]) -> int:
     return key
 
 
+def _picker(items: Sequence[int]):
+    """A function taking the given items of a sequence, as a tuple."""
+    if len(items) > 1:
+        return itemgetter(*items)
+    return lambda row: tuple(row[i] for i in items)  # itemgetter(i) alone gives no tuple
+
+
 @cache
 def _layout(n: int) -> tuple:
     """For n fields: their unpacker, a reordering into canonical variable
     order, the variables in that order, and the top bit of every field."""
     order = sorted(range(n), key=_var)
-    reorder = itemgetter(*order) if n > 1 else tuple  # itemgetter(s) alone gives no tuple
-    return (Struct(f"<{n}I").unpack, reorder, tuple(map(_var, order)),
+    return (Struct(f"<{n}I").unpack, _picker(order), tuple(map(_var, order)),
             int.from_bytes(b"\0\0\0\x80" * n, "little"))
 
 
@@ -423,12 +429,72 @@ def _format_term(mono: Iterable[tuple[Var, int]], coeff: Coeff, first: bool) -> 
 
 
 def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
-    """p with each v in table replaced by num, or by num/den times
-    den**deg_v(p) when den is given.  A term keeps its other variables and is
-    multiplied by num**e per plain target, in canonical variable order, then by
-    num**e and den**(deg - e) per ratio target, in table order."""
-    degs = {v: p.degree_in(v) for v, (_, den) in table.items() if den is not None}
-    moved = sum(_FIELD << _shift(v) for v in table)
+    """p with every v in table replaced at once by num, or by num/den times
+    den**deg_v(p) when den is given.
+
+    A plain target whose num has at most one term (a constant, zero, or a
+    monomial such as x, y_k, x_g or w/2) is folded: a term with v**e adds e
+    times num's key to its kept key, checked like a product so that no
+    exponent reaches 2**31, and multiplies its coefficient by num's
+    coefficient**e.  A term is dropped as soon as its coefficient is 0.
+    Every other plain target, and every ratio target, is expanded: the
+    folded terms are summed in groups by their exponents of the expanded
+    targets, and each group's sum is multiplied once by num**e per plain
+    expanded target, in canonical variable order, then by num**e and
+    den**(deg - e) per ratio target, in table order.
+
+    Coefficients are combined in this order: a term's coefficient times the
+    folded factors in canonical variable order; the folded terms summed per
+    group in p's term order; each group's sum times its powers; the groups
+    added up in the order their first terms come in p.  Exact coefficients
+    give the same result in any order; float ones, which reach here from
+    factor.spectral_product_from_loops, round in this order.
+    """
+    present = reduce(or_, p._terms, 0)
+    folds, expanded, ratios = [], [], []
+    for v, (num, den) in table.items():
+        if present >> _shift(v) & _FIELD:
+            (ratios if den is not None else folds if len(num._terms) < 2 else expanded).append(v)
+    folds.sort()
+    expanded.sort()
+    expanded += ratios
+    degs = {v: p.degree_in(v) for v in ratios}
+    grouping = sum(_FIELD << _shift(v) for v in expanded)
+    keep = ~sum(_FIELD << _shift(v) for v in folds + expanded)
+    reach = reduce(or_, (key for v in folds for key in table[v][0]._terms), present)
+    top = _layout(-(-reach.bit_length() // _WIDTH))[3]
+    folded: list[dict[int, tuple[int, Coeff]]] = [{} for _ in folds]  # e -> key to add, factor
+
+    def fold(i: int, e: int) -> tuple[int, Coeff]:
+        ((key, coeff),) = table[folds[i]][0]._terms.items() or [(0, 0)]
+        if e > 1 and e * max(_exponents([key])[1][0], default=0) >= _LIMIT:
+            raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
+        folded[i][e] = e * key, coeff ** e
+        return folded[i][e]
+
+    n = -(-present.bit_length() // _WIDTH)
+    unpack, at = _layout(n)[0], _picker([_shift(v) // _WIDTH for v in folds])
+    indices = range(len(folds))
+    groups: dict[int, dict[int, Coeff]] = {}
+    for key, coeff in p._terms.items():
+        kept = key & keep
+        exps = at(unpack(key.to_bytes(4 * n, "little")))
+        for i, e in zip(compress(indices, exps), compress(exps, exps)):
+            add, c = folded[i].get(e) or fold(i, e)
+            kept += add
+            if kept & top:
+                raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
+            coeff = coeff * c
+            if coeff == 0:
+                break
+        else:
+            group = groups.setdefault(key & grouping, {})
+            c = group.get(kept, 0) + coeff
+            if c == 0:
+                group.pop(kept, None)
+            else:
+                group[kept] = c
+
     powers: dict[tuple[Var, int, int], dict[int, Coeff]] = {}
 
     def power(v: Var, e: int, side: int) -> dict[int, Coeff]:
@@ -436,23 +502,18 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
             powers[v, e, side] = (table[v][side] ** e)._terms
         return powers[v, e, side]
 
-    variables, exponents = _exponents([key & moved for key in p._terms])
     total: dict[int, Coeff] = {}
-    for (key, coeff), row in zip(p._terms.items(), exponents):
-        factors = [power(v, e, 0) for v, e in _pairs(variables, row) if v not in degs]
-        for v, d in degs.items():
-            e = key >> _shift(v) & _FIELD
+    for shared, group in groups.items():
+        for v in expanded:
+            e = shared >> _shift(v) & _FIELD
             if e:
-                factors.append(power(v, e, 0))
-            if d - e:
-                factors.append(power(v, d - e, 1))
-        term = {key & ~moved: coeff}
-        for f in factors:
-            term = _mul(term, f)
+                group = _mul(group, power(v, e, 0))
+            if v in degs and degs[v] - e:
+                group = _mul(group, power(v, degs[v] - e, 1))
         if total:
-            _add_into(total, term)
-        else:  # as Poly.__add__ returns its other operand when it is zero
-            total = term
+            _add_into(total, group)
+        else:
+            total = group
     return _from_keys(total)
 
 

@@ -59,6 +59,10 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
     A Sturm count decides how many roots of each factor are real, and those
     come out with an imaginary part of exactly 0.  Only a polynomial with
     float coefficients has its roots merged within the cluster tolerance.
+    A real or imaginary part beyond the double range (magnitude above about
+    1.8e308) comes out as inf with its sign; the root keeps its exact
+    multiplicity and the other roots are unaffected.  This is the contract,
+    not an error.
     """
     if isinstance(p, Poly):
         coeffs = p.univariate_coeffs(X)

@@ -157,6 +157,16 @@ def test_spectrum_huge_weight_scales_exactly(tmp_path, capsys):
     assert got == pytest.approx([-2.0 ** 600, 2.0 ** 600], rel=1e-11)
 
 
+def test_spectrum_beyond_double_range_is_infinite(tmp_path, capsys):
+    # x^2 - 2^2100: the roots +-2^1050 exceed the double range and print as +-inf
+    doc = {"p": 2, "arcs": [{"from": 1, "to": 2, "w": 2 ** 2100}, {"from": 2, "to": 1, "w": 1}]}
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path), "--format", "json"]) == EXIT_OK
+    got = json.loads(capsys.readouterr().out)["roots"]
+    assert [(r["re"], r["im"], r["multiplicity"]) for r in got] == [("inf", "0", 1), ("-inf", "0", 1)]
+
+
 def test_spectrum_keeps_close_simple_roots_apart(tmp_path, capsys):
     # x^2 - 10^-16: the roots +-1e-8 lie within the cluster tolerance but are simple
     w = "1/100000000"

@@ -35,6 +35,12 @@ def test_substitute_halving():
     assert str(Fraction(1, 2) * w3) == "1/2*w3"
 
 
+def test_collapse_cancels_to_zero():
+    w1 = Poly.variable(wvar(1))
+    p = Poly.variable(xvar(1)) * w1 - Poly.variable(xvar(2)) * w1
+    assert p.substitute_many({xvar(1): x, xvar(2): x}) == Poly.zero()
+
+
 def test_substitute_identity():
     p = x ** 3 - 2 * x + 5
     assert p.substitute(X, Poly.variable(X)) == p
@@ -139,6 +145,14 @@ def test_exponent_limit():
         assert top.degree_in(v) == 2 ** 31 - 1 and top.variables() == {v}
         with pytest.raises(ValueError, match="negative"):
             big.divide_var_power(v, -1)
+    # a one-term replacement is folded into the key, which must not carry either
+    x1, x2, w13 = (Poly.monomial([(v, 2 ** 30)]) for v in (xvar(1), xvar(2), wvar(13)))
+    for p, mapping in [(x1 * x2, {xvar(1): x, xvar(2): x}),
+                       (x1, {xvar(1): x ** 2}),
+                       (x1, {xvar(1): x ** 4}),  # 2**32 would carry into y1's field
+                       (w13, {wvar(13): Poly.variable(wvar(13)) ** 2})]:
+        with pytest.raises(OverflowError):
+            p.substitute_many(mapping)
 
 
 # -- property-based checks ---------------------------------------------------
@@ -208,6 +222,10 @@ POINTS = st.fixed_dictionaries({v: FRACTIONS for v in VARS})
        POINTS)
 @example(parse_poly("x1*w1 + x1^2 - x*x1^3"), {xvar(1): x + Fraction(1, 2), wvar(1): 3},
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+@example(parse_poly("w3^3*x1 + w3"), {wvar(3): Fraction(1, 2) * Poly.variable(wvar(3)), xvar(1): 0},
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS + [wvar(3)])})
+@example(parse_poly("x1^2*x2^3*w1 + x1*x2 - x2^3"), {xvar(1): x, xvar(2): x + 1},
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
 def test_substitution_commutes_with_evaluation(p, mapping, point):
     moved = {v: q.evaluate(point) if isinstance(q, Poly) else q for v, q in mapping.items()}
     assert p.substitute_many(mapping).evaluate(point) == p.evaluate({**point, **moved})
@@ -219,6 +237,8 @@ def test_substitution_commutes_with_evaluation(p, mapping, point):
                 max_size=3, unique_by=lambda t: t[0]),
        POINTS)
 @example(parse_poly("x1*w1 + x1^2 - x*x1^3 + 2"), [(xvar(1), x - 1, Poly.variable(wvar(2)) + 1)],
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+@example(parse_poly("x1*w1 + x1^2 - x*x1^3 + 2"), [(xvar(1), x - 1, 2 * Poly.variable(wvar(2)))],
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
 def test_ratio_substitution_is_scaled_evaluation(p, targets, point):
     dens = {v: den.evaluate(point) for v, _, den in targets}
