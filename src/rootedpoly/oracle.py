@@ -5,6 +5,10 @@ the product of matrix entries x_i + b_i on fixed points and arc weights along
 longer cycles, times w_l per cycle of length l.  One memoized recursion over
 the set of covered vertices computes it, the directed cycles on one vertex set
 entering once with their arc weights summed; it equals the permutation sum.
+A frontier table over (vertex set, last vertex) gives those cycle sums
+(Held & Karp, 1962).  When the weights are rational and not all integers, the
+recursion runs on integers: every weight is scaled by the lcm D of the
+denominators, and each coefficient is divided by D^p once at the end.
 
 Specializations assign values to the w variables and fix the sign convention
 for loop weights; independent cross-checks (exact determinant, permanent via
@@ -97,33 +101,59 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     directed cycles on a vertex set of size l, with factor w_l times their
     summed arc weights.  The memo lives for one call; its term dicts are keyed
     by Poly's own monomial keys, so multiplying in a factor adds its key.
+
+    The cycle sums come from a frontier table: for each lowest vertex v,
+    layer k maps (vertex set, last vertex) to the summed weights of the paths
+    from v over k higher vertices, and an arc back to v closes them.  It holds
+    only reachable states, so a sparse graph costs no more than a walk over
+    its paths, and a dense one O(2^p * p^2) instead of one step per path.
+    Paths that meet in a state are summed before they are extended, so float
+    cycle sums may round differently from a path-by-path sum.
+
+    When every weight is an int or a Fraction and one is a Fraction, each arc
+    and loop weight is multiplied by the lcm D of their denominators, and the
+    fixed-point choice carries D, so the recursion runs on integers.  A
+    choice covering t vertices then carries D^t: D for a fixed point, D * b_v
+    for a loop, D^|T| for the cycle sum of a set T.  Every complete cover
+    carries exactly D^p, and each final coefficient is divided by D^p once;
+    the division is exact in Fraction and integral results come back as int.
+    Otherwise D = 1: nothing is scaled or divided, which covers float loops
+    and complex arc weights.
     """
     p = g.p
     if p > cap:
         raise OracleCapExceeded(f"graph has {p} vertices, enumeration cap is {cap}")
+    arcs, loops, scale = g.arcs, g.loops, 1
+    weights = [*arcs.values(), *loops.values()]
+    if Fraction in map(type, weights) and all(isinstance(w, (int, Fraction)) for w in weights):
+        scale = math.lcm(*(w.denominator for w in weights))
+        arcs = {a: w.numerator * (scale // w.denominator) for a, w in arcs.items()}
+        loops = {v: b.numerator * (scale // b.denominator) for v, b in loops.items()}
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
-    for (i, j), w in g.arcs.items():
+    for (i, j), w in arcs.items():
         out[i].append((j, w))
     xkey = [0] + [_key([(xvar(v), 1)]) for v in range(1, p + 1)]
     wkey = [0] + [_key([(wvar(k), 1)]) for k in range(1, p + 1)]
     cycles: dict[int, dict] = {v: {} for v in range(1, p + 1)}  # lowest vertex -> {set: weight}
-
-    def walk(v: int, u: int, used: int, acc):
-        for t, w in out[u]:
-            if t == v:
-                cycles[v][used] = cycles[v].get(used, 0) + acc * w
-            elif t > v and not used >> (t - 1) & 1:
-                walk(v, t, used | 1 << (t - 1), acc * w)
-
-    for v in cycles:
-        walk(v, v, 1 << (v - 1), 1)
+    for v, found in cycles.items():
+        layer = {(1 << (v - 1), v): 1}
+        while layer:
+            nxt: dict = {}
+            for (used, u), acc in layer.items():
+                for t, w in out[u]:
+                    if t == v:
+                        found[used] = found.get(used, 0) + acc * w
+                    elif t > v and not used >> (t - 1) & 1:
+                        state = (used | 1 << (t - 1), t)
+                        nxt[state] = nxt.get(state, 0) + acc * w
+            layer = nxt
     memo = {(1 << p) - 1: {0: 1}}
 
     def cover(mask: int) -> dict[int, object]:
         if mask not in memo:
             bit = ~mask & (mask + 1)
             v = bit.bit_length()
-            choices = [(bit, xkey[v] + wkey[1], 1), (bit, wkey[1], g.loop(v))]
+            choices = [(bit, xkey[v] + wkey[1], scale), (bit, wkey[1], loops.get(v, 0))]
             choices += [(t, wkey[t.bit_count()], s) for t, s in cycles[v].items() if not t & mask]
             d = memo[mask] = {}
             for t, code, c in choices:
@@ -132,7 +162,11 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
                         d[key + code] = d.get(key + code, 0) + c * coeff
         return memo[mask]
 
-    return _from_keys(cover(0))
+    terms = cover(0)
+    if scale != 1:
+        denom = scale ** p
+        terms = {key: Fraction(c, denom) for key, c in terms.items()}
+    return _from_keys(terms)
 
 
 def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:

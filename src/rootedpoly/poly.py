@@ -287,14 +287,17 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one()
+        if n == 0:
+            return Poly.one()
         base = self
-        while n:
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        while n := n >> 1:
+            base = base * base
             if n & 1:
                 result = result * base
-            n >>= 1
-            if n:
-                base = base * base
         return result
 
     def __eq__(self, other) -> bool:

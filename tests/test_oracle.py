@@ -50,13 +50,37 @@ OPPOSED_TRIANGLE = Graph(p=3, arcs={(1, 2): 1, (2, 3): 1, (3, 1): 1, (2, 1): -1,
 # larger than the graphs drawn below, with a loop on every vertex
 LOOPED_SEVEN = Graph(p=7, arcs=random_graph(random.Random(7), 7, directed=True).arcs,
                      loops={v: Fraction(v, 2) for v in range(1, 8)})
+# arc denominators 2, 3 and 5 with a Fraction loop: the recursion runs on
+# integers scaled by their lcm 30 and divides by 30^4 once
+MIXED_DENOMINATORS = Graph(p=4, arcs={(1, 2): Fraction(1, 2), (2, 1): Fraction(2, 3),
+                                      (2, 3): Fraction(-3, 5), (3, 1): Fraction(5, 3),
+                                      (3, 4): Fraction(1, 5), (4, 2): 2, (4, 1): Fraction(-1, 2),
+                                      (1, 3): 3}, loops={2: Fraction(3, 2), 4: -1})
+# a float loop leaves the Fraction arcs unscaled; dyadic values keep the floats exact
+FLOAT_LOOP = Graph(p=3, arcs={(1, 2): Fraction(1, 2), (2, 1): Fraction(-3, 4),
+                              (2, 3): Fraction(1, 4), (3, 2): 2, (3, 1): Fraction(1, 2), (1, 3): 1},
+                   loops={1: 0.5, 3: -1.25})
+# a complex arc weight leaves the weights unscaled too
+COMPLEX_ARC = Graph(p=3, arcs={(1, 2): 1j, (2, 1): 2, (2, 3): 1 - 1j, (3, 2): Fraction(1, 2),
+                               (3, 1): 1, (1, 3): -1j}, loops={2: 3})
+# the graph stores whole Fractions as int, so no weight is a Fraction
+WHOLE_FRACTIONS = Graph(p=3, arcs={(1, 2): Fraction(4, 2), (2, 1): Fraction(-6, 3),
+                                   (2, 3): Fraction(4, 2), (3, 1): 1, (1, 3): Fraction(9, 3)},
+                        loops={1: Fraction(4, 2)})
 
 
 @given(small_graphs())
 @example(OPPOSED_TRIANGLE)
 @example(LOOPED_SEVEN)
+@example(MIXED_DENOMINATORS)
+@example(FLOAT_LOOP)
+@example(COMPLEX_ARC)
+@example(WHOLE_FRACTIONS)
 def test_matches_direct_permutation_sum(g):
-    assert circuit_poly(g) == brute_circuit_poly(g)
+    got = circuit_poly(g)
+    assert got == brute_circuit_poly(g)
+    # an integral coefficient is an int, also after the division by D^p
+    assert all(c.denominator != 1 for c in got.terms().values() if type(c) is Fraction)
 
 
 @pytest.mark.parametrize("mode", [CHARACTERISTIC_STANDARD, MATCHING_MINUS], ids=lambda m: m.name)

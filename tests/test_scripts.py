@@ -29,3 +29,11 @@ def test_dendrimer_scaling():
     rows = [line.split() for line in out.splitlines()[1:]]
     # generation, then the vertex count of the binary path(3) dendrimer
     assert [(int(r[0]), int(r[1])) for r in rows] == [(j, 2 ** (j + 1) - 1) for j in range(5)]
+
+
+def test_oracle_scaling():
+    out = run_script("oracle_scaling.py", "--max-vertices", "4")
+    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in out.splitlines()[1:])}
+    # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
+    assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
+                    "C4": (4, 7), "grid2x2": (4, 7)}
