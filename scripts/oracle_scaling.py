@@ -4,16 +4,17 @@
 Computes `oracle.circuit_poly` of the complete graph K_n, the cycle C_n and
 the k x k grid for every size up to --max-vertices, with the enumeration cap
 set to the vertex count.  Per graph it reports the vertex count, the seconds
-one call takes and the number of terms of the polynomial.  Complete graphs
-are the dense case, where the cycle sums and the cover recursion grow
-fastest; cycles and grids are sparse.
+one call takes, the number of terms of the polynomial, and the seconds the
+simple characteristic polynomial det(x*I - A) takes when the weight mode is
+applied inside the recursion.  Complete graphs are the dense case, where the
+cycle sums and the cover recursion grow fastest; cycles and grids are sparse.
 """
 
 import argparse
 import time
 
 from rootedpoly.graph import complete, cycle, from_edges
-from rootedpoly.oracle import circuit_poly
+from rootedpoly.oracle import CHARACTERISTIC_STANDARD, circuit_poly
 
 
 def grid(k: int):
@@ -32,12 +33,15 @@ def main():
     graphs = [(f"K{n}", complete(n)) for n in range(1, n_max + 1)]
     graphs += [(f"C{n}", cycle(n)) for n in range(3, n_max + 1)]
     graphs += [(f"grid{k}x{k}", grid(k)) for k in range(2, n_max + 1) if k * k <= n_max]
-    print(f"{'graph':>9} {'vertices':>9} {'seconds':>9} {'terms':>7}")
+    simple_char = CHARACTERISTIC_STANDARD.simple()
+    print(f"{'graph':>9} {'vertices':>9} {'seconds':>9} {'terms':>7} {'char_s':>9}")
     for name, g in graphs:
         t0 = time.perf_counter()
         poly = circuit_poly(g, cap=g.p)
         t1 = time.perf_counter()
-        print(f"{name:>9} {g.p:>9} {t1 - t0:>9.4f} {len(poly.terms()):>7}")
+        circuit_poly(g, g.p, simple_char)
+        t2 = time.perf_counter()
+        print(f"{name:>9} {g.p:>9} {t1 - t0:>9.4f} {len(poly.terms()):>7} {t2 - t1:>9.4f}")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from . import verify
 from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
-                     simple_circuit_poly, specialize)
+                     simple_circuit_poly)
 from .poly import Poly
 from .spectra import dendrimer_spectrum, roots
 
@@ -69,7 +69,7 @@ def cmd_poly(args) -> int:
     g = _load_graph(args.graph)
     mode = mode_by_name(args.mode)
     if args.full:
-        result = specialize(circuit_poly(g, args.cap), mode, g)
+        result = circuit_poly(g, args.cap, mode)
     else:
         result = simple_circuit_poly(g, mode, args.cap)
     if args.format == "json":

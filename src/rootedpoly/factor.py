@@ -30,8 +30,7 @@ from typing import Sequence
 from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
                     edge_join, normalize_parts, strip_all_loops, strip_root_loops)
-from .oracle import (DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly,
-                     specialize)
+from .oracle import DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly
 from .poly import (Poly, Var, X, divides, multilinear_ratio_substitute,
                    ratio_substitute, wvar, xvar, yvar)
 from .spectra import RootSet, multiplicity_at, roots as numeric_roots
@@ -74,11 +73,6 @@ class MuSquares:
 
     root_set: RootSet
     q: Poly
-
-
-@dataclass(frozen=True)
-class CommonMultiplicity:
-    value: int
 
 
 @dataclass(frozen=True)
@@ -134,18 +128,18 @@ def attachment_polys(h: Graph, mode: WeightMode, cap: int = DEFAULT_CAP,
     H with the loop at its root removed: simple ones, or with vmap given,
     ones that keep the vertex variables, renamed from H's vertex v to x_vmap[v].
 
-    Only H~ and H - r are enumerated: a loop of weight b at the root adds
-    sigma_b * b * w1 * P(H - r) to P(H~).
+    Only H~ and H - r are enumerated, each once, with the names applied in
+    the recursion: a loop of weight b at the root adds sigma_b * b * w1 *
+    P(H - r) to P(H~).
     """
     mode = mode.simple() if vmap is None else replace(mode, collapse_x=False)
-    tri, rest = strip_root_loops(h), delete_root(h)
-    ptri = specialize(circuit_poly(tri, cap), mode, tri)
-    pl = specialize(circuit_poly(rest, cap), mode, rest)
+    names_tri = names_rest = None
     if vmap is not None:
         others = [v for v in range(1, h.p + 1) if v != h.root]  # H - r numbers them 1, 2, ...
-        ptri = ptri.substitute_many({xvar(v): Poly.variable(xvar(g)) for v, g in vmap.items()})
-        pl = pl.substitute_many({xvar(k): Poly.variable(xvar(vmap[v]))
-                                 for k, v in enumerate(others, start=1)})
+        names_tri = {v: xvar(g) for v, g in vmap.items()}
+        names_rest = {k: xvar(vmap[v]) for k, v in enumerate(others, start=1)}
+    ptri = circuit_poly(strip_root_loops(h), cap, mode, names_tri)
+    pl = circuit_poly(delete_root(h), cap, mode, names_rest)
     return _shift_root_loop(ptri, pl, h.loop(h.root), mode), pl, ptri
 
 
@@ -264,22 +258,21 @@ def core_parts(core: Graph) -> tuple[tuple[int, ...], int, int]:
     return parts, parts.count(1), parts.count(2)
 
 
-def _part_collapsed(core: Graph, cap: int) -> tuple[Poly, int, int]:
-    """Full polynomial of a loopless bipartite core with each x_i replaced by
-    the variable of its part, and the two part sizes."""
+def _part_collapsed(core: Graph, mode: WeightMode, cap: int) -> tuple[Poly, int, int]:
+    """Polynomial of a loopless bipartite core under the mode's weights, with
+    the variable of its part at each vertex, and the two part sizes."""
     if core.loops:
         raise ValueError("bipartite core must be loopless")
     parts, p1, p2 = core_parts(core)
-    full = circuit_poly(core, cap)
-    collapsed = full.substitute_many(
-        {xvar(i): Poly.variable(yvar(parts[i - 1])) for i in range(1, core.p + 1)})
-    return collapsed, p1, p2
+    names = {i: yvar(parts[i - 1]) for i in range(1, core.p + 1)}
+    # the part variables stand in for the vertex variables, which no mode removes here
+    mode = replace(mode, collapse_x=False, x_to_one=False)
+    return circuit_poly(core, cap, mode, names), p1, p2
 
 
 def bipartite_bivariate(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
     """Circuit polynomial of a loopless bipartite core in the two part variables."""
-    collapsed, _, _ = _part_collapsed(core, cap)
-    return specialize(collapsed, replace(mode, collapse_x=False), core)
+    return _part_collapsed(core, mode, cap)[0]
 
 
 def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> BipartiteExpansion:
@@ -289,7 +282,7 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
     y1**(p1-k) * y2**(p2-k); anything else raises.  Coefficients are
     normalized by the one-vertex unit weight, making the leading one 1.
     """
-    bivar, p1, p2 = _part_collapsed(core, cap)
+    bivar, p1, p2 = _part_collapsed(core, mode, cap)
     p = core.p
     buckets: list[dict] = [dict() for _ in range(p2 + 1)]
     for mono, coeff in bivar.terms().items():
@@ -301,12 +294,10 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
         buckets[k][tuple(rest.items())] = coeff
     delta = []
     for k, bucket in enumerate(buckets):
-        raw = Poly(bucket)
         try:
-            normalized = raw.divide_var_power(wvar(1), p - 2 * k)
+            delta.append(_unit_divide(Poly(bucket), mode.w1_unit, p - 2 * k))
         except ValueError as exc:
             raise ValueError(f"not bipartite-consistent: {exc}") from exc
-        delta.append(specialize(normalized, replace(mode, collapse_x=False), core))
     return BipartiteExpansion(tuple(delta), p1, p2)
 
 
@@ -351,29 +342,6 @@ def one_sided_product_poly(delta: BipartiteExpansion, ph: Poly, pl: Poly,
 def mu_squares(delta: BipartiteExpansion, cluster_tol: float = 1e-7) -> MuSquares:
     """Squared symmetric roots of the core from its expansion coefficients."""
     return _mu_squares(delta.constants(), cluster_tol)
-
-
-def mu_squares_from_simple(simple: Poly, p1: int, p2: int,
-                           cluster_tol: float = 1e-7) -> MuSquares:
-    """Squared symmetric roots extracted from the simple core polynomial.
-
-    The polynomial must have a single parity of powers and be divisible by
-    x**(p1 - p2); its nonzero part is rewritten in z = x**2.
-    """
-    p = p1 + p2
-    coeffs = simple.univariate_coeffs(X)
-    if len(coeffs) - 1 != p:
-        raise ValueError(f"expected degree {p}, got {len(coeffs) - 1}")
-    qc = [coeffs[0]] + [0] * p2
-    for i, c in enumerate(coeffs[1:], start=1):
-        if c == 0:
-            continue
-        if i % 2:
-            raise ValueError("spectrum not symmetric: mixed parity of powers")
-        if i // 2 > p2:
-            raise ValueError(f"spectrum not symmetric: not divisible by x^{p1 - p2}")
-        qc[i // 2] = c
-    return _mu_squares(qc, cluster_tol)
 
 
 def _mu_squares(qc: list, cluster_tol: float) -> MuSquares:
@@ -451,25 +419,6 @@ def zero_divisibility_report(t_poly: Poly, ph1: Poly, ph2: Poly,
                               exponent_smaller=e2, divides=ok, quotient=quotient)
 
 
-def common_multiplicity(poly1: Poly, poly2: Poly, lam, tol: float = 1e-8) -> CommonMultiplicity:
-    """Minimum multiplicity of lam across two simple polynomials.
-
-    Exact repeated division for rational lam, root clustering otherwise.
-    """
-    if isinstance(lam, (int, Fraction)):
-        m1 = multiplicity_at(poly1, lam)
-        m2 = multiplicity_at(poly2, lam)
-    else:
-        lam = complex(lam)
-
-        def near(p: Poly) -> int:
-            return sum(mult for value, mult in numeric_roots(p, tol).roots
-                       if abs(value - lam) <= tol)
-
-        m1, m2 = near(poly1), near(poly2)
-    return CommonMultiplicity(min(m1, m2))
-
-
 # -- dendrimers -------------------------------------------------------------------
 
 
@@ -481,8 +430,7 @@ def _keep_x(mode: WeightMode) -> WeightMode:
 
 def _core_poly(g: Graph, mode: WeightMode, cap: int) -> Poly:
     """Polynomial of g with its loops stripped and one variable per vertex."""
-    free = strip_all_loops(g)
-    return specialize(circuit_poly(free, cap), _keep_x(mode), free)
+    return circuit_poly(strip_all_loops(g), cap, _keep_x(mode))
 
 
 def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:

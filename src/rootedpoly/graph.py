@@ -83,11 +83,6 @@ class Graph:
     def with_parts(self, parts: Sequence[int]) -> "Graph":
         return replace(self, parts=tuple(parts))
 
-    def part_sizes(self) -> tuple[int, int]:
-        if self.parts is None:
-            raise GraphFormatError("graph has no bipartition")
-        return self.parts.count(1), self.parts.count(2)
-
     def __str__(self) -> str:
         bits = [f"p={self.p}", f"arcs={len(self.arcs)}"]
         if self.loops:
@@ -356,19 +351,6 @@ def dendrimer(spec: DendrimerSpec) -> Graph:
     m = monodendron(spec.unit, spec.attach_sites, spec.generations)
     product, _ = rooted_product(spec.core, [m.graph] * spec.core.p)
     return product
-
-
-def f_graph(core: Graph, h: Graph, s: int) -> Graph:
-    """Iterated rooted product: step 0 is a single vertex, step 1 the core,
-    and each further step attaches a copy of h at every vertex."""
-    if s < 0:
-        raise ValueError("iteration count must be nonnegative")
-    if s == 0:
-        return k1(rooted=False)
-    out = core
-    for _ in range(s - 1):
-        out, _ = rooted_product(out, [h] * out.p)
-    return out
 
 
 # -- bipartition ----------------------------------------------------------------

@@ -20,9 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Mapping
 
 from .graph import Graph
-from .poly import Poly, X, _from_keys, _key, wvar, xvar
+from .poly import Poly, Var, X, _from_keys, _key, wvar, xvar
 
 DEFAULT_CAP = 9
 
@@ -93,14 +94,25 @@ def mode_by_name(name: str) -> WeightMode:
 # -- the full polynomial -----------------------------------------------------
 
 
-def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
-    """Full circuit polynomial in x_1..x_p and w_1..w_p.
+def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
+                 names: Mapping[int, Var] | None = None) -> Poly:
+    """Circuit polynomial of g under a weight mode, by default the full one
+    in x_1..x_p and w_1..w_p.
 
     cover(covered) sums the covers of the other vertices.  The lowest of them,
     v, is a fixed point with factor (x_v + b_v) * w_1, or the lowest vertex of
     directed cycles on a vertex set of size l, with factor w_l times their
     summed arc weights.  The memo lives for one call; its term dicts are keyed
     by Poly's own monomial keys, so multiplying in a factor adds its key.
+
+    The mode and the vertex names are applied to these factors before the
+    recursion, so every memo entry is a polynomial in the variables the mode
+    keeps.  A fixed point becomes (y_v + sigma_b * b_v) * w_1, where y_v is
+    names[v] when names is given, else x under collapse_x, else x_v; under
+    x_to_one it is w_1 alone and its loop is dropped.  w_l becomes its value,
+    w_l / 2 under halve_rest for l >= 3, or stays symbolic; a numeric w_l
+    multiplies the coefficient and adds nothing to the key.  The result is
+    specialize(circuit_poly(g), mode, g) with x_v renamed to names[v].
 
     The cycle sums come from a frontier table: for each lowest vertex v,
     layer k maps (vertex set, last vertex) to the summed weights of the paths
@@ -132,8 +144,6 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in arcs.items():
         out[i].append((j, w))
-    xkey = [0] + [_key([(xvar(v), 1)]) for v in range(1, p + 1)]
-    wkey = [0] + [_key([(wvar(k), 1)]) for k in range(1, p + 1)]
     cycles: dict[int, dict] = {v: {} for v in range(1, p + 1)}  # lowest vertex -> {set: weight}
     for v, found in cycles.items():
         layer = {(1 << (v - 1), v): 1}
@@ -147,17 +157,36 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
                         state = (used | 1 << (t - 1), t)
                         nxt[state] = nxt.get(state, 0) + acc * w
             layer = nxt
+
+    # w_l under the mode as (key, coefficient), for l = 1..p
+    wmode = []
+    for l in range(1, p + 1):
+        value = mode.w_value(l)
+        if value is not None:
+            wmode.append((0, value))
+        else:
+            wmode.append((_key([(wvar(l), 1)]), Fraction(1, 2) if mode.halve_rest and l >= 3 else 1))
+    # the choices at each lowest vertex v as (vertex set, key, coefficient)
+    choices: dict[int, list[tuple[int, int, object]]] = {}
+    for v, found in cycles.items():
+        bit, (w1, c1) = 1 << (v - 1), wmode[0]
+        if mode.x_to_one:
+            atoms = [(bit, w1, scale * c1)]
+        else:
+            name = names[v] if names is not None else X if mode.collapse_x else xvar(v)
+            atoms = [(bit, _key([(name, 1)]) + w1, scale * c1),
+                     (bit, w1, mode.sigma_b * loops.get(v, 0) * c1)]
+        for t, s in found.items():
+            code, c = wmode[t.bit_count() - 1]
+            atoms.append((t, code, s * c))
+        choices[v] = [atom for atom in atoms if atom[2] != 0]
     memo = {(1 << p) - 1: {0: 1}}
 
     def cover(mask: int) -> dict[int, object]:
         if mask not in memo:
-            bit = ~mask & (mask + 1)
-            v = bit.bit_length()
-            choices = [(bit, xkey[v] + wkey[1], scale), (bit, wkey[1], loops.get(v, 0))]
-            choices += [(t, wkey[t.bit_count()], s) for t, s in cycles[v].items() if not t & mask]
             d = memo[mask] = {}
-            for t, code, c in choices:
-                if c != 0:
+            for t, code, c in choices[(~mask & (mask + 1)).bit_length()]:  # lowest uncovered v
+                if not t & mask:
                     for key, coeff in cover(mask | t).items():
                         d[key + code] = d.get(key + code, 0) + c * coeff
         return memo[mask]
@@ -177,6 +206,10 @@ def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
     x_v + b_v.  Substituting x_v -> x_v + (sigma_b - 1) * b_v therefore turns
     every such factor into x_v + sigma_b * b_v exactly, and x_v -> 1 - b_v
     turns it into 1.
+
+    circuit_poly(g, cap, mode) gives the same polynomial without expanding
+    the full one.  This route stays for simple_circuit_poly and as a check in
+    the tests.
     """
     mapping: dict = {}
     for v in P.variables():
@@ -199,7 +232,15 @@ def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
 
 
 def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
-    """Specialized polynomial with all vertex variables collapsed into x."""
+    """Specialized polynomial with all vertex variables collapsed into x.
+
+    It still expands the full polynomial and then specializes it, where
+    circuit_poly(g, cap, mode.simple()) would not: the benchmark's tracer
+    tests in bench/test_bench.py expect this path to pass through specialize
+    (an oracle.specialize span, and a nonzero oracle.reenumerations count on
+    small-graphs).  Switching it waits for the change to the benchmark in
+    ROADMAP item 6.
+    """
     return specialize(circuit_poly(g, cap), mode.simple(), g)
 
 

@@ -20,7 +20,7 @@ from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complet
                     path, rooted_product, restricted_rooted_product, star,
                     strip_all_loops, strip_root_loops)
 from .oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode,
-                     char_poly_det, circuit_poly, simple_circuit_poly, specialize)
+                     char_poly_det, circuit_poly, simple_circuit_poly)
 from .poly import Poly, X, divides, ratio_substitute, wvar, xvar
 
 SUITE_CAP = 13
@@ -215,8 +215,8 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
 
                 if fam_idx < len(attachments):  # uniform: simple-polynomial routes
                     h = gamma[0]
-                    want_simple = specialize(want, simple_generic, product)
-                    bg = specialize(full_hat, simple_generic, core_hat)
+                    want_simple = circuit_poly(product, cap, simple_generic)
+                    bg = circuit_poly(core_hat, cap, simple_generic)
                     ph, pl, ptri = attachment_triple(h, 0, GENERIC, cap, vmap=None)
                     # direct substitution into the simple core polynomial
                     raw = ratio_substitute(bg, [(X, ptri, pl * w1)])
@@ -227,10 +227,10 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     rep_exp.record(got_exp == want_simple, detail=detail)
 
                     # zero-root divisibility of the product polynomial
-                    s = spectra.multiplicity_at(specialize(full_hat, simple_char, core_hat), 0)
+                    s = spectra.multiplicity_at(circuit_poly(core_hat, cap, simple_char), 0)
                     if s >= 1:
                         tri_s = simple_circuit_poly(strip_root_loops(h), simple_char, cap)
-                        ok, _ = divides(tri_s ** s, specialize(want, simple_char, product))
+                        ok, _ = divides(tri_s ** s, circuit_poly(product, cap, simple_char))
                         rep_div.record(ok, detail=detail)
 
     report = SuiteReport("products", [rep_coal, rep_attach, rep_core, rep_sub, rep_exp, rep_div])

@@ -6,10 +6,9 @@ import pytest
 
 from _brute import six_vertex_tree
 from rootedpoly.factor import (BipartiteExpansion, ProductMode, attachment_polys,
-                               bipartite_bivariate, bipartite_delta, coalescence_poly,
-                               common_multiplicity,
+                               bipartite_bivariate, bipartite_delta, coalescence_poly, core_parts,
                                dendrimer_poly, monodendron_polys, mu_squares,
-                               mu_squares_from_simple, one_sided_product_poly,
+                               one_sided_product_poly,
                                reciprocal_check, restricted_product_from_edge_join,
                                restricted_product_poly, restricted_spectral_form,
                                restricted_substitution_poly, rooted_product_poly,
@@ -21,8 +20,9 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               strip_all_loops, strip_root_loops)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MODES, PERMANENTAL,
                                char_poly_det, circuit_poly, simple_circuit_poly, specialize)
-from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar
-from rootedpoly.spectra import roots
+from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar, yvar
+from rootedpoly.spectra import multiplicity_at, roots
+from rootedpoly.verify import bipartite_cores, corpus_attachments
 
 TWIG = complete(2).with_root(1)
 W1 = Poly.variable(wvar(1))
@@ -245,18 +245,6 @@ def test_mu_squares_star_and_edge():
     assert [round(v.real, 9) for v in mu.root_set.expanded()] == [1.0]
 
 
-def test_mu_squares_from_simple_parity_error():
-    with pytest.raises(ValueError, match="spectrum not symmetric"):
-        mu_squares_from_simple(parse_poly("x^2 - x"), 1, 1)
-
-
-def test_mu_squares_from_simple_matches_delta():
-    t = six_vertex_tree()
-    a = mu_squares(bipartite_delta(t, CHAR))
-    b = mu_squares_from_simple(simple_circuit_poly(t, CHAR), 3, 3)
-    assert a.q == b.q
-
-
 def test_restricted_spectral_form_balanced_zero_roots():
     # two isolated vertices: the only squared root is zero
     t = Graph(p=2, parts=(1, 2))
@@ -303,6 +291,41 @@ def test_attachment_polys_match_enumeration(mode):
             ph, _, ptri = attachment_polys(hb, mode, vmap={v: v for v in range(1, hb.p + 1)})
             assert ph == specialize(circuit_poly(hb), keep, hb)
             assert ptri == specialize(circuit_poly(strip_root_loops(hb)), keep, strip_root_loops(hb))
+
+
+@pytest.mark.parametrize("b", [-1, 0, 2])
+def test_attachment_polys_names_match_renaming(b):
+    """With vmap, naming the vertices inside the recursion gives the
+    specialized polynomials renamed into the product's numbering."""
+    for _, h in corpus_attachments():
+        hb = attach_root_loop(h, b)
+        vmap = rooted_product(complete(2), [hb, hb])[1][1]
+        others = [v for v in range(1, hb.p + 1) if v != hb.root]
+        ph, pl, ptri = attachment_polys(hb, GENERIC, 9, vmap)
+        assert ph == rename(specialize(circuit_poly(hb), GENERIC, hb), vmap)
+        tri, rest = strip_root_loops(hb), delete_root(hb)
+        assert ptri == rename(specialize(circuit_poly(tri), GENERIC, tri), vmap)
+        assert pl == rename(specialize(circuit_poly(rest), GENERIC, rest),
+                            {k: vmap[v] for k, v in enumerate(others, start=1)})
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+def test_bipartite_polys_match_the_specialize_route(mode):
+    """The bivariate polynomial and the expansion coefficients equal those of
+    the generic polynomial with part variables substituted, then specialized."""
+    mode = MODES[mode]
+    keep = replace(mode, collapse_x=False)
+    for _, core in bipartite_cores():
+        parts, p1, p2 = core_parts(core)
+        generic = circuit_poly(core).substitute_many(
+            {xvar(i): Poly.variable(yvar(part)) for i, part in enumerate(parts, start=1)})
+        assert bipartite_bivariate(core, mode) == specialize(generic, keep, core)
+        delta = bipartite_delta(core, mode)
+        for k, d in enumerate(delta.delta):
+            bucket = Poly({tuple(ve for ve in mono if ve[0] not in (yvar(1), yvar(2))): c
+                           for mono, c in generic.terms().items()
+                           if dict(mono).get(yvar(1), 0) == p1 - k})
+            assert d == specialize(bucket.divide_var_power(wvar(1), core.p - 2 * k), keep, core)
 
 
 def test_reciprocal_flagship_and_cycle():
@@ -357,14 +380,6 @@ def test_zero_divisibility_trivial_exponent():
     assert report.divides and report.quotient == t_poly
 
 
-def test_common_multiplicity():
-    x = Poly.variable(X)
-    assert common_multiplicity(x ** 2 - 1, x - 1, 1).value == 1
-    assert common_multiplicity(x ** 2, x ** 3, 0).value == 2
-    got = common_multiplicity(x ** 4 - 3 * x ** 2, x ** 2 - 3, math.sqrt(3), tol=1e-8)
-    assert got.value == 1
-
-
 def test_common_roots_are_inherited_by_the_product():
     """A root shared by an attachment polynomial and a root-deleted polynomial
     survives into the restricted product with at least that multiplicity."""
@@ -372,12 +387,11 @@ def test_common_roots_are_inherited_by_the_product():
     h = path(3).with_root(2)
     ph = simple_circuit_poly(h, CHAR)
     pl = simple_circuit_poly(delete_root(h), CHAR)
-    shared = common_multiplicity(ph, pl, 0)
-    assert shared.value == 1
+    shared = min(multiplicity_at(ph, 0), multiplicity_at(pl, 0))
+    assert shared == 1
     delta = bipartite_delta(t, CHAR)
     product = restricted_product_poly(delta, ph, pl, ph, pl)
-    from rootedpoly.spectra import multiplicity_at
-    assert multiplicity_at(product, 0) >= shared.value
+    assert multiplicity_at(product, 0) >= shared
     built, _ = restricted_rooted_product(t, h, h)
     assert product == simple_circuit_poly(built, CHAR)
 

@@ -5,7 +5,7 @@ import pytest
 from _brute import six_vertex_tree
 from rootedpoly.graph import (DendrimerSpec, Graph, GraphFormatError, NotBipartiteError,
                               attach_root_loop, bipartition, coalesce, complete, cycle,
-                              delete_root, dendrimer, edge_join, f_graph,
+                              delete_root, dendrimer, edge_join,
                               graph_from_json, graph_to_json, k1, monodendron,
                               monodendron_star, multiple_coalesce, normalize_parts, path,
                               relabel, restricted_rooted_product, rooted_product, star,
@@ -123,7 +123,8 @@ def test_restricted_vertex_count_formula():
     t = star(3).with_parts(bipartition(star(3)))
     h1, h2 = path(3).with_root(1), TWIG
     got, _ = restricted_rooted_product(t, h1, h2)
-    p1, p2 = normalize_parts(t).part_sizes()
+    parts = normalize_parts(t).parts
+    p1, p2 = parts.count(1), parts.count(2)
     assert got.p == t.p + p1 * (h1.p - 1) + p2 * (h2.p - 1)
 
 
@@ -194,13 +195,6 @@ def test_dendrimer_spec_validation():
     with pytest.raises(ValueError, match="distinct"):
         DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
                       attach_sites=(1, 1), generations=1)
-
-
-def test_f_graph_steps():
-    assert f_graph(complete(2).with_root(1), TWIG, 0).p == 1
-    assert graphs_equal(f_graph(complete(2).with_root(1), TWIG, 1), complete(2).with_root(1))
-    got = f_graph(complete(2).with_root(1), TWIG, 2)
-    assert simple_circuit_poly(got, GENERIC) == simple_circuit_poly(path(4), GENERIC)
 
 
 def test_bipartition_path_and_star():

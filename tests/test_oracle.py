@@ -8,8 +8,8 @@ from hypothesis import example, given, strategies as st
 from _brute import (brute_circuit_poly, brute_determinant, brute_permanent,
                     random_graph, undirected_cover_poly, x_matrix)
 from rootedpoly.graph import Graph, complete, cycle, k1, path, star
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM,
-                               MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL,
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, DEFAULT_CAP,
+                               MATCHING_MINUS, MATCHING_PLUS, MODES, PERMANENTAL,
                                UNDIRECTED_COVERS, OracleCapExceeded, char_poly_det,
                                circuit_poly, cycle_index_sym, mode_by_name,
                                permanental_poly_check, simple_circuit_poly, specialize)
@@ -81,6 +81,40 @@ def test_matches_direct_permutation_sum(g):
     assert got == brute_circuit_poly(g)
     # an integral coefficient is an int, also after the division by D^p
     assert all(c.denominator != 1 for c in got.terms().values() if type(c) is Fraction)
+
+
+# Fraction arcs and a Fraction loop on an undirected 4-cycle with a chord:
+# the loop drops out and the cycle sums of length >= 3 halve
+FRACTION_COVERS = Graph(p=4, arcs={a: w for (i, j), w in {(1, 2): Fraction(1, 2), (2, 3): 3,
+                                                          (3, 4): Fraction(-2, 3), (4, 1): 1,
+                                                          (1, 3): Fraction(5, 4)}.items()
+                                   for a in ((i, j), (j, i))},
+                        loops={2: Fraction(3, 2)})
+
+
+@given(small_graphs())
+@example(Graph(p=0))
+@example(FRACTION_COVERS)
+@example(FLOAT_LOOP)
+@example(COMPLEX_ARC)
+def test_mode_in_the_recursion_matches_specialize(g):
+    """Applying the mode and the vertex names to the factors of the cover
+    recursion gives the specialized full polynomial, renamed."""
+    full = circuit_poly(g)
+    names = {v: xvar(2 * (g.p + 1 - v)) for v in range(1, g.p + 1)}
+    rename = {xvar(v): Poly.variable(name) for v, name in names.items()}
+    brute = brute_circuit_poly(g, sigma_b=-1)
+    for mode in MODES.values():
+        for m in (mode, mode.simple()):
+            got = circuit_poly(g, DEFAULT_CAP, m)
+            assert got == specialize(full, m, g)
+            if m.sigma_b == -1:
+                want = brute.substitute_many({wvar(i): m.w_value(i) for i in range(1, g.p + 1)})
+                if m.collapse_x:
+                    want = want.substitute_many({xvar(i): Poly.variable(X) for i in range(1, g.p + 1)})
+                assert got == want
+        keep = replace(mode, collapse_x=False)
+        assert circuit_poly(g, DEFAULT_CAP, keep, names) == specialize(full, keep, g).substitute_many(rename)
 
 
 @pytest.mark.parametrize("mode", [CHARACTERISTIC_STANDARD, MATCHING_MINUS], ids=lambda m: m.name)

@@ -37,3 +37,6 @@ def test_oracle_scaling():
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
                     "C4": (4, 7), "grid2x2": (4, 7)}
+    # the last column times the simple characteristic polynomial
+    for line in out.splitlines()[1:]:
+        assert float(line.split()[4]) >= 0
