@@ -37,7 +37,7 @@ def main():
         t1 = time.time()
         fac.expand()
         t2 = time.time()
-        largest = max((f.degree() for f, _ in fac.factors), default=0)
+        largest = max((len(f) - 1 for f, _ in fac.factors), default=0)
         row = (f"{j:>4} {fac.degree():>9} {len(fac.factors):>8} {largest:>8} "
                f"{t1 - t0:>11.3f} {t2 - t1:>11.3f}")
         if args.skip_spectrum:

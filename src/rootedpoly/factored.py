@@ -9,7 +9,12 @@ CoprimeBase holds such a list of polynomials and refines it with exact gcds
 whenever a new polynomial arrives, splitting an element when the newcomer
 divides part of it, so that several products can be kept over one shared
 base (Bernstein, "Factoring into coprimes in essentially linear time",
-J. Algorithms, 2005).  The gcd and square-free work is done by sympy.
+J. Algorithms, 2005).  In x alone the base holds integer coefficient lists,
+highest degree first: gcds follow the primitive remainder sequence (Collins,
+J. ACM 14, 1967; Knuth, TAOCP vol. 2, 4.6.1) and exact quotients are long
+divisions, both on plain ints, and only the square-free split of what a new
+polynomial leaves over goes through sympy.  Products with symbolic weights
+are held as integer sympy polynomials throughout.
 
 Expanding a univariate product never multiplies two big polynomials.  With
 P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
@@ -30,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import sympy
 
@@ -59,6 +64,102 @@ def _to_sympy(p: Poly, gens: Sequence[Var]) -> tuple[Fraction, sympy.Poly]:
 def _from_sympy(f: sympy.Poly, gens: Sequence[Var]) -> Poly:
     """f as a Poly in gens."""
     return Poly({tuple(zip(gens, exps)): int(c) for exps, c in f.terms()})
+
+
+def _to_coeffs(p: Poly) -> tuple[Fraction, list[int]]:
+    """p as scale * F with F an integer coefficient list in x, highest degree first."""
+    if not p.is_exact():
+        raise ValueError("exact factorization needs exact coefficients")
+    coeffs = p.univariate_coeffs(X)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return Fraction(1, den), [int(c * den) for c in coeffs]
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """A nonzero list divided by its content, with a positive leading coefficient."""
+    c = math.gcd(*f) if f[0] > 0 else -math.gcd(*f)
+    return f if c == 1 else [a // c for a in f]
+
+
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """A nonzero integer multiple of the remainder of f by g, as a list with
+    no leading zeros; [] when g divides that multiple of f.  A step multiplies
+    by g's leading coefficient only when it does not divide the leading term."""
+    r, n, lead = f, len(g), g[0]
+    while len(r) >= n:
+        q, rem = divmod(r[0], lead)
+        if rem:
+            r, q = [lead * a for a in r], r[0]
+        r = [a - q * b for a, b in zip(r[1:n], g[1:])] + r[n:]
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        if k:
+            r = r[k:]
+    return r
+
+
+def _gcd(f: list[int], g: list[int]) -> list[int]:
+    """gcd of two nonzero integer lists, with a positive leading coefficient,
+    by the primitive remainder sequence."""
+    content = math.gcd(math.gcd(*f), math.gcd(*g))
+    f, g = _primitive(f), _primitive(g)
+    while len(g) > 1:
+        f, g = g, _prem(f, g)
+        if g:
+            g = _primitive(g)
+    if g:  # a nonzero constant remainder: f and g are coprime
+        f = [1]
+    return [content * a for a in f]
+
+
+def _exquo(f: list[int], g: list[int]) -> list[int]:
+    """f / g for nonzero integer lists; ArithmeticError unless g divides f."""
+    r, n, lead = list(f), len(g), g[0]
+    q = []
+    for k in range(len(f) - n + 1):
+        c, rem = divmod(r[k], lead)
+        if rem:
+            raise ArithmeticError("inexact division of integer polynomials")
+        q.append(c)
+        for j in range(1, n):
+            r[k + j] -= c * g[j]
+    if not q or any(r[len(q):]):
+        raise ArithmeticError("inexact division of integer polynomials")
+    return q
+
+
+_SX = sympy.Symbol(str(X))
+
+
+class _Ring(NamedTuple):
+    """How a base holds its polynomials: the conversion of a Poly to
+    (scale, element) and the operations the refinement uses."""
+
+    convert: Callable
+    gcd: Callable
+    exquo: Callable
+    is_ground: Callable
+    lc: Callable
+    negate: Callable
+    sqf: Callable
+
+
+_X_LISTS = _Ring(
+    _to_coeffs, _gcd, _exquo, lambda f: len(f) == 1, lambda f: f[0], lambda f: [-a for a in f],
+    lambda f: [([int(c) for c in g.all_coeffs()], k)
+               for g, k in sympy.Poly.from_list(f, _SX, domain=sympy.ZZ).sqf_list()[1]])
+
+
+def _ring(gens: tuple[Var, ...]) -> _Ring:
+    """Integer lists for polynomials in x alone, integer sympy polynomials
+    otherwise; those divide with auto=False, so the quotient is taken over ZZ
+    and not by way of rational coefficients."""
+    if gens == (X,):
+        return _X_LISTS
+    return _Ring(lambda p: _to_sympy(p, gens), lambda f, g: f.gcd(g),
+                 lambda f, g: f.exquo(g, auto=False), lambda f: f.is_ground,
+                 lambda f: int(f.LC()), lambda f: -f, lambda f: f.sqf_list()[1])
 
 
 def _times(a: list[int], b: list[int]) -> list[int]:
@@ -106,22 +207,16 @@ def _power_product(factors: Sequence[tuple[list[int], int]]) -> list[int]:
     return p[s:]
 
 
-def _positive(f: sympy.Poly) -> sympy.Poly:
-    """f or -f, whichever has a positive leading coefficient.
-
-    Every factor here is primitive already: sympy's square-free factors are,
-    and by Gauss's lemma so are gcds and exact quotients of primitive
-    integer polynomials.
-    """
-    return -f if f.LC() < 0 else f
-
-
 @dataclass(frozen=True)
 class Factored:
-    """const * prod f**m over square-free, pairwise coprime factors f."""
+    """const * prod f**m over square-free, pairwise coprime factors f.
+
+    In x alone each f is an integer coefficient list, highest degree first;
+    otherwise it is an integer sympy polynomial in gens.
+    """
 
     const: int | Fraction
-    factors: tuple[tuple[sympy.Poly, int], ...]
+    factors: tuple[tuple[list[int] | sympy.Poly, int], ...]
     gens: tuple[Var, ...] = (X,)
 
     @staticmethod
@@ -132,6 +227,8 @@ class Factored:
 
     def degree(self, v: Var = X) -> int:
         k = self.gens.index(v)
+        if self.gens == (X,):
+            return sum((len(f) - 1) * m for f, m in self.factors)
         return sum(f.degree(k) * m for f, m in self.factors)
 
     def expand(self) -> Poly:
@@ -152,7 +249,7 @@ class Factored:
             return total
         shift, parts = 0, []
         for f, m in self.factors:
-            coeffs = [int(c) for c in reversed(f.all_coeffs())]
+            coeffs = f[::-1]
             a = next(k for k, c in enumerate(coeffs) if c)
             shift += a * m
             parts.append((coeffs[a:], m))
@@ -161,48 +258,59 @@ class Factored:
 
 
 class CoprimeBase:
-    """A growing list of square-free, pairwise coprime, primitive polynomials.
+    """A growing list of square-free, pairwise coprime, primitive polynomials
+    with positive leading coefficients.
 
     A product over the base is a constant and an exponent map {index:
     multiplicity}.  Absorbing a new polynomial may split elements of the
     base; the exponent maps passed as `held` are rewritten in place so that
     they still describe the same products.
+
+    Every element stays primitive without being made so: sympy's square-free
+    factors are, and by Gauss's lemma so are gcds and exact quotients of
+    primitive integer polynomials.
     """
 
     def __init__(self, gens: Sequence[Var]):
         self.gens = tuple(gens)
-        self.polys: list[sympy.Poly] = []
+        self.ring = _ring(self.gens)
+        self.polys: list[list[int] | sympy.Poly] = []
 
     def absorb(self, p: Poly, held: Sequence[dict[int, int]] = ()) -> tuple[Fraction, dict[int, int]]:
         """Refine the base until p factors over it; return p's constant and exponents."""
-        scale, h = _to_sympy(p, self.gens)
-        if h.is_zero:
+        ring = self.ring
+        if p.is_zero():
             raise ValueError("the zero polynomial has no factorization")
-        lead = scale * int(h.LC())
+        scale, h = ring.convert(p)
+        lead = scale * ring.lc(h)
         exps: dict[int, int] = {}
+
+        def positive(f):
+            return ring.negate(f) if ring.lc(f) < 0 else f
+
         for i in range(len(self.polys)):
-            if h.is_ground:
+            if ring.is_ground(h):
                 break
-            g = self.polys[i].gcd(h)
-            if g.is_ground:
+            g = ring.gcd(self.polys[i], h)
+            if ring.is_ground(g):
                 continue
             # split element i by the multiplicity its roots have in h
             parts = {}
             cur, e = self.polys[i], 0
-            while not g.is_ground:
-                rest = cur.exquo(g)
-                if not rest.is_ground:
+            while not ring.is_ground(g):
+                rest = ring.exquo(cur, g)
+                if not ring.is_ground(rest):
                     parts[e] = rest
-                h = h.exquo(g)
+                h = ring.exquo(h, g)
                 cur, e = g, e + 1
-                g = cur.gcd(h)
+                g = ring.gcd(cur, h)
             parts[e] = cur
             pieces = sorted(parts.items())
             indices = [i]
-            self.polys[i] = _positive(pieces[0][1])
+            self.polys[i] = positive(pieces[0][1])
             for _, piece in pieces[1:]:
                 indices.append(len(self.polys))
-                self.polys.append(_positive(piece))
+                self.polys.append(positive(piece))
             for m in held:
                 if i in m:
                     for j in indices[1:]:
@@ -210,12 +318,11 @@ class CoprimeBase:
             for (e, _), j in zip(pieces, indices):
                 if e:
                     exps[j] = e
-        if not h.is_ground:
-            _, pairs = h.sqf_list()
-            for g, k in pairs:
+        if not ring.is_ground(h):
+            for g, k in ring.sqf(h):
                 exps[len(self.polys)] = k
-                self.polys.append(_positive(g))
-        const = lead / math.prod(int(self.polys[j].LC()) ** k for j, k in exps.items())
+                self.polys.append(positive(g))
+        const = lead / math.prod(ring.lc(self.polys[j]) ** k for j, k in exps.items())
         return _norm_coeff(const), exps
 
     def factored(self, const, exps: dict[int, int]) -> Factored:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
+from sympy import ZZ
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from .factored import Factored
 from .oracle import DEFAULT_CAP
@@ -71,7 +73,7 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
             return _rootset([found], len(coeffs) - 1, cluster_tol)
         p = Factored.from_poly(p)
     _require_univariate(p.gens)
-    found = [_solve([int(c) for c in f.all_coeffs()], m, f.count_roots) for f, m in p.factors]
+    found = [_solve(f, m, lambda f=f: dup_count_real_roots(f, ZZ)) for f, m in p.factors]
     return _rootset(found, p.degree(), cluster_tol)
 
 

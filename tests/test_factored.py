@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
-from rootedpoly.factored import CoprimeBase, Factored
+from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd
 from rootedpoly.graph import DendrimerSpec, Graph, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, PERMANENTAL, simple_circuit_poly)
@@ -17,12 +17,21 @@ from rootedpoly.spectra import dendrimer_spectrum
 MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
 
 
+def as_sympy(f, gens=(X,)) -> sympy.Poly:
+    """A factor, an integer list in x alone or a sympy polynomial, as a sympy polynomial."""
+    return sympy.Poly(f, *[sympy.Symbol(str(v)) for v in gens])
+
+
 def hand_built(const, powers: list[tuple[str, int]], gens=(X,)) -> tuple[Factored, Poly]:
     """A Factored value built directly from (polynomial text, exponent)
     pairs, and the same product multiplied out as Poly values."""
     symbols = [sympy.Symbol(str(v)) for v in gens]
-    fac = Factored(const, tuple((sympy.Poly(sympy.sympify(text.replace("^", "**")), *symbols), m)
-                                for text, m in powers), tuple(gens))
+    if tuple(gens) == (X,):
+        factors = tuple((parse_poly(text).univariate_coeffs(X), m) for text, m in powers)
+    else:
+        factors = tuple((sympy.Poly(sympy.sympify(text.replace("^", "**")), *symbols), m)
+                        for text, m in powers)
+    fac = Factored(const, factors, tuple(gens))
     want = Poly.const(const)
     for text, m in powers:
         want = want * parse_poly(text) ** m
@@ -32,7 +41,7 @@ def hand_built(const, powers: list[tuple[str, int]], gens=(X,)) -> tuple[Factore
 def test_from_poly_splits_square_free_parts():
     f = Factored.from_poly(parse_poly("-2*x^5 + 4*x^4 - 2*x^3"))  # -2 x^3 (x - 1)^2
     assert f.const == -2
-    assert sorted((str(g.as_expr()), m) for g, m in f.factors) == [("x", 3), ("x - 1", 2)]
+    assert sorted((str(as_sympy(g).as_expr()), m) for g, m in f.factors) == [("x", 3), ("x - 1", 2)]
     assert f.degree() == 5
     assert f.expand() == parse_poly("-2*x^5 + 4*x^4 - 2*x^3")
     # a factor with a zero constant term that is not a monomial
@@ -43,7 +52,7 @@ def test_from_poly_splits_square_free_parts():
 def test_from_poly_rational_and_constant():
     p = parse_poly("1/2*x^2 - 1/3")
     f = Factored.from_poly(p)
-    assert f.factors[0][0].all_coeffs() == [3, 0, -2]
+    assert f.factors[0][0] == [3, 0, -2]
     assert f.expand() == p
     assert Factored.from_poly(Poly.const(Fraction(-3, 4))).expand() == Poly.const(Fraction(-3, 4))
     for const, powers in [(Fraction(5, 7), []),
@@ -55,6 +64,13 @@ def test_from_poly_rational_and_constant():
         Factored.from_poly(Poly.zero())
 
 
+def test_from_poly_rejects_float_coefficients():
+    with pytest.raises(ValueError, match="exact coefficients"):
+        Factored.from_poly(Poly.from_univariate_coeffs([1, -0.5, 2]))
+    with pytest.raises(ValueError, match="exact coefficients"):
+        Factored.from_poly(Poly.variable(X) * Poly.variable(wvar(1)) + 0.25)
+
+
 def test_absorb_splits_an_element_and_rewrites_held_products():
     base = CoprimeBase((X,))
     c1, e1 = base.absorb(parse_poly("3*x^2 - 3"))
@@ -63,8 +79,50 @@ def test_absorb_splits_an_element_and_rewrites_held_products():
     c2, e2 = base.absorb(parse_poly("x^3 - 3*x + 2"), held=[held])  # (x - 1)^2 (x + 2)
     assert base.factored(c1, held).expand() == parse_poly("3*x^2 - 3")
     assert base.factored(c2, e2).expand() == parse_poly("x^3 - 3*x + 2")
-    assert sorted(str(g.as_expr()) for g in base.polys) == ["x + 1", "x + 2", "x - 1"]
+    assert sorted(str(as_sympy(g).as_expr()) for g in base.polys) == ["x + 1", "x + 2", "x - 1"]
     assert sorted(e2.values()) == [1, 2]
+
+
+# -- integer list arithmetic in x against sympy ------------------------------------
+
+@st.composite
+def int_lists(draw) -> list[int]:
+    """Nonzero integer coefficient lists, highest degree first: some negative
+    leading coefficients, some zero constant terms, some content above 1 and
+    some constants."""
+    head = draw(st.integers(-9, 9).filter(bool))
+    body = draw(st.lists(st.integers(-9, 9), max_size=4))
+    zeros = draw(st.integers(0, 2))
+    content = draw(st.integers(1, 6))
+    return [content * c for c in [head] + body] + [0] * zeros
+
+
+def product(a: list[int], b: list[int]) -> list[int]:
+    return [int(c) for c in (as_sympy(a) * as_sympy(b)).all_coeffs()]
+
+
+@given(int_lists(), int_lists(), int_lists())
+def test_list_gcd_and_exact_quotient_match_sympy(a, b, c):
+    f, g = product(a, c), product(b, c)  # a shared factor c
+    for u, v in ((f, g), (a, b), (f, c), (a, a)):
+        want = [int(k) for k in as_sympy(u).gcd(as_sympy(v)).all_coeffs()]
+        assert _gcd(u, v) == want == _gcd(v, u)
+    assert _exquo(f, c) == a and _exquo(g, b) == c
+    for u, v in ((f, b), (a, c), (c, f)):
+        try:
+            want = [int(k) for k in as_sympy(u).exquo(as_sympy(v), auto=False).all_coeffs()]
+        except sympy.polys.polyerrors.ExactQuotientFailed:
+            with pytest.raises(ArithmeticError):
+                _exquo(u, v)
+        else:
+            assert _exquo(u, v) == want
+
+
+def test_list_exact_quotient_raises_on_a_remainder():
+    assert _exquo([2, 0, -2], [1, -1]) == [2, 2]
+    for f, g in (([1, 0, 1], [1, -1]), ([3, 3], [2]), ([1, 1], [1, 0, 0]), ([2, 1], [2, 0])):
+        with pytest.raises(ArithmeticError):
+            _exquo(f, g)
 
 
 # -- the factored tier recursion against the built dendrimer ------------------------
@@ -126,7 +184,7 @@ def test_factored_recursion_matches_built_dendrimer(spec, mode):
     assert dendrimer_poly(spec, mode) == simple_circuit_poly(built, mode, cap=built.p)
 
     fac = dendrimer_factored(spec, mode)
-    polys = [f for f, _ in fac.factors]
+    polys = [as_sympy(f, fac.gens) for f, _ in fac.factors]
     for k, f in enumerate(polys):
         assert not f.is_ground
         assert [m for _, m in f.sqf_list()[1]] == [1]
