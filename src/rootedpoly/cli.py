@@ -10,6 +10,7 @@ overrides the default cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -182,6 +183,7 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache  # one parser per cap; main still reads ROOTEDPOLY_CAP on every call
 def build_parser(cap: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootedpoly",

@@ -10,11 +10,15 @@ Conventions shared by everything here:
   the weight of a one-vertex component under the active specialization
   (the generic w1 variable, or its numeric value, see WeightMode.w1_unit).
   At w1 = 1 this reduces to the plain textbook substitution.
-* Constituent polynomials follow the loop split of the chosen flavor: either
-  the core polynomial carries the total coalescence-node loop weights and the
-  attachments are root-loop-stripped, or the core is fully loop-stripped and
-  each attachment carries the total loop weight at its root.  Both flavors
-  produce the identical polynomial.
+* Constituent polynomials follow one of three loop splits: the core
+  polynomial carries the total coalescence-node loop weights and the
+  attachments are root-loop-stripped; or the core is fully loop-stripped and
+  each attachment carries the total loop weight at its root; or each side
+  keeps its own loops.  All three produce the identical polynomial.  The
+  third is the dendrimer tier step's: substituted into the core's
+  fixed-point factor (y + sigma_b * b_v) * w1, the ratio y = P / (w1 * Q)
+  gives (P + sigma_b * b_v * w1 * Q) / Q, the attachment with the core's
+  loop added to the one already at its root.
 * Bipartite expansion coefficients are normalized by the one-vertex unit
   weight, so the leading coefficient is always exactly 1 and the even part
   q(z) built from them is monic.
@@ -29,7 +33,7 @@ from typing import Sequence
 
 from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
-                    edge_join, normalize_parts, strip_all_loops, strip_root_loops)
+                    edge_join, normalize_parts, strip_root_loops)
 from .oracle import DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly
 from .poly import (Poly, Var, X, divides, multilinear_ratio_substitute,
                    ratio_substitute, wvar, xvar, yvar)
@@ -340,12 +344,10 @@ def one_sided_product_poly(delta: BipartiteExpansion, ph: Poly, pl: Poly,
 
 
 def mu_squares(delta: BipartiteExpansion, cluster_tol: float = 1e-7) -> MuSquares:
-    """Squared symmetric roots of the core from its expansion coefficients."""
-    return _mu_squares(delta.constants(), cluster_tol)
-
-
-def _mu_squares(qc: list, cluster_tol: float) -> MuSquares:
-    """The roots of q(z) with descending coefficients qc; none when q is constant."""
+    """Squared symmetric roots of the core: the roots of q(z), whose
+    descending coefficients are the expansion coefficients; none when q is
+    constant."""
+    qc = delta.constants()
     q = Poly.from_univariate_coeffs(qc)
     if len(qc) == 1:
         return MuSquares(RootSet(roots=(), source_degree=0, cluster_tol=cluster_tol, residuals=()), q)
@@ -423,14 +425,11 @@ def zero_divisibility_report(t_poly: Poly, ph1: Poly, ph2: Poly,
 
 
 def _keep_x(mode: WeightMode) -> WeightMode:
+    """The mode itself, unless it drops the vertex variables that name the
+    attach sites."""
     if mode.x_to_one:
         raise ValueError(f"mode {mode.name} removes vertex variables; not usable here")
-    return replace(mode, collapse_x=False)
-
-
-def _core_poly(g: Graph, mode: WeightMode, cap: int) -> Poly:
-    """Polynomial of g with its loops stripped and one variable per vertex."""
-    return circuit_poly(strip_all_loops(g), cap, _keep_x(mode))
+    return mode
 
 
 def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
@@ -439,41 +438,32 @@ def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
     return (X,) + tuple(wvar(i) for i in range(1, p + 1) if mode.w_value(i) is None)
 
 
-def _attach(core_poly: Poly, loops: Sequence, flags: Sequence[bool], p_hat: Poly,
-            q_hat: Poly, mode: WeightMode) -> Poly:
-    """The core polynomial with the branch p_hat / q_hat at the flagged
-    vertices and a bare vertex elsewhere, each carrying its loop weight."""
-    w1 = mode.w1_unit
-    gamma = []
-    for loop, branch in zip(loops, flags):
-        if branch:
-            gamma.append((_shift_root_loop(p_hat, q_hat, loop, mode), q_hat, None))
-        else:
-            gamma.append((_unit_mul(Poly.variable(X) + mode.sigma_b * loop, w1), Poly.one(), None))
-    return rooted_product_poly(core_poly, gamma, ProductMode.CORE_LOOPS_STRIPPED, w1)
+_SITE = yvar(1)
 
 
 def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple],
               mode: WeightMode) -> list[tuple]:
-    """Rooted products of small loop-free cores with the branch P, of root-deleted
-    graph Q, at their flagged vertices, as (constant, exponents) over the base.
+    """Rooted products of small cores with the branch P, of root-deleted graph
+    Q, at their attach sites, as (constant, exponents) over the base.
 
-    targets holds (core polynomial, loop weights, flags) per core.  Every
-    attachment ratio is P / (w1 * Q) plus a constant loop shift.  The base
-    factors g that P and Q share cancel from it, which leaves p_hat / q_hat in
-    lowest terms and of small degree; that is substituted into each core
-    polynomial and the result refined into the base.  The shared factors come
-    back as g**k, k the number of flagged vertices.
+    targets holds (core polynomial, k) per core: the core keeps its own loops,
+    its k attach sites are named y1 and every other vertex x.  The attachment
+    ratio P / (w1 * Q) replaces y1; the bare vertices need nothing.  The base
+    factors g that P and Q share cancel from the ratio, which leaves
+    p_hat / q_hat in lowest terms and of small degree; it is substituted into
+    each core polynomial and the result refined into the base.  The shared
+    factors come back as g**k.
     """
     (cp, ep), (cq, eq) = p_cur, q_cur
     shared = {i: min(e, eq[i]) for i, e in ep.items() if i in eq}
     p_hat = base.factored(cp, {i: e - shared.get(i, 0) for i, e in ep.items()}).expand()
     q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()}).expand()
-    carried = [{i: sum(flags) * e for i, e in shared.items()} for _, _, flags in targets]
+    ratio = [(_SITE, p_hat, _unit_mul(q_hat, mode.w1_unit))]
+    carried = [{i: k * e for i, e in shared.items()} for _, k in targets]
     found = []
-    for core_poly, loops, flags in targets:
-        found.append(base.absorb(_attach(core_poly, loops, flags, p_hat, q_hat, mode),
-                                 held=carried + [e for _, e in found]))
+    for core_poly, k in targets:
+        attached = _unit_divide(ratio_substitute(core_poly, ratio), mode.w1_unit, k)
+        found.append(base.absorb(attached, held=carried + [e for _, e in found]))
     return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
 
 
@@ -496,8 +486,8 @@ def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode:
     targets = []
     for g, kept in ((unit, range(1, unit.p + 1)),
                     (delete_root(unit), [v for v in range(1, unit.p + 1) if v != unit.root])):
-        targets.append((_core_poly(g, mode, cap), [unit.loop(v) for v in kept],
-                        [v in sites for v in kept]))
+        names = {i: _SITE if v in sites else X for i, v in enumerate(kept, start=1)}
+        targets.append((circuit_poly(g, cap, _keep_x(mode), names), len(sites.intersection(kept))))
     for _ in range(tiers):
         p_cur, q_cur = _products(base, p_cur, q_cur, targets, mode)
     return p_cur, q_cur
@@ -529,8 +519,8 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
     core = spec.core
     base = CoprimeBase(weight_gens(mode, max(spec.unit.p, core.p)))
     p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
-    target = (_core_poly(core, mode, cap), [core.loop(v) for v in range(1, core.p + 1)],
-              [True] * core.p)
+    names = dict.fromkeys(range(1, core.p + 1), _SITE)
+    target = (circuit_poly(core, cap, _keep_x(mode), names), core.p)
     [(const, exps)] = _products(base, p_cur, q_cur, [target], mode)
     return base.factored(const, exps)
 

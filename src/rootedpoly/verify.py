@@ -175,6 +175,11 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
 
     cores = corpus_cores()
     attachments = corpus_attachments()
+    # simple polynomials of the uniform families' attachments; the suite skips
+    # every product beyond the cap, so it never needs a larger attachment
+    fits = [(n, h) for n, h in attachments if h.p <= cap]
+    simple_triples = {n: attachment_triple(h, 0, GENERIC, cap) for n, h in fits}
+    tri_chars = {n: simple_circuit_poly(strip_root_loops(h), simple_char, cap) for n, h in fits}
 
     for core_name, core_base in cores:
         for loops in loop_variants(core_base.p):
@@ -214,10 +219,10 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 rep_core.record(got_c == want, detail=detail)
 
                 if fam_idx < len(attachments):  # uniform: simple-polynomial routes
-                    h = gamma[0]
+                    h_name = attachments[fam_idx][0]
                     want_simple = circuit_poly(product, cap, simple_generic)
                     bg = circuit_poly(core_hat, cap, simple_generic)
-                    ph, pl, ptri = attachment_triple(h, 0, GENERIC, cap, vmap=None)
+                    _, pl, ptri = simple_triples[h_name]
                     # direct substitution into the simple core polynomial
                     raw = ratio_substitute(bg, [(X, ptri, pl * w1)])
                     got_sub = raw.divide_var_power(wvar(1), core.p)
@@ -229,8 +234,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     # zero-root divisibility of the product polynomial
                     s = spectra.multiplicity_at(circuit_poly(core_hat, cap, simple_char), 0)
                     if s >= 1:
-                        tri_s = simple_circuit_poly(strip_root_loops(h), simple_char, cap)
-                        ok, _ = divides(tri_s ** s, circuit_poly(product, cap, simple_char))
+                        ok, _ = divides(tri_chars[h_name] ** s, circuit_poly(product, cap, simple_char))
                         rep_div.record(ok, detail=detail)
 
     report = SuiteReport("products", [rep_coal, rep_attach, rep_core, rep_sub, rep_exp, rep_div])
@@ -241,9 +245,9 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
 # -- bipartite suite ---------------------------------------------------------------
 
 
-def _restricted_constituents(h1: Graph, h2: Graph, mode: WeightMode, cap: int):
-    """P(H1), P(H1 - r), P(H2), P(H2 - r)."""
-    return factor.attachment_polys(h1, mode, cap)[:2] + factor.attachment_polys(h2, mode, cap)[:2]
+def _simple_pairs(attachments, mode: WeightMode, cap: int) -> dict[str, tuple[Poly, Poly]]:
+    """Simple P(H) and P(H - r) of each named attachment."""
+    return {name: factor.attachment_polys(h, mode, cap)[:2] for name, h in attachments}
 
 
 def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
@@ -260,7 +264,8 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
     rep_struct = IdentityReport("bipartite-structure")
 
     attachments = corpus_attachments()
-    simple_generic = GENERIC.simple()
+    generic_pairs = _simple_pairs(attachments, GENERIC, cap)
+    char_pairs = _simple_pairs(attachments, CHARACTERISTIC_STANDARD, cap)
 
     for core_name, core in bipartite_cores():
         parts, p1, p2 = factor.core_parts(core)
@@ -283,7 +288,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
                 continue
             product, _ = restricted_rooted_product(core, h1, h2)
             want = simple_circuit_poly(product, GENERIC, cap)
-            ph1, pl1, ph2, pl2 = _restricted_constituents(h1, h2, simple_generic, cap)
+            ph1, pl1, ph2, pl2 = *generic_pairs[n1], *generic_pairs[n2]
             got_exp = factor.restricted_product_poly(delta, ph1, pl1, ph2, pl2)
             got_sub = factor.restricted_substitution_poly(bivar, ph1, pl1, ph2, pl2, w1)
             detail = f"{core_name}({n1},{n2})"
@@ -292,7 +297,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
 
             # zero-root divisibility for the characteristic specialization
             if zero_mult >= p1 - p2:
-                c1, d1, c2, d2 = _restricted_constituents(h1, h2, CHARACTERISTIC_STANDARD, cap)
+                c1, d1, c2, d2 = *char_pairs[n1], *char_pairs[n2]
                 prod_char = factor.restricted_product_poly(char_delta, c1, d1, c2, d2)
                 report = factor.zero_divisibility_report(simple, c1, c2, prod_char, p1, p2)
                 rep_zero.record(report.divides, detail=detail)
@@ -313,7 +318,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
                     else:
                         product, _ = restricted_rooted_product(core_loopy, k1(), h)
                     want = simple_circuit_poly(product, GENERIC, cap)
-                    ph, pl, _ = factor.attachment_polys(h, GENERIC, cap)
+                    ph, pl = generic_pairs[h_name]
                     got = factor.one_sided_product_poly(delta, ph, pl, b, GENERIC, larger)
                     rep = rep_one_l if larger else rep_one_s
                     rep.record(got == want, detail=f"{core_name}+{h_name} b={b}")
@@ -449,6 +454,8 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                         free_roots, hb, mode, cap))
                     rep_loops.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
 
+    graphs = dict(attachments)
+    simple = {mode: _simple_pairs(attachments, mode, cap) for mode in modes}
     for core_name, core in bipartite_cores():
         parts, p1, p2 = factor.core_parts(core)
         if p2 == 0:
@@ -456,14 +463,11 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
         for mode in modes:
             delta = factor.bipartite_delta(core, mode, cap)
             mu = factor.mu_squares(delta)
-            for (n1, h1), (n2, h2) in [
-                (("k2", complete(2).with_root(1)), ("k2", complete(2).with_root(1))),
-                (("k1", k1()), ("k2", complete(2).with_root(1))),
-                (("p3-end", path(3).with_root(1)), ("k1", k1())),
-            ]:
+            for n1, n2 in (("k2", "k2"), ("k1", "k2"), ("p3-end", "k1")):
+                h1, h2 = graphs[n1], graphs[n2]
                 if core.p + p1 * (h1.p - 1) + p2 * (h2.p - 1) > cap:
                     continue
-                ph1, pl1, ph2, pl2 = _restricted_constituents(h1, h2, mode, cap)
+                ph1, pl1, ph2, pl2 = *simple[mode][n1], *simple[mode][n2]
                 exact = factor.restricted_product_poly(delta, ph1, pl1, ph2, pl2)
                 detail = f"{core_name}({n1},{n2}) {mode.name}"
                 dev = coeff_deviation(exact, factor.restricted_spectral_form(
@@ -476,7 +480,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
             # one-sided squared-root forms with loop-weighted bare vertices
             for b in (0, 2):
                 for larger in (True, False):
-                    ph, pl, _ = factor.attachment_polys(complete(2).with_root(1), mode, cap)
+                    ph, pl = simple[mode]["k2"]
                     exact = factor.one_sided_product_poly(delta, ph, pl, b, mode, larger)
                     unit = Poly.variable(X) * mode.w1 + mode.sigma_b * b * mode.w1
                     if larger:

@@ -43,8 +43,8 @@ def test_traced_run_records_probes(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"p": 3, "edges": [{"a": 1, "b": 2}, {"a": 2, "b": 3, "w": "1/2"}],
                                 "loops": [{"at": 1, "b": -1}]}))
-    # with a loop at the attach site, the tier recursion multiplies the polynomial
-    # of the root-deleted branch by the loop weight, a real Poly.__mul__ call
+    # under matching-minus w1 = -1, so the tier recursion multiplies the
+    # root-deleted branch by w1 and divides by w1**k, real Poly.__mul__ calls
     spec = tmp_path / "dendrimer.json"
     spec.write_text(json.dumps({"core": {"p": 1},
                                 "unit": {"p": 2, "edges": [{"a": 1, "b": 2}], "root": 1,
@@ -55,7 +55,7 @@ def test_traced_run_records_probes(tmp_path, capsys):
     try:
         assert cli.main(["poly", str(path), "--full", "--format", "json"]) == 0
         assert cli.main(["spectrum", str(path)]) == 0
-        assert cli.main(["spectrum", "--dendrimer", str(spec)]) == 0
+        assert cli.main(["spectrum", "--dendrimer", str(spec), "--mode", "matching-minus"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()

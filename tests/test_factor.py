@@ -19,7 +19,7 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MODES, PERMANENTAL,
-                               char_poly_det, circuit_poly, simple_circuit_poly, specialize)
+                               UNDIRECTED_COVERS, char_poly_det, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import multiplicity_at, roots
 from rootedpoly.verify import bipartite_cores, corpus_attachments
@@ -426,6 +426,15 @@ def test_dendrimer_poly_with_loops_everywhere():
     built = dendrimer(spec)
     assert dendrimer_poly(spec, CHAR) == char_poly_det(built)
     assert dendrimer_poly(spec, PERMANENTAL) == simple_circuit_poly(built, PERMANENTAL, cap=10)
+
+
+@pytest.mark.parametrize("generations", [0, 2])
+def test_dendrimer_poly_rejects_a_mode_without_vertex_variables(generations):
+    # the attach sites are named by a vertex variable, which x_to_one removes
+    spec = DendrimerSpec(core=complete(2), unit=path(3).with_root(2),
+                         attach_sites=(1, 3), generations=generations)
+    with pytest.raises(ValueError, match="removes vertex variables"):
+        dendrimer_poly(spec, UNDIRECTED_COVERS)
 
 
 def test_simple_product_under_negative_unit_weight():

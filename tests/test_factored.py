@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
@@ -178,7 +178,18 @@ def dense_matrix(g: Graph) -> np.ndarray:
     return m
 
 
+# a unit with its own loops at the root, at the attach site and at the bare
+# vertex, on a looped core: every side of the loop split carries weight
+LOOPED = DendrimerSpec(core=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}, loops={1: Fraction(5, 7)}),
+                       unit=Graph(p=3, arcs={(1, 2): 1, (2, 1): 1, (2, 3): 2, (3, 2): 2},
+                                  loops={1: Fraction(1, 2), 2: Fraction(-2, 3), 3: Fraction(3)},
+                                  root=1),
+                       attach_sites=(2,), generations=2)
+
+
 @given(dendrimer_specs(), st.sampled_from(MODES))
+@example(LOOPED, CHARACTERISTIC_STANDARD)
+@example(LOOPED, GENERIC)
 def test_factored_recursion_matches_built_dendrimer(spec, mode):
     built = dendrimer(spec)
     assert dendrimer_poly(spec, mode) == simple_circuit_poly(built, mode, cap=built.p)

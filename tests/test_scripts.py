@@ -29,6 +29,8 @@ def test_dendrimer_scaling():
     rows = [line.split() for line in out.splitlines()[1:]]
     # generation, then the vertex count of the binary path(3) dendrimer
     assert [(int(r[0]), int(r[1])) for r in rows] == [(j, 2 ** (j + 1) - 1) for j in range(5)]
+    # the coprime factors and the largest factor degree
+    assert [(int(r[2]), int(r[3])) for r in rows] == [(1, 1), (2, 2), (3, 2), (4, 4), (5, 4)]
 
 
 def test_oracle_scaling():
