@@ -32,11 +32,11 @@ def main():
     for j in range(args.max_generations + 1):
         spec = DendrimerSpec(core=k1(rooted=False), unit=unit,
                              attach_sites=(1, 3), generations=j)
-        t0 = time.time()
+        t0 = time.perf_counter()
         fac = dendrimer_factored(spec, CHARACTERISTIC_STANDARD)
-        t1 = time.time()
+        t1 = time.perf_counter()
         fac.expand()
-        t2 = time.time()
+        t2 = time.perf_counter()
         largest = max((len(f) - 1 for f, _ in fac.factors), default=0)
         row = (f"{j:>4} {fac.degree():>9} {len(fac.factors):>8} {largest:>8} "
                f"{t1 - t0:>11.3f} {t2 - t1:>11.3f}")
@@ -44,7 +44,7 @@ def main():
             print(f"{row} {'-':>10} {'-':>9}")
             continue
         rs = roots(fac)
-        t3 = time.time()
+        t3 = time.perf_counter()
         print(f"{row} {t3 - t2:>10.3f} {len(rs.roots):>9}")
 
 

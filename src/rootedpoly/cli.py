@@ -52,9 +52,20 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json(_read_json(path))
 
 
+_pair_text = functools.cache(repr)
+
+
+def _mono_text(mono: tuple) -> str:
+    """str(mono), from the cached text of each (variable, exponent) pair."""
+    if len(mono) == 1:
+        return f"({_pair_text(mono[0])},)"
+    return f"({', '.join(map(_pair_text, mono))})"
+
+
 def _poly_terms_json(p: Poly) -> list[dict]:
     out = []
-    for mono, coeff in sorted(p.terms().items(), key=lambda kv: str(kv[0])):
+    # the order of str() of the monomial tuples, which the JSON output keeps
+    for mono, coeff in sorted(p.terms().items(), key=lambda kv: _mono_text(kv[0])):
         entry = {str(v): e for v, e in mono}
         if isinstance(coeff, Fraction):
             c = f"{coeff.numerator}/{coeff.denominator}"

@@ -5,11 +5,14 @@ polynomials of their constituents, without building the product graph.
 Conventions shared by everything here:
 
 * Substitution-style identities replace a vertex variable together with its
-  one-vertex cover weight.  Mechanically: substitute v -> num / (u * den)
-  with denominators cleared, then divide the result by u**arity, where u is
-  the weight of a one-vertex component under the active specialization
-  (the generic w1 variable, or its numeric value, see WeightMode.w1_unit).
-  At w1 = 1 this reduces to the plain textbook substitution.
+  one-vertex cover weight u: the generic w1 variable, or its numeric value
+  under the active specialization (see WeightMode.w1_unit).  Coalescences
+  and rooted products divide the unit out of the small core polynomial
+  first: every vertex variable there comes with its u, so a term with k
+  substituted variables loses u**k.  Then v -> num / den is substituted
+  with denominators cleared.  The other identities substitute
+  v -> num / (u * den) and divide the result by u**arity.  At w1 = 1 both
+  reduce to the plain textbook substitution.
 * Constituent polynomials follow one of three loop splits: the core
   polynomial carries the total coalescence-node loop weights and the
   attachments are root-loop-stripped; or the core is fully loop-stripped and
@@ -34,9 +37,9 @@ from typing import Sequence
 from .factored import CoprimeBase, Factored
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
                     edge_join, normalize_parts, strip_root_loops)
-from .oracle import DEFAULT_CAP, WeightMode, circuit_poly, simple_circuit_poly
-from .poly import (Poly, Var, X, divides, multilinear_ratio_substitute,
-                   ratio_substitute, wvar, xvar, yvar)
+from .oracle import DEFAULT_CAP, WeightMode, circuit_poly
+from .poly import (_FIELD, Poly, Var, X, _from_keys, _shift, divides,
+                   multilinear_ratio_substitute, ratio_substitute, wvar, xvar, yvar)
 from .spectra import RootSet, multiplicity_at, roots as numeric_roots
 
 Unit = Poly | int | Fraction
@@ -123,6 +126,28 @@ def _unit_divide(p: Poly, unit, k: int) -> Poly:
     return p * (Fraction(1) / unit) ** k
 
 
+def _unit_divide_terms(p: Poly, variables: Sequence[Var], unit) -> Poly:
+    """p with each term divided by unit**k, k its total degree in the given
+    variables; error if a term lacks the w1**k a symbolic unit needs."""
+    shifts = [_shift(v) for v in variables]
+    if isinstance(unit, Poly):
+        if unit != _W1:
+            raise ValueError("polynomial unit must be the w1 variable")
+        w1 = _shift(wvar(1))
+        out = {}
+        for key, coeff in p._terms.items():
+            k = sum(key >> s & _FIELD for s in shifts)
+            if key >> w1 & _FIELD < k:
+                raise ValueError(f"term {_from_keys({key: coeff})} not divisible by w1^{k}")
+            out[key - (k << w1)] = coeff
+        return _from_keys(out)
+    if unit == 1:
+        return p
+    inv = Fraction(1) / unit
+    return _from_keys({key: coeff * inv ** sum(key >> s & _FIELD for s in shifts)
+                       for key, coeff in p._terms.items()})
+
+
 # -- coalescence and rooted products ------------------------------------------
 
 
@@ -154,10 +179,11 @@ def coalescence_poly(bg: Poly, bh_minus_r: Poly, bh_tri: Poly, root_var: Var,
     bg must be the polynomial of the graph carrying the full loop weight of
     the coalescence node and be multilinear in root_var; bh_tri and
     bh_minus_r are the polynomials of the attachment with its root loops
-    stripped and with its root deleted.
+    stripped and with its root deleted.  The unit is divided out of bg, so
+    every term with root_var must carry w1 when the unit is symbolic.
     """
-    raw = multilinear_ratio_substitute(bg, [(root_var, bh_tri, _unit_mul(bh_minus_r, w1_unit))])
-    return _unit_divide(raw, w1_unit, 1)
+    core = _unit_divide_terms(bg, [root_var], w1_unit)
+    return multilinear_ratio_substitute(core, [(root_var, bh_tri, bh_minus_r)])
 
 
 def rooted_product_poly(core_poly: Poly, gamma_polys: Sequence[tuple],
@@ -169,7 +195,9 @@ def rooted_product_poly(core_poly: Poly, gamma_polys: Sequence[tuple],
     graph, and of its root-loop-stripped graph.  With ROOT_LOOPS_STRIPPED the
     core polynomial must carry all coalescence-node loops and ph_tri is the
     substitution numerator; with CORE_LOOPS_STRIPPED the core must be
-    loop-free and ph is the numerator.  Unused entries may be None.
+    loop-free and ph is the numerator.  Unused entries may be None.  The unit
+    is divided out of the core polynomial before the substitution, so with a
+    symbolic unit a term in k of x_1..x_p must carry w1**k.
     """
     p = len(gamma_polys)
     for v in core_poly.variables():
@@ -181,9 +209,9 @@ def rooted_product_poly(core_poly: Poly, gamma_polys: Sequence[tuple],
         num = ph_tri if flavor is ProductMode.ROOT_LOOPS_STRIPPED else ph
         if num is None or pl is None:
             raise ValueError(f"attachment {i} lacks the polynomial needed for {flavor.value}")
-        targets.append((xvar(i), num, _unit_mul(pl, w1_unit)))
-    raw = multilinear_ratio_substitute(core_poly, targets)
-    return _unit_divide(raw, w1_unit, p)
+        targets.append((xvar(i), num, pl))
+    core = _unit_divide_terms(core_poly, [v for v, _, _ in targets], w1_unit)
+    return multilinear_ratio_substitute(core, targets)
 
 
 def simple_rooted_product_poly(bg_simple: Poly, bh_tri: Poly, bh_minus_r: Poly,
@@ -248,7 +276,7 @@ def spectral_product_from_loops(bg_roots: RootSet, h: Graph, mode: WeightMode,
         if beta.imag == 0:
             beta = beta.real
         decorated = attach_root_loop(h, base + beta)
-        prod = prod * simple_circuit_poly(decorated, mode, cap) ** mult
+        prod = prod * circuit_poly(decorated, cap, mode.simple()) ** mult
     return prod
 
 
@@ -371,13 +399,13 @@ def restricted_product_from_edge_join(mu2: RootSet, h1: Graph, h2: Graph,
         raise ValueError("edge-join route needs a specialized mode with nonzero w2")
     if mu2.source_degree != p2:
         raise ValueError(f"expected {p2} squared roots, got {mu2.source_degree}")
-    prod = simple_circuit_poly(h1, mode, cap) ** (p1 - p2)
+    prod = circuit_poly(h1, cap, mode.simple()) ** (p1 - p2)
     for m, mult in mu2.roots:
         weight = -m / mode.w2
         if isinstance(weight, complex) and weight.imag == 0:
             weight = weight.real
         joined = edge_join(h1, h2, weight)
-        prod = prod * simple_circuit_poly(joined, mode, cap) ** mult
+        prod = prod * circuit_poly(joined, cap, mode.simple()) ** mult
     return prod
 
 

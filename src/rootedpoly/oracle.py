@@ -192,6 +192,7 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
         return memo[mask]
 
     terms = cover(0)
+    del cover  # it calls itself; unbinding it frees the memo now, not at a garbage collection
     if scale != 1:
         denom = scale ** p
         terms = {key: Fraction(c, denom) for key, c in terms.items()}
@@ -235,11 +236,13 @@ def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> P
     """Specialized polynomial with all vertex variables collapsed into x.
 
     It still expands the full polynomial and then specializes it, where
-    circuit_poly(g, cap, mode.simple()) would not: the benchmark's tracer
-    tests in bench/test_bench.py expect this path to pass through specialize
-    (an oracle.specialize span, and a nonzero oracle.reenumerations count on
-    small-graphs).  Switching it waits for the change to the benchmark in
-    ROADMAP item 6.
+    circuit_poly(g, cap, mode.simple()) would not.  Its remaining callers are
+    the CLI's simple polynomials and spectra, the tests and the scripts; the
+    library's verify suites and factor routes call circuit_poly directly.
+    The benchmark's tracer tests in bench/test_bench.py expect the CLI path
+    to pass through specialize (an oracle.specialize span, and a nonzero
+    oracle.reenumerations count on small-graphs), so switching it waits for
+    the change to the benchmark in ROADMAP item 6.
     """
     return specialize(circuit_poly(g, cap), mode.simple(), g)
 

@@ -20,7 +20,7 @@ from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complet
                     path, rooted_product, restricted_rooted_product, star,
                     strip_all_loops, strip_root_loops)
 from .oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode,
-                     char_poly_det, circuit_poly, simple_circuit_poly)
+                     char_poly_det, circuit_poly)
 from .poly import Poly, X, divides, ratio_substitute, wvar, xvar
 
 SUITE_CAP = 13
@@ -162,7 +162,7 @@ def coeff_deviation(exact: Poly, numeric: Poly) -> float:
 
 def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
     """Exact composition identities for coalescences and rooted products."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     w1 = Poly.variable(wvar(1))
     simple_generic = GENERIC.simple()
     simple_char = CHARACTERISTIC_STANDARD.simple()
@@ -179,9 +179,22 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
     # every product beyond the cap, so it never needs a larger attachment
     fits = [(n, h) for n, h in attachments if h.p <= cap]
     simple_triples = {n: attachment_triple(h, 0, GENERIC, cap) for n, h in fits}
-    tri_chars = {n: simple_circuit_poly(strip_root_loops(h), simple_char, cap) for n, h in fits}
+    tri_chars = {n: circuit_poly(strip_root_loops(h), cap, simple_char) for n, h in fits}
+
+    # P(H~) and P(H - r) of each attachment in the product's numbering, by
+    # (attachment, vertex map); the loop a core vertex adds at the root
+    # changes only P(H), which is rebuilt from the two
+    constituents: dict[tuple, tuple[Poly, Poly]] = {}
+
+    def triple(h_name: str, h: Graph, core_loop, vmap: dict[int, int]) -> tuple[Poly, Poly, Poly]:
+        key = h_name, tuple(vmap.items())
+        if key not in constituents:
+            constituents[key] = factor.attachment_polys(h, GENERIC, cap, vmap)[1:]
+        pl, ptri = constituents[key]
+        return factor._shift_root_loop(ptri, pl, core_loop + h.loop(h.root), GENERIC), pl, ptri
 
     for core_name, core_base in cores:
+        free = circuit_poly(strip_all_loops(core_base), cap)
         for loops in loop_variants(core_base.p):
             core = _with_loops(core_base, loops)
 
@@ -191,29 +204,30 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     continue
                 product, maps = rooted_product(core, [h] + [k1()] * (core.p - 1))
                 want = circuit_poly(product, cap)
-                ph, pl, ptri = attachment_triple(h, core.loop(1), GENERIC, cap, maps[0])
+                ph, pl, ptri = triple(h_name, h, core.loop(1), maps[0])
                 core_hat = _with_loops(core, {1: h.loop(h.root)})
                 got = factor.coalescence_poly(circuit_poly(core_hat, cap), pl, ptri,
                                               xvar(1), w1_unit=w1)
                 rep_coal.record(got == want, detail=f"{core_name}+{h_name} loops={loops}")
 
             # generalized rooted products: uniform sorts plus one mixed family
-            families = [[h] * core.p for _, h in attachments]
-            families.append([attachments[(k + 1) % len(attachments)][1] for k in range(core.p)])
-            for fam_idx, gamma in enumerate(families):
+            families = [[a] * core.p for a in attachments]
+            families.append([attachments[(k + 1) % len(attachments)] for k in range(core.p)])
+            for fam_idx, members in enumerate(families):
+                gamma = [h for _, h in members]
                 total = core.p + sum(h.p - 1 for h in gamma)
                 if total > cap:
                     continue
                 product, maps = rooted_product(core, gamma)
                 want = circuit_poly(product, cap)
-                triples = [attachment_triple(h, core.loop(k + 1), GENERIC, cap, maps[k])
-                           for k, h in enumerate(gamma)]
+                triples = [triple(h_name, h, core.loop(k + 1), maps[k])
+                           for k, (h_name, h) in enumerate(members)]
                 core_hat = _with_loops(core, {k + 1: h.loop(h.root) for k, h in enumerate(gamma)})
                 full_hat = circuit_poly(core_hat, cap)
                 got_a = factor.rooted_product_poly(full_hat, triples,
                                                    ProductMode.ROOT_LOOPS_STRIPPED, w1)
-                got_c = factor.rooted_product_poly(circuit_poly(strip_all_loops(core), cap),
-                                                   triples, ProductMode.CORE_LOOPS_STRIPPED, w1)
+                got_c = factor.rooted_product_poly(free, triples,
+                                                   ProductMode.CORE_LOOPS_STRIPPED, w1)
                 detail = f"{core_name} family {fam_idx} loops={loops}"
                 rep_attach.record(got_a == want, detail=detail)
                 rep_core.record(got_c == want, detail=detail)
@@ -238,7 +252,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                         rep_div.record(ok, detail=detail)
 
     report = SuiteReport("products", [rep_coal, rep_attach, rep_core, rep_sub, rep_exp, rep_div])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -253,7 +267,7 @@ def _simple_pairs(attachments, mode: WeightMode, cap: int) -> dict[str, tuple[Po
 def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
                         reciprocal_samples: int = 24) -> SuiteReport:
     """Exact identities special to bipartite cores."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     w1 = Poly.variable(wvar(1))
     rep_exp = IdentityReport("restricted-expansion")
     rep_sub = IdentityReport("restricted-substitution")
@@ -274,7 +288,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
         bivar = factor.bipartite_bivariate(core, GENERIC, cap)
 
         # single-parity powers, part-difference divisibility, leading delta 1
-        simple = simple_circuit_poly(core, CHARACTERISTIC_STANDARD, cap)
+        simple = circuit_poly(core, cap, CHARACTERISTIC_STANDARD.simple())
         char_delta = factor.bipartite_delta(core, CHARACTERISTIC_STANDARD, cap)
         rep_struct.record(all(_parity_and_divisibility(simple, p1, p2))
                           and _from_delta(char_delta) == simple, detail=core_name)
@@ -287,7 +301,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
             if total > cap:
                 continue
             product, _ = restricted_rooted_product(core, h1, h2)
-            want = simple_circuit_poly(product, GENERIC, cap)
+            want = circuit_poly(product, cap, GENERIC.simple())
             ph1, pl1, ph2, pl2 = *generic_pairs[n1], *generic_pairs[n2]
             got_exp = factor.restricted_product_poly(delta, ph1, pl1, ph2, pl2)
             got_sub = factor.restricted_substitution_poly(bivar, ph1, pl1, ph2, pl2, w1)
@@ -317,7 +331,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
                         product, _ = restricted_rooted_product(core_loopy, h, k1())
                     else:
                         product, _ = restricted_rooted_product(core_loopy, k1(), h)
-                    want = simple_circuit_poly(product, GENERIC, cap)
+                    want = circuit_poly(product, cap, GENERIC.simple())
                     ph, pl = generic_pairs[h_name]
                     got = factor.one_sided_product_poly(delta, ph, pl, b, GENERIC, larger)
                     rep = rep_one_l if larger else rep_one_s
@@ -342,7 +356,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
 
     report = SuiteReport("bipartite", [rep_exp, rep_sub, rep_one_l, rep_one_s,
                                        rep_rec, rep_zero, rep_struct])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -363,13 +377,13 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
     """Structural facts for every loopless bipartite graph up to a size bound:
     single-parity simple polynomial, divisibility by the part-difference power,
     synchronous bivariate expansion with leading coefficient 1."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep_parity = IdentityReport("bipartite-parity")
     rep_div = IdentityReport("part-difference-divisibility")
     rep_sync = IdentityReport("synchronous-expansion")
     mode = CHARACTERISTIC_STANDARD
     for g, p1, p2 in bipartite_graph_classes(max_vertices):
-        simple = simple_circuit_poly(g, mode, cap)
+        simple = circuit_poly(g, cap, mode.simple())
         parity_ok, divisible = _parity_and_divisibility(simple, p1, p2)
         detail = f"p1={p1} p2={p2}"
         rep_parity.record(parity_ok, detail=detail)
@@ -381,7 +395,7 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
         except ValueError as exc:
             rep_sync.record(False, detail=str(exc))
     report = SuiteReport("bipartite-structure", [rep_parity, rep_div, rep_sync])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -422,7 +436,7 @@ def bipartite_graph_classes(max_vertices: int = 8):
 
 def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     """Numeric root-product routes against the exact expansions."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep_roots = IdentityReport("core-roots-product")
     rep_loops = IdentityReport("loop-attachment-product")
     rep_mu = IdentityReport("squared-roots-product")
@@ -435,7 +449,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
         for loops in loop_variants(core_base.p):
             core = _with_loops(core_base, loops)
             for mode in modes:
-                bg_free = simple_circuit_poly(strip_all_loops(core), mode, cap)
+                bg_free = circuit_poly(strip_all_loops(core), cap, mode.simple())
                 free_roots = spectra.roots(bg_free)
                 for h_name, h in attachments:
                     if core.p + core.p * (h.p - 1) > cap:
@@ -493,7 +507,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                     rep_one.record(dev <= tol, dev, f"{core_name} b={b} {mode.name}")
 
     report = SuiteReport("spectral", [rep_roots, rep_loops, rep_mu, rep_one, rep_join])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 
@@ -501,7 +515,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
 
 
 def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep_path = IdentityReport("path-eigenvalues")
     rep_monoid = IdentityReport("branch-monoid")
     rep_scale = IdentityReport("factorized-scaling")
@@ -529,16 +543,16 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
             b = monodendron(unit, sites, k)
             composed = monodendron_star(a, b)
             direct = monodendron(unit, sites, j + k)
-            pa = simple_circuit_poly(composed.graph, GENERIC, cap)
-            pb = simple_circuit_poly(direct.graph, GENERIC, cap)
+            pa = circuit_poly(composed.graph, cap, GENERIC.simple())
+            pb = circuit_poly(direct.graph, cap, GENERIC.simple())
             rep_monoid.record(pa == pb and composed.graph.p == direct.graph.p,
                               detail=f"d={len(sites)} {j}+{k}")
 
     big = DendrimerSpec(core=k1(rooted=False), unit=unit, attach_sites=sites, generations=9)
-    start = time.time()
+    start = time.perf_counter()
     factored = factor.dendrimer_factored(big, mode)
     rs = spectra.roots(factored)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     degree = factored.degree()
     rep_scale.record(degree == 1023 and rs.source_degree == 1023 and elapsed < 10.0,
                      detail=f"degree={degree} elapsed={elapsed:.2f}s")
@@ -548,7 +562,7 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     rep_scale.record(rs.source_degree == 13, detail="deep path")
 
     report = SuiteReport("dendrimer", [rep_path, rep_monoid, rep_scale])
-    report.elapsed = time.time() - t0
+    report.elapsed = time.perf_counter() - t0
     return report
 
 

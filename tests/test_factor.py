@@ -18,8 +18,8 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               cycle, delete_root, dendrimer, k1, path,
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MODES, PERMANENTAL,
-                               UNDIRECTED_COVERS, char_poly_det, circuit_poly, simple_circuit_poly, specialize)
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, MODES,
+                               PERMANENTAL, UNDIRECTED_COVERS, char_poly_det, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import multiplicity_at, roots
 from rootedpoly.verify import bipartite_cores, corpus_attachments
@@ -507,6 +507,44 @@ def test_rooted_product_identities_on_random_directed_cores():
                                     ProductMode.CORE_LOOPS_STRIPPED, W1)
         assert got_a == want and got_b == want
         checked += 1
+
+
+@pytest.mark.parametrize("mode", [GENERIC, CHARACTERISTIC_STANDARD, MATCHING_MINUS],
+                         ids=lambda m: m.name)
+def test_unit_divided_out_of_the_core(mode):
+    """The unit comes off the core polynomial before the substitution, for a
+    symbolic w1, w1 = 1 and w1 = -1, on a core and attachments with loops."""
+    from rootedpoly.verify import attachment_triple
+
+    core = Graph(p=3, arcs=complete(3).arcs, loops={1: 2, 3: -1})
+    gamma = [TWIG, attach_root_loop(path(3).with_root(2), 1), k1(loop=3)]
+    unit = mode.w1_unit
+    product, maps = rooted_product(core, gamma)
+    want = circuit_poly(product, 9, mode)
+    triples = [attachment_triple(h, core.loop(k + 1), mode, 9, maps[k])
+               for k, h in enumerate(gamma)]
+    core_hat = Graph(p=3, arcs=core.arcs,
+                     loops={v: core.loop(v) + h.loop(h.root) for v, h in enumerate(gamma, 1)})
+    assert rooted_product_poly(circuit_poly(core_hat, 9, mode), triples,
+                               ProductMode.ROOT_LOOPS_STRIPPED, unit) == want
+    assert rooted_product_poly(circuit_poly(strip_all_loops(core), 9, mode), triples,
+                               ProductMode.CORE_LOOPS_STRIPPED, unit) == want
+
+    for h in gamma:
+        product, maps = rooted_product(core, [h, k1(), k1()])
+        _, pl, ptri = attachment_triple(h, core.loop(1), mode, 9, maps[0])
+        core_hat = Graph(p=3, arcs=core.arcs, loops={**core.loops, 1: core.loop(1) + h.loop(h.root)})
+        got = coalescence_poly(circuit_poly(core_hat, 9, mode), pl, ptri, xvar(1), w1_unit=unit)
+        assert got == circuit_poly(product, 9, mode)
+
+
+def test_core_term_without_its_unit_is_rejected():
+    bare = Poly.variable(xvar(1))  # x1 without the w1 of its fixed point
+    ph, pl, ptri = attachment_polys(TWIG, GENERIC, 9, {1: 1, 2: 2})
+    with pytest.raises(ValueError, match="not divisible by w1"):
+        rooted_product_poly(bare, [(ph, pl, ptri)], ProductMode.ROOT_LOOPS_STRIPPED, W1)
+    with pytest.raises(ValueError, match="not divisible by w1"):
+        coalescence_poly(bare, pl, ptri, xvar(1), w1_unit=W1)
 
 
 def test_bipartite_expansion_validation():

@@ -257,3 +257,23 @@ def test_float_weights_flow_through():
     g = Graph(p=1, loops={1: -1.5})
     p = simple_circuit_poly(g, PERMANENTAL)
     assert abs(p.evaluate({X: 1.5})) < 1e-12
+
+
+def test_memo_is_freed_when_the_call_returns():
+    """Nothing of the recursion outlives a call, even with the garbage
+    collector off: the memo is not left in a reference cycle."""
+    import gc
+    import tracemalloc
+
+    g = complete(7)
+    circuit_poly(g)  # fill the module's caches first
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        circuit_poly(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 1024  # the K7 memo alone is about 100 kB

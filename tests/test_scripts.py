@@ -42,3 +42,12 @@ def test_oracle_scaling():
     # the last column times the simple characteristic polynomial
     for line in out.splitlines()[1:]:
         assert float(line.split()[4]) >= 0
+
+
+def test_verify_profile():
+    out = run_script("verify_profile.py", "--suite", "dendrimer")
+    header, *rows = (line.split() for line in out.splitlines())
+    assert header == ["suite", "seconds", "calls", "distinct"]
+    [(suite, seconds, calls, distinct)] = rows
+    assert suite == "dendrimer" and float(seconds) > 0
+    assert 0 < int(distinct) <= int(calls)
