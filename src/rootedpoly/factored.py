@@ -20,13 +20,17 @@ Expanding a univariate product never multiplies two big polynomials.  With
 P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
 derivative gives D P' = N P, so each coefficient of P follows from the s
 before it, s = deg D (J.C.P. Miller's recurrence for powers of power series;
-Knuth, TAOCP vol. 2, 4.7).  A product of degree n costs about n * s products
-of a big integer by a small one.  Dendrimer polynomials have few small
-factors raised to high powers, so s is tiny against n there; when s is
-close to n, as for a high-degree product of square-free factors, the cost
-is n**2 and a product tree would be faster.  A product with symbolic
-weights would need exact division by D(0), a polynomial in the weights, so
-it is multiplied out as Poly values instead.
+Knuth, TAOCP vol. 2, 4.7), as one weighted sum over that window with one
+small weight per entry.  When every g_i is a polynomial h_i(x**d), as the
+factors of bipartite graphs and of matching polynomials are in x**2, the
+recurrence runs on the h_i and its coefficients are spread back with stride
+d, so a product of degree n costs about (n/d) * (s/d) products of a big
+integer by a small one.  Dendrimer polynomials have few small factors
+raised to high powers, so s is tiny against n there; when s is close to n,
+as for a high-degree product of square-free factors, the cost is quadratic
+and a product tree would be faster.  A product with symbolic weights would
+need exact division by D(0), a polynomial in the weights, so it is
+multiplied out as Poly values instead.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 from typing import Callable, NamedTuple, Sequence
 
 import sympy
@@ -177,8 +181,10 @@ def _power_product(factors: Sequence[tuple[list[int], int]]) -> list[int]:
     D = prod g (coefficients d_t) and N = sum m g' D / g (coefficients n_t).
 
     Comparing the coefficients of x**(j-1) gives
-    d_0 j p_j = sum_{t=1..s} (n_{t-1} - (j - t) d_t) p_{j-t}; the division is
-    exact, and a remainder raises ArithmeticError rather than being dropped.
+    d_0 j p_j = sum_{t=1..s} w_t(j) p_{j-t} with w_t(j) = n_{t-1} + (t - j) d_t.
+    The small weights drop by d_t from one j to the next, so each coefficient
+    costs s products of a big integer by a small one.  The division is exact,
+    and a remainder raises ArithmeticError rather than being dropped.
     """
     den = [1]
     for g, _ in factors:
@@ -194,13 +200,14 @@ def _power_product(factors: Sequence[tuple[list[int], int]]) -> list[int]:
                 term = _times(term, h)
         num = [a + b for a, b in zip(num, term)]
     degree = sum((len(g) - 1) * m for g, m in factors)
-    # the window p[j:j + s] holds p_{j-s} .. p_{j-1}, so the weights run t = s .. 1
-    a_desc = [num[t - 1] + t * den[t] for t in range(s, 0, -1)]
+    # the window p[j:j + s] holds p_{j-s} .. p_{j-1}, so the weights run t = s .. 1;
+    # they start at w_t(0) and step to w_t(j) before the sum for p_j
+    weights = [num[t - 1] + t * den[t] for t in range(s, 0, -1)]
     den_desc = den[s:0:-1]
     p = [0] * s + [math.prod(g[0] ** m for g, m in factors)]
     for j in range(1, degree + 1):
-        window = p[j:j + s]
-        q, r = divmod(sum(map(mul, a_desc, window)) - j * sum(map(mul, den_desc, window)), den[0] * j)
+        weights = list(map(sub, weights, den_desc))
+        q, r = divmod(sum(map(mul, weights, p[j:j + s])), den[0] * j)
         if r:
             raise ArithmeticError(f"inexact division in the power recurrence at x^{j}")
         p.append(q)
@@ -235,12 +242,14 @@ class Factored:
         """The product as one polynomial.
 
         In x alone each factor is split into x**a times g with g(0) != 0;
-        the x**a parts only shift exponents, and the powers of the g are
-        expanded together by the recurrence D P' = N P of the module
-        docstring, in about n * s products of a big integer by a small one
-        for degree n and s the summed degree of the g.  The constant is
-        applied last and the Poly built once.  With symbolic weights the
-        powers are multiplied out as Poly values, smallest first.
+        the x**a parts only shift exponents.  With d the gcd of the
+        exponents of the nonzero terms of all the g, each g is h(x**d), and
+        the powers of the h are expanded together by the recurrence
+        D P' = N P of the module docstring, then spread back with stride d:
+        about (n/d) * (s/d) products of a big integer by a small one for
+        degree n and s the summed degree of the g.  The constant is applied
+        last and the Poly built once.  With symbolic weights the powers are
+        multiplied out as Poly values, smallest first.
         """
         if self.gens != (X,):
             total = Poly.const(self.const)
@@ -253,8 +262,11 @@ class Factored:
             a = next(k for k, c in enumerate(coeffs) if c)
             shift += a * m
             parts.append((coeffs[a:], m))
-        p = _power_product(parts)
-        return Poly.from_univariate_coeffs([self.const * c for c in reversed(p)] + [0] * shift)
+        d = math.gcd(*(k for g, _ in parts for k, c in enumerate(g) if c)) or 1
+        p = _power_product([(g[::d], m) for g, m in parts])
+        spread = [0] * ((len(p) - 1) * d + 1)
+        spread[::d] = [self.const * c for c in p]
+        return Poly.from_univariate_coeffs(spread[::-1] + [0] * shift)
 
 
 class CoprimeBase:

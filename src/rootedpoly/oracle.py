@@ -11,8 +11,8 @@ recursion runs on integers: every weight is scaled by the lcm D of the
 denominators, and each coefficient is divided by D^p once at the end.
 
 Specializations assign values to the w variables and fix the sign convention
-for loop weights; independent cross-checks (exact determinant, permanent via
-inclusion-exclusion, the cycle index of the symmetric group) live here too.
+for loop weights; an independent cross-check, the exact determinant, lives
+here too.
 """
 
 from __future__ import annotations
@@ -315,65 +315,9 @@ def _poly_mul_linear(coeffs: list[Fraction], c0: Fraction) -> list[Fraction]:
     return out
 
 
-def permanental_poly_check(g: Graph, cap: int = DEFAULT_CAP) -> Poly:
-    """per(x*I + A + diag b) by inclusion-exclusion over column subsets."""
-    p = g.p
-    if p > cap + 3:
-        raise OracleCapExceeded(f"permanent check limited to {cap + 3} vertices, got {p}")
-    if p == 0:
-        return Poly.one()
-    a = _adjacency(g)
-    total = [0] * (p + 1)  # ascending coefficients
-    sign_all = (-1) ** p
-    for s in range(1, 1 << p):
-        cols = [c for c in range(p) if s >> c & 1]
-        prod = [1]  # ascending
-        for r in range(p):
-            const = sum(a[r][c] for c in cols)
-            xcoef = 1 if s >> r & 1 else 0
-            new = [0] * (len(prod) + (1 if xcoef else 0))
-            for i, c in enumerate(prod):
-                new[i] += c * const
-                if xcoef:
-                    new[i + 1] += c
-            prod = new
-        term_sign = sign_all * (-1) ** len(cols)
-        for i, c in enumerate(prod):
-            total[i] += term_sign * c
-    total.reverse()
-    return Poly.from_univariate_coeffs(total)
-
-
-def cycle_index_sym(p: int) -> Poly:
-    """Cycle index of the symmetric group on p points, as a polynomial in w's."""
-    if p > 12:
-        raise ValueError("cycle index supported up to 12 points")
-    if p == 0:
-        return Poly.one()
-    total = Poly.zero()
-
-    def partitions(remaining: int, max_part: int, counts: list[tuple[int, int]]):
-        nonlocal total
-        if remaining == 0:
-            coeff = Fraction(1)
-            mono = []
-            for k, j in counts:
-                coeff /= Fraction(k) ** j * math.factorial(j)
-                mono.append((wvar(k), j))
-            total = total + Poly.monomial(mono, coeff)
-            return
-        for k in range(min(remaining, max_part), 0, -1):
-            for j in range(remaining // k, 0, -1):
-                partitions(remaining - k * j, k - 1, counts + [(k, j)])
-
-    partitions(p, p, [])
-    return total
-
-
 __all__ = [
     "DEFAULT_CAP", "OracleCapExceeded", "WeightMode", "GENERIC", "UNDIRECTED_COVERS",
     "PERMANENTAL", "CHARACTERISTIC_UNIFORM", "CHARACTERISTIC_STANDARD",
     "MATCHING_PLUS", "MATCHING_MINUS", "SIMPLE", "MODES", "mode_by_name",
     "circuit_poly", "specialize", "simple_circuit_poly", "char_poly_det",
-    "permanental_poly_check", "cycle_index_sym",
 ]

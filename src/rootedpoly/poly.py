@@ -226,7 +226,7 @@ class Poly:
     def from_univariate_coeffs(coeffs: Sequence[Coeff], v: Var = X) -> "Poly":
         """Build a univariate polynomial from descending coefficients."""
         deg = len(coeffs) - 1
-        return _from_keys({_key([(v, deg - k)]): c for k, c in enumerate(coeffs)})
+        return _from_keys({_key([(v, deg - k)]): c for k, c in enumerate(coeffs) if c})
 
     # -- inspection ----------------------------------------------------
 

@@ -193,8 +193,20 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
         pl, ptri = constituents[key]
         return factor._shift_root_loop(ptri, pl, core_loop + h.loop(h.root), GENERIC), pl, ptri
 
+    # each core with its loops and the attachments' root loops added, by (core,
+    # nonzero loops, mode): loop variants, coalescences and families share them
+    hats: dict[tuple, Poly] = {}
+
+    def hatted(core_name: str, core: Graph, root_loops: dict[int, int],
+               mode: WeightMode = GENERIC) -> Poly:
+        g = _with_loops(core, root_loops)
+        key = core_name, tuple(sorted((v, b) for v, b in g.loops.items() if b)), mode
+        if key not in hats:
+            hats[key] = circuit_poly(g, cap, mode)
+        return hats[key]
+
     for core_name, core_base in cores:
-        free = circuit_poly(strip_all_loops(core_base), cap)
+        free = hatted(core_name, strip_all_loops(core_base), {})
         for loops in loop_variants(core_base.p):
             core = _with_loops(core_base, loops)
 
@@ -205,8 +217,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 product, maps = rooted_product(core, [h] + [k1()] * (core.p - 1))
                 want = circuit_poly(product, cap)
                 ph, pl, ptri = triple(h_name, h, core.loop(1), maps[0])
-                core_hat = _with_loops(core, {1: h.loop(h.root)})
-                got = factor.coalescence_poly(circuit_poly(core_hat, cap), pl, ptri,
+                got = factor.coalescence_poly(hatted(core_name, core, {1: h.loop(h.root)}), pl, ptri,
                                               xvar(1), w1_unit=w1)
                 rep_coal.record(got == want, detail=f"{core_name}+{h_name} loops={loops}")
 
@@ -222,9 +233,8 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 want = circuit_poly(product, cap)
                 triples = [triple(h_name, h, core.loop(k + 1), maps[k])
                            for k, (h_name, h) in enumerate(members)]
-                core_hat = _with_loops(core, {k + 1: h.loop(h.root) for k, h in enumerate(gamma)})
-                full_hat = circuit_poly(core_hat, cap)
-                got_a = factor.rooted_product_poly(full_hat, triples,
+                root_loops = {k + 1: h.loop(h.root) for k, h in enumerate(gamma)}
+                got_a = factor.rooted_product_poly(hatted(core_name, core, root_loops), triples,
                                                    ProductMode.ROOT_LOOPS_STRIPPED, w1)
                 got_c = factor.rooted_product_poly(free, triples,
                                                    ProductMode.CORE_LOOPS_STRIPPED, w1)
@@ -235,7 +245,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 if fam_idx < len(attachments):  # uniform: simple-polynomial routes
                     h_name = attachments[fam_idx][0]
                     want_simple = circuit_poly(product, cap, simple_generic)
-                    bg = circuit_poly(core_hat, cap, simple_generic)
+                    bg = hatted(core_name, core, root_loops, simple_generic)
                     _, pl, ptri = simple_triples[h_name]
                     # direct substitution into the simple core polynomial
                     raw = ratio_substitute(bg, [(X, ptri, pl * w1)])
@@ -246,7 +256,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     rep_exp.record(got_exp == want_simple, detail=detail)
 
                     # zero-root divisibility of the product polynomial
-                    s = spectra.multiplicity_at(circuit_poly(core_hat, cap, simple_char), 0)
+                    s = spectra.multiplicity_at(hatted(core_name, core, root_loops, simple_char), 0)
                     if s >= 1:
                         ok, _ = divides(tri_chars[h_name] ** s, circuit_poly(product, cap, simple_char))
                         rep_div.record(ok, detail=detail)

@@ -187,3 +187,51 @@ def tree_char_value(parent: list[int], t: Fraction) -> Fraction:
     for v in range(len(parent) - 1, 0, -1):
         d[parent[v]] -= 1 / d[v]
     return Fraction(math.prod(x.numerator for x in d), math.prod(x.denominator for x in d))
+
+
+def permanental_poly_check(g: Graph) -> Poly:
+    """per(x*I + A + diag b) by inclusion-exclusion over column subsets
+    (Ryser's formula), each row sum a polynomial of degree at most 1 in x."""
+    p = g.p
+    if p == 0:
+        return Poly.one()
+    a = [[g.arcs.get((i, j), 0) for j in range(1, p + 1)] for i in range(1, p + 1)]
+    for v, b in g.loops.items():
+        a[v - 1][v - 1] = b
+    total = [0] * (p + 1)  # ascending coefficients
+    for s in range(1, 1 << p):
+        cols = [c for c in range(p) if s >> c & 1]
+        prod = [1]  # ascending
+        for r in range(p):
+            const = sum(a[r][c] for c in cols)
+            new = [c * const for c in prod] + [0]
+            if s >> r & 1:
+                for i, c in enumerate(prod):
+                    new[i + 1] += c
+            prod = new
+        sign = (-1) ** (p - len(cols))
+        for i, c in enumerate(prod):
+            total[i] += sign * c
+    return Poly.from_univariate_coeffs(total[::-1])
+
+
+def cycle_index_sym(p: int) -> Poly:
+    """Cycle index of the symmetric group on p points, as a polynomial in w's:
+    the sum over partitions of p into j_k parts of size k of
+    prod w_k**j_k / (k**j_k j_k!)."""
+    total = Poly.zero()
+
+    def partitions(remaining: int, max_part: int, counts: list[tuple[int, int]]):
+        nonlocal total
+        if remaining == 0:
+            coeff = Fraction(1)
+            for k, j in counts:
+                coeff /= Fraction(k) ** j * math.factorial(j)
+            total = total + Poly.monomial([(wvar(k), j) for k, j in counts], coeff)
+            return
+        for k in range(min(remaining, max_part), 0, -1):
+            for j in range(remaining // k, 0, -1):
+                partitions(remaining - k * j, k - 1, counts + [(k, j)])
+
+    partitions(p, p, [])
+    return total

@@ -71,6 +71,50 @@ def test_from_poly_rejects_float_coefficients():
         Factored.from_poly(Poly.variable(X) * Poly.variable(wvar(1)) + 0.25)
 
 
+@st.composite
+def x_only_products(draw) -> tuple:
+    """A constant and (list, multiplicity) pairs, lists highest degree first:
+    factors h(x**d) x**a for a shared d of 2 or 3, some in x alone (so the
+    product's stride falls to 1), negative constant terms, constant factors
+    and multiplicities up to 30."""
+    const = draw(st.sampled_from([1, -1, 3, Fraction(-2, 5)]))
+    d = draw(st.sampled_from([2, 3]))
+    factors = []
+    for _ in range(draw(st.integers(0, 4))):
+        stride = draw(st.sampled_from([d, d, 1]))
+        h = [draw(st.integers(-9, 9).filter(bool))]  # ascending, h(0) != 0
+        if draw(st.booleans()):
+            h += draw(st.lists(st.integers(-9, 9), max_size=1)) + [draw(st.integers(-9, 9).filter(bool))]
+        g = [0] * draw(st.integers(0, 3))  # ascending, x**a h(x**stride)
+        for c in h[:-1]:
+            g += [c] + [0] * (stride - 1)
+        factors.append(((g + h[-1:])[::-1], draw(st.integers(1, 30))))
+    return const, factors
+
+
+PATH_GEN3 = (1, [([1, 0], 5), ([1, 0, -2], 2), ([1, 0, -4], 1), ([1, 0, -6, 0, 4], 1)])
+IN_X3 = (-3, [([1, 0, 0, -2], 7), ([1, 0, 0, 1, 0, 0, -5], 4), ([1, 0, 0], 1), ([-2], 3)])
+
+
+@given(x_only_products())
+@example(PATH_GEN3)  # the binary path(3) dendrimer at generation 3: every factor in x^2
+@example(IN_X3)      # every factor in x^3 after x^2 and a constant factor split off
+def test_expand_in_x_matches_poly_powers(product):
+    const, factors = product
+    want = Poly.const(const)
+    for f, m in factors:
+        want = want * Poly.from_univariate_coeffs(f) ** m
+    assert Factored(const, tuple(factors)).expand() == want
+
+
+def test_dendrimer_factors_are_polynomials_in_x_squared():
+    """The PATH_GEN3 example is what the tier recursion gives."""
+    spec = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
+                         attach_sites=(1, 3), generations=3)
+    fac = dendrimer_factored(spec, CHARACTERISTIC_STANDARD)
+    assert (fac.const, list(fac.factors)) == PATH_GEN3
+
+
 def test_absorb_splits_an_element_and_rewrites_held_products():
     base = CoprimeBase((X,))
     c1, e1 = base.absorb(parse_poly("3*x^2 - 3"))

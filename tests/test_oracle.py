@@ -6,13 +6,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _brute import (brute_circuit_poly, brute_determinant, brute_permanent,
-                    random_graph, undirected_cover_poly, x_matrix)
+                    cycle_index_sym, permanental_poly_check, random_graph,
+                    undirected_cover_poly, x_matrix)
 from rootedpoly.graph import Graph, complete, cycle, k1, path, star
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, DEFAULT_CAP,
                                MATCHING_MINUS, MATCHING_PLUS, MODES, PERMANENTAL,
                                UNDIRECTED_COVERS, OracleCapExceeded, char_poly_det,
-                               circuit_poly, cycle_index_sym, mode_by_name,
-                               permanental_poly_check, simple_circuit_poly, specialize)
+                               circuit_poly, mode_by_name, simple_circuit_poly,
+                               specialize)
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar
 
 
