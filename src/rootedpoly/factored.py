@@ -10,11 +10,13 @@ whenever a new polynomial arrives, splitting an element when the newcomer
 divides part of it, so that several products can be kept over one shared
 base (Bernstein, "Factoring into coprimes in essentially linear time",
 J. Algorithms, 2005).  In x alone the base holds integer coefficient lists,
-highest degree first: gcds follow the primitive remainder sequence (Collins,
-J. ACM 14, 1967; Knuth, TAOCP vol. 2, 4.6.1) and exact quotients are long
-divisions, both on plain ints, and only the square-free split of what a new
-polynomial leaves over goes through sympy.  Products with symbolic weights
-are held as integer sympy polynomials throughout.
+highest degree first, and all its arithmetic runs on plain ints, so that
+CPython's big integers do the work: gcds by the heuristic of Char, Geddes and
+Gonnet, which reads the gcd off the gcd of two integer values, exact
+quotients by checked long division, and the square-free test of what a new
+polynomial leaves over by its gcd with its derivative.  Only a leftover with
+a repeated root goes through sympy's square-free split.  Products with
+symbolic weights are held as integer sympy polynomials throughout.
 
 Expanding a univariate product never multiplies two big polynomials.  With
 P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
@@ -86,9 +88,11 @@ def _primitive(f: list[int]) -> list[int]:
 
 
 def _prem(f: list[int], g: list[int]) -> list[int]:
-    """A nonzero integer multiple of the remainder of f by g, as a list with
-    no leading zeros; [] when g divides that multiple of f.  A step multiplies
-    by g's leading coefficient only when it does not divide the leading term."""
+    """A multiple of the remainder of f by g by a power of g's leading
+    coefficient, as a list with no leading zeros; [] when g divides f over
+    the rationals.  A step multiplies by that coefficient only when it does
+    not divide the leading term, so the multiple is positive when the
+    coefficient is, which the Sturm count in spectra relies on."""
     r, n, lead = f, len(g), g[0]
     while len(r) >= n:
         q, rem = divmod(r[0], lead)
@@ -105,16 +109,48 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
 
 def _gcd(f: list[int], g: list[int]) -> list[int]:
     """gcd of two nonzero integer lists, with a positive leading coefficient,
-    by the primitive remainder sequence."""
+    by the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic
+    Comput. 7, 1989).
+
+    With the content taken out, both primitive lists are evaluated at an
+    integer xi > 2 min(|f|_inf, |g|_inf), and the symmetric xi-adic digits of
+    gcd(f(xi), g(xi)) give a candidate, kept as its primitive part only if it
+    divides both lists; otherwise xi grows and the step repeats.  An accepted
+    candidate C is the gcd G: C divides G, and a proper cofactor d = G / C
+    would divide both lists, so by the Cauchy root bound its roots lie below
+    xi / 2 in modulus and |d(xi)| > xi / 2, which is at least the content of
+    the digits, although d(xi) divides that content.  The loop ends: gcd(f(xi),
+    g(xi)) = k G(xi) with k dividing Res(f / G, g / G), so once xi > 2 k |G|_inf
+    the digits are exactly k G.
+    """
     content = math.gcd(math.gcd(*f), math.gcd(*g))
     f, g = _primitive(f), _primitive(g)
-    while len(g) > 1:
-        f, g = g, _prem(f, g)
-        if g:
-            g = _primitive(g)
-    if g:  # a nonzero constant remainder: f and g are coprime
-        f = [1]
-    return [content * a for a in f]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    while True:
+        h, digits = math.gcd(_horner(f, xi), _horner(g, xi)), []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        candidate = _primitive(digits[::-1])
+        try:
+            if len(candidate) > 1:  # a constant divides both
+                _exquo(f, candidate)
+                _exquo(g, candidate)
+        except ArithmeticError:
+            xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+        else:
+            return [content * a for a in candidate]
+
+
+def _horner(f: list, z):
+    """The value at z of a coefficient list, highest degree first."""
+    acc = 0
+    for a in f:
+        acc = acc * z + a
+    return acc
 
 
 def _exquo(f: list[int], g: list[int]) -> list[int]:
@@ -149,10 +185,21 @@ class _Ring(NamedTuple):
     sqf: Callable
 
 
+def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
+    """The square-free split of a non-constant integer list, as (primitive
+    list, multiplicity) pairs.  A list coprime to its derivative is square-free
+    and its primitive part is the one factor; only a list that is not goes to
+    sympy's sqf_list."""
+    n = len(f) - 1
+    if len(_gcd(f, [a * (n - i) for i, a in enumerate(f[:-1])])) == 1:
+        return [(_primitive(f), 1)]
+    return [([int(c) for c in g.all_coeffs()], k)
+            for g, k in sympy.Poly.from_list(f, _SX, domain=sympy.ZZ).sqf_list()[1]]
+
+
 _X_LISTS = _Ring(
     _to_coeffs, _gcd, _exquo, lambda f: len(f) == 1, lambda f: f[0], lambda f: [-a for a in f],
-    lambda f: [([int(c) for c in g.all_coeffs()], k)
-               for g, k in sympy.Poly.from_list(f, _SX, domain=sympy.ZZ).sqf_list()[1]])
+    _square_free)
 
 
 def _ring(gens: tuple[Var, ...]) -> _Ring:

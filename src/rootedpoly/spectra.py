@@ -5,9 +5,11 @@ coprime factors (so repeated roots come out with exact integer
 multiplicities), or arrive so factored; each factor is solved on its own by
 companion-matrix eigenvalues and polished by Newton steps.  Coefficients
 beyond the double range are scaled by exact powers of two first.  A Sturm
-count fixes how many roots of each factor are real.  The multiplicities of
-exact input come from the factorization alone; only the roots of a
-float-coefficient polynomial are merged within the cluster tolerance.
+count on the factor's integer coefficient list, by pseudo-remainders in
+plain ints, fixes how many roots of each factor are real.  The
+multiplicities of exact input come from the factorization alone; only the
+roots of a float-coefficient polynomial are merged within the cluster
+tolerance.
 Residuals are reported against the factor a root was extracted from, which
 keeps them meaningful for huge-coefficient inputs.
 """
@@ -17,13 +19,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 import numpy as np
-from sympy import ZZ
-from sympy.polys.rootisolation import dup_count_real_roots
 
-from .factored import Factored
+from .factored import Factored, _horner, _prem
 from .oracle import DEFAULT_CAP
 from .poly import Poly, X
 
@@ -58,9 +57,10 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
     first; a Factored one already is.  Each factor is solved on its own and
     its roots take its exponent as their exact multiplicity.  The roots of a
     square-free factor are simple, so they are never merged, however close.
-    A Sturm count decides how many roots of each factor are real, and those
-    come out with an imaginary part of exactly 0.  Only a polynomial with
-    float coefficients has its roots merged within the cluster tolerance.
+    A Sturm count on the factor's integer coefficient list decides how many
+    roots of each factor are real, and those come out with an imaginary part
+    of exactly 0.  Only a polynomial with float coefficients has its roots
+    merged within the cluster tolerance.
     A real or imaginary part beyond the double range (magnitude above about
     1.8e308) comes out as inf with its sign; the root keeps its exact
     multiplicity and the other roots are unaffected.  This is the contract,
@@ -69,11 +69,11 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
     if isinstance(p, Poly):
         coeffs = p.univariate_coeffs(X)
         if not p.is_exact():
-            found = _cluster(_solve(coeffs, 1, None), cluster_tol)
+            found = _cluster(_solve(coeffs, 1, exact=False), cluster_tol)
             return _rootset([found], len(coeffs) - 1, cluster_tol)
         p = Factored.from_poly(p)
     _require_univariate(p.gens)
-    found = [_solve(f, m, lambda f=f: dup_count_real_roots(f, ZZ)) for f, m in p.factors]
+    found = [_solve(f, m, exact=True) for f, m in p.factors]
     return _rootset(found, p.degree(), cluster_tol)
 
 
@@ -96,24 +96,46 @@ def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
     )
 
 
-def _solve(coeffs: list, mult: int,
-           count_real: Callable[[], int] | None) -> list[tuple[complex, int, float]]:
+def _solve(coeffs: list, mult: int, exact: bool) -> list[tuple[complex, int, float]]:
     """The roots of one factor, each with the factor's multiplicity and its residual.
 
-    count_real, given for exact factors, counts the real roots exactly; it
-    is called only when some root came out with a nonzero imaginary part,
-    and that many roots with the smallest imaginary parts are made real.
+    An exact factor, a square-free integer list, has its real roots counted
+    exactly when some root came out with a nonzero imaginary part, and that
+    many roots with the smallest imaginary parts are made real.
     Residuals are |f(z)| on the float coefficients the roots were found
     from, so on the scaled polynomial when the coefficients needed scaling.
     A root beyond the double range comes out infinite.
     """
     fc, shift = _float_coeffs(coeffs)
     found = _numeric_roots(fc)
-    if count_real is not None and any(z.imag for z in found):
+    if exact and any(z.imag for z in found):
         order = sorted(range(len(found)), key=lambda k: abs(found[k].imag))
-        for k in order[:count_real()]:
+        for k in order[:_real_root_count(coeffs)]:
             found[k] = complex(found[k].real, 0.0)
     return [(_times_power_of_two(z, shift), mult, abs(_horner(fc, z))) for z in found]
+
+
+def _real_root_count(f: list[int]) -> int:
+    """The number of distinct real roots of a non-constant integer list, by
+    Sturm's theorem: the sign changes of f, f', -rem(f, f'), ... at -inf
+    less those at +inf.  Each remainder comes from _prem with the divisor's
+    sign taken out, so it is a positive multiple of the true remainder, and
+    is divided by its positive content."""
+    n = len(f) - 1
+    chain = [f, [a * (n - i) for i, a in enumerate(f[:-1])]]
+    while len(chain[-1]) > 1:
+        g = chain[-1]
+        r = _prem(chain[-2], g if g[0] > 0 else [-a for a in g])
+        if not r:
+            break
+        content = math.gcd(*r)
+        chain.append([-a // content for a in r])
+
+    def changes(signs: list[bool]) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return (changes([(g[0] > 0) != (len(g) % 2 == 0) for g in chain])
+            - changes([g[0] > 0 for g in chain]))
 
 
 def _times_power_of_two(z: complex, shift: int) -> complex:
@@ -166,13 +188,6 @@ def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 
 
 
 # -- internals ------------------------------------------------------------
-
-
-def _horner(coeffs, z: complex) -> complex:
-    acc = 0j
-    for c in coeffs:
-        acc = acc * z + c
-    return acc
 
 
 # coefficients whose binary exponent stays within this bound convert to

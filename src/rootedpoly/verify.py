@@ -455,20 +455,31 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     modes = (CHARACTERISTIC_STANDARD, PERMANENTAL)
     attachments = corpus_attachments()
 
+    # P(H) and P(H - r) of each attachment, by (attachment, root loop, mode):
+    # they do not depend on the core, nor the loop-stripped core and its roots
+    # on the loop variant
+    constituents: dict[tuple, tuple[Poly, Poly]] = {}
     for core_name, core_base in corpus_cores():
+        free = {}
+        for mode in modes:
+            bg_free = circuit_poly(strip_all_loops(core_base), cap, mode.simple())
+            free[mode] = bg_free, spectra.roots(bg_free)
         for loops in loop_variants(core_base.p):
             core = _with_loops(core_base, loops)
             for mode in modes:
-                bg_free = circuit_poly(strip_all_loops(core), cap, mode.simple())
-                free_roots = spectra.roots(bg_free)
+                bg_free, free_roots = free[mode]
                 for h_name, h in attachments:
                     if core.p + core.p * (h.p - 1) > cap:
                         continue
                     loop_values = {core.loop(v) + h.loop(h.root) for v in range(1, core.p + 1)}
                     if len(loop_values) != 1:
                         continue  # root-product factors need a uniform unit
-                    hb = attach_root_loop(h, loop_values.pop())
-                    ph_b, pl, _ = factor.attachment_polys(hb, mode, cap)
+                    loop = loop_values.pop()
+                    hb = attach_root_loop(h, loop)
+                    key = h_name, loop, mode
+                    if key not in constituents:
+                        constituents[key] = factor.attachment_polys(hb, mode, cap)[:2]
+                    ph_b, pl = constituents[key]
                     exact = factor.simple_rooted_product_poly(bg_free, ph_b, pl, core.p,
                                                               mode.w1)
                     dev = coeff_deviation(exact, factor.spectral_product_form(

@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
+from sympy import ZZ
+from sympy.polys.rootisolation import dup_count_real_roots
 
 from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
@@ -12,7 +14,7 @@ from rootedpoly.graph import DendrimerSpec, Graph, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, PERMANENTAL, simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly, wvar
-from rootedpoly.spectra import dendrimer_spectrum
+from rootedpoly.spectra import _real_root_count, dendrimer_spectrum
 
 MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
 
@@ -130,12 +132,13 @@ def test_absorb_splits_an_element_and_rewrites_held_products():
 # -- integer list arithmetic in x against sympy ------------------------------------
 
 @st.composite
-def int_lists(draw) -> list[int]:
-    """Nonzero integer coefficient lists, highest degree first: some negative
+def int_lists(draw, bound: int = 9) -> list[int]:
+    """Nonzero integer coefficient lists of degree at most 6, highest degree
+    first, with coefficients up to bound times the content: some negative
     leading coefficients, some zero constant terms, some content above 1 and
     some constants."""
-    head = draw(st.integers(-9, 9).filter(bool))
-    body = draw(st.lists(st.integers(-9, 9), max_size=4))
+    head = draw(st.integers(-bound, bound).filter(bool))
+    body = draw(st.lists(st.integers(-bound, bound), max_size=4))
     zeros = draw(st.integers(0, 2))
     content = draw(st.integers(1, 6))
     return [content * c for c in [head] + body] + [0] * zeros
@@ -160,6 +163,64 @@ def test_list_gcd_and_exact_quotient_match_sympy(a, b, c):
                 _exquo(u, v)
         else:
             assert _exquo(u, v) == want
+
+
+@given(int_lists(10 ** 4), int_lists(10 ** 4), int_lists(10 ** 4))
+def test_heuristic_gcd_matches_sympy_on_wide_coefficients(a, b, c):
+    f, g = product(a, c), product(b, c)  # a shared factor c, degree up to 12
+    want = [int(k) for k in as_sympy(f).gcd(as_sympy(g)).all_coeffs()]
+    assert _gcd(f, g) == want == _gcd(g, f)
+
+
+def test_heuristic_gcd_grows_xi_past_a_false_candidate():
+    # xi = 2 * 1 + 29 = 31 first: gcd(32, 64) = 32 reads as x + 1, which
+    # does not divide x + 33, so xi must grow before the gcd 1 is found
+    assert _gcd([1, 1], [1, 33]) == [1]
+
+
+@st.composite
+def square_free_lists(draw) -> list[int]:
+    """Square-free integer lists of degree 1 to 12, highest degree first:
+    distinct rational linear factors, so that many roots are real, times
+    one more list."""
+    linear = draw(st.lists(st.tuples(st.integers(1, 5), st.integers(-20, 20)), max_size=6,
+                           unique_by=lambda ab: Fraction(ab[1], ab[0])))
+    f = as_sympy(draw(int_lists()))
+    for a, b in linear:
+        f *= as_sympy([a, -b])
+    assume(1 <= f.degree() <= 12 and f.is_sqf)
+    return [int(k) for k in f.all_coeffs()]
+
+
+@given(square_free_lists())
+@example([1, 0, -2])        # two real roots, irrational
+@example([-1, 0, 0, 0, 1])  # negative leading coefficient, two real roots of four
+def test_sturm_count_on_lists_matches_sympy(f):
+    assert _real_root_count(f) == dup_count_real_roots(f, ZZ)
+
+
+@pytest.fixture
+def sqf_calls(monkeypatch) -> list[int]:
+    """The degree of each polynomial that sympy.Poly.sqf_list is called on."""
+    calls = []
+    original = sympy.Poly.sqf_list
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.degree())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(sympy.Poly, "sqf_list", counted)
+    return calls
+
+
+def test_only_leftovers_with_repeated_roots_reach_sympy(sqf_calls):
+    spec = DendrimerSpec(core=k1(rooted=False), unit=path(3).with_root(2),
+                         attach_sites=(1, 3), generations=6)
+    dendrimer_spectrum(spec, CHARACTERISTIC_STANDARD)
+    assert sqf_calls == []
+    f = Factored.from_poly(parse_poly("x^3 - 3*x + 2"))  # (x - 1)^2 (x + 2)
+    assert sqf_calls == [3]
+    assert sorted(m for _, m in f.factors) == [1, 2]
 
 
 def test_list_exact_quotient_raises_on_a_remainder():

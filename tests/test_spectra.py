@@ -1,13 +1,16 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rootedpoly import factor
 from rootedpoly.factor import dendrimer_poly
-from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, k1, path, star)
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, SIMPLE,
-                               char_poly_det, simple_circuit_poly)
+from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root, k1, path,
+                              star)
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
+                               SIMPLE, char_poly_det, circuit_poly, simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly
 from rootedpoly.spectra import RootSet, dendrimer_spectrum, multiplicity_at, roots
 
@@ -210,3 +213,59 @@ def test_dendrimer_spectrum_path3_gen12():
     # tr A = 0 and tr A^2 = twice the 8190 edges of the tree
     assert abs(sum(values)) < 1e-8
     assert abs(sum(v * v for v in values) - 2 * 8190) < 1e-8
+
+
+# -- real-rootedness and interlacing through roots ----------------------------------
+
+
+@st.composite
+def undirected_graphs(draw, weights=st.integers(-3, 3), loops: bool = True) -> Graph:
+    """Undirected graphs on 1 to 7 vertices: each pair gets an edge of a
+    drawn weight, none when it is 0, and with loops, some vertices a loop."""
+    p = draw(st.integers(1, 7))
+    arcs = {}
+    for i in range(1, p + 1):
+        for j in range(i + 1, p + 1):
+            w = draw(weights)
+            if w:
+                arcs[i, j] = arcs[j, i] = w
+    drawn = draw(st.dictionaries(st.integers(1, p), st.integers(-3, 3), max_size=p if loops else 0))
+    return Graph(p=p, arcs=arcs, loops=drawn)
+
+
+def real_roots(g: Graph, mode) -> list[float]:
+    """The roots of g's simple polynomial in mode, each as often as its
+    multiplicity, in descending order; every one must come out real."""
+    rs = roots(circuit_poly(g, g.p, mode.simple()))
+    assert rs.source_degree == g.p
+    assert all(v.imag == 0 for v in rs.values())
+    return [v.real for v in rs.expanded()]
+
+
+def assert_interlaced(g: Graph, mode, outer: list[float], v: int) -> None:
+    """The roots of G - v interlace those of G: outer[i] >= inner[i] >= outer[i + 1]."""
+    if g.p == 1:
+        return
+    inner = real_roots(delete_root(g.with_root(v)), mode)
+    for i, t in enumerate(inner):
+        assert outer[i] + 1e-7 >= t >= outer[i + 1] - 1e-7
+
+
+@given(undirected_graphs(), st.data())
+def test_symmetric_characteristic_roots_are_real_and_interlace(g, data):
+    """A symmetric real matrix has p real eigenvalues, and those of a
+    principal submatrix interlace them (Cauchy)."""
+    outer = real_roots(g, CHAR)
+    assert_interlaced(g, CHAR, outer, data.draw(st.integers(1, g.p)))
+
+
+@given(undirected_graphs(weights=st.integers(0, 1), loops=False), st.data())
+def test_matching_roots_are_real_bounded_and_interlace(g, data):
+    """The matching polynomial is real-rooted with every root within
+    2 sqrt(max degree - 1) (Heilmann & Lieb, 1972), and the roots of G - v
+    interlace those of G (Godsil, "Algebraic Combinatorics", 1993)."""
+    outer = real_roots(g, MATCHING_MINUS)
+    degree = max(Counter(i for i, _ in g.arcs).values(), default=0)
+    if degree >= 2:
+        assert max(map(abs, outer)) <= 2 * math.sqrt(degree - 1) + 1e-9
+    assert_interlaced(g, MATCHING_MINUS, outer, data.draw(st.integers(1, g.p)))
