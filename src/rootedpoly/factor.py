@@ -461,64 +461,92 @@ def _keep_x(mode: WeightMode) -> WeightMode:
 
 
 def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
-    """x and the component weights the mode leaves symbolic; no cycle of a
-    unit or a core is longer than p."""
-    return (X,) + tuple(wvar(i) for i in range(1, p + 1) if mode.w_value(i) is None)
+    """The component weights the mode leaves symbolic; no cycle of a unit or
+    a core is longer than p."""
+    return tuple(wvar(i) for i in range(1, p + 1) if mode.w_value(i) is None)
 
 
 _SITE = yvar(1)
 
 
-def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple],
-              mode: WeightMode) -> list[tuple]:
-    """Rooted products of small cores with the branch P, of root-deleted graph
-    Q, at their attach sites, as (constant, exponents) over the base.
+def _attached(targets: Sequence[tuple], p: Poly, q: Poly, mode: WeightMode) -> list[Poly]:
+    """Rooted products of small cores with the branch p, of root-deleted
+    graph q, at their attach sites.
 
     targets holds (core polynomial, k) per core: the core keeps its own loops,
     its k attach sites are named y1 and every other vertex x.  The attachment
-    ratio P / (w1 * Q) replaces y1; the bare vertices need nothing.  The base
-    factors g that P and Q share cancel from the ratio, which leaves
-    p_hat / q_hat in lowest terms and of small degree; it is substituted into
-    each core polynomial and the result refined into the base.  The shared
-    factors come back as g**k.
+    ratio p / (w1 * q) replaces y1, the result is divided by w1**k, and the
+    bare vertices need nothing.
+    """
+    ratio = [(_SITE, p, _unit_mul(q, mode.w1_unit))]
+    return [_unit_divide(ratio_substitute(core, ratio), mode.w1_unit, k) for core, k in targets]
+
+
+def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple],
+              mode: WeightMode) -> list[tuple]:
+    """_attached over the base, with P, Q and the products as (constant,
+    exponents).  The base factors g that P and Q share cancel from the ratio,
+    which leaves p_hat / q_hat in lowest terms and of small degree; each
+    product of those is refined into the base, and the shared factors come
+    back as g**k.
     """
     (cp, ep), (cq, eq) = p_cur, q_cur
     shared = {i: min(e, eq[i]) for i, e in ep.items() if i in eq}
     p_hat = base.factored(cp, {i: e - shared.get(i, 0) for i, e in ep.items()}).expand()
     q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()}).expand()
-    ratio = [(_SITE, p_hat, _unit_mul(q_hat, mode.w1_unit))]
     carried = [{i: k * e for i, e in shared.items()} for _, k in targets]
     found = []
-    for core_poly, k in targets:
-        attached = _unit_divide(ratio_substitute(core_poly, ratio), mode.w1_unit, k)
+    for attached in _attached(targets, p_hat, q_hat, mode):
         found.append(base.absorb(attached, held=carried + [e for _, e in found]))
     return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
 
 
-def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
-                     cap: int, base: CoprimeBase) -> tuple[tuple, tuple]:
-    """The branch P and its root-deleted graph Q as (constant, exponents)
-    over the base, tier by tier.
-
-    Every unit vertex takes an attachment, the previous branch at the attach
-    sites and a bare vertex elsewhere; the unit and the unit without its
-    root are the two cores of each tier.
-    """
-    if unit.root is None:
-        raise ValueError("monodendron unit must be rooted")
-    p_cur = base.absorb(_unit_mul(Poly.variable(X), mode.w1_unit))  # bare rooted vertex
-    q_cur = (1, {})                                                  # nothing left
-    if tiers == 0:
-        return p_cur, q_cur
+def _unit_targets(unit: Graph, attach_sites: Sequence[int], mode: WeightMode,
+                  cap: int) -> list[tuple[Poly, int]]:
+    """The unit and the unit without its root, the two cores of every tier:
+    every unit vertex takes an attachment, the previous branch at the attach
+    sites and a bare vertex elsewhere."""
     sites = set(attach_sites)
     targets = []
     for g, kept in ((unit, range(1, unit.p + 1)),
                     (delete_root(unit), [v for v in range(1, unit.p + 1) if v != unit.root])):
         names = {i: _SITE if v in sites else X for i, v in enumerate(kept, start=1)}
         targets.append((circuit_poly(g, cap, _keep_x(mode), names), len(sites.intersection(kept))))
+    return targets
+
+
+def _core_target(core: Graph, mode: WeightMode, cap: int) -> tuple[Poly, int]:
+    """The dendrimer core with a branch at every vertex."""
+    names = dict.fromkeys(range(1, core.p + 1), _SITE)
+    return circuit_poly(core, cap, _keep_x(mode), names), core.p
+
+
+def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
+                     cap: int, base: CoprimeBase) -> tuple[tuple, tuple]:
+    """The branch P and its root-deleted graph Q as (constant, exponents)
+    over the base, tier by tier."""
+    p_cur = base.absorb(_unit_mul(Poly.variable(X), mode.w1_unit))  # bare rooted vertex
+    q_cur = (1, {})                                                  # nothing left
+    if tiers == 0:
+        return p_cur, q_cur
+    targets = _unit_targets(unit, attach_sites, mode, cap)
     for _ in range(tiers):
         p_cur, q_cur = _products(base, p_cur, q_cur, targets, mode)
     return p_cur, q_cur
+
+
+def _branch_plain(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
+                  cap: int) -> tuple[Poly, Poly]:
+    """The branch P and its root-deleted graph Q as plain polynomials, tier
+    by tier: the path for modes that leave some component weight symbolic,
+    which a coprime base in x cannot hold."""
+    p, q = _unit_mul(Poly.variable(X), mode.w1_unit), Poly.one()
+    if tiers == 0:
+        return p, q
+    targets = _unit_targets(unit, attach_sites, mode, cap)
+    for _ in range(tiers):
+        p, q = _attached(targets, p, q, mode)
+    return p, q
 
 
 def _merge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -531,8 +559,14 @@ def _merge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
 def monodendron_polys(unit: Graph, attach_sites: Sequence[int], tiers: int,
                       mode: WeightMode, cap: int = DEFAULT_CAP) -> tuple[Poly, Poly]:
     """Simple polynomials of the branch with the given tier count and of the
-    branch with its root deleted, from the factored tier recursion."""
-    base = CoprimeBase(weight_gens(mode, unit.p))
+    branch with its root deleted, from the tier recursion: factored over a
+    coprime base when every component weight is a number, on plain
+    polynomials otherwise."""
+    if unit.root is None:
+        raise ValueError("monodendron unit must be rooted")
+    if weight_gens(mode, unit.p):
+        return _branch_plain(unit, attach_sites, tiers, mode, cap)
+    base = CoprimeBase()
     p_cur, q_cur = _branch_factored(unit, attach_sites, tiers, mode, cap, base)
     return base.factored(*p_cur).expand(), base.factored(*q_cur).expand()
 
@@ -542,17 +576,25 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
 
     Only the unit and the core are ever enumerated; the branches enter through
     their factored polynomials, so the result scales to thousands of vertices
-    while every factor stays small.
+    while every factor stays small.  The mode must give every component
+    weight a number; the base holds polynomials in x alone.
     """
-    core = spec.core
-    base = CoprimeBase(weight_gens(mode, max(spec.unit.p, core.p)))
+    symbolic = weight_gens(mode, max(spec.unit.p, spec.core.p))
+    if symbolic:
+        raise ValueError(f"mode {mode.name} leaves {', '.join(map(str, symbolic))} symbolic; "
+                         "only polynomials in x are factored")
+    base = CoprimeBase()
     p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
-    names = dict.fromkeys(range(1, core.p + 1), _SITE)
-    target = (circuit_poly(core, cap, _keep_x(mode), names), core.p)
-    [(const, exps)] = _products(base, p_cur, q_cur, [target], mode)
+    [(const, exps)] = _products(base, p_cur, q_cur, [_core_target(spec.core, mode, cap)], mode)
     return base.factored(const, exps)
 
 
 def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
-    """Simple circuit polynomial of a dendrimer, expanded from its factored form."""
+    """Simple circuit polynomial of a dendrimer: expanded from its factored
+    form, or, when the mode leaves some component weight symbolic, from the
+    tier recursion on plain polynomials."""
+    if weight_gens(mode, max(spec.unit.p, spec.core.p)):
+        p, q = _branch_plain(spec.unit, spec.attach_sites, spec.generations, mode, cap)
+        [poly] = _attached([_core_target(spec.core, mode, cap)], p, q, mode)
+        return poly
     return dendrimer_factored(spec, mode, cap).expand()

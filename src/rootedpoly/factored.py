@@ -9,14 +9,15 @@ CoprimeBase holds such a list of polynomials and refines it with exact gcds
 whenever a new polynomial arrives, splitting an element when the newcomer
 divides part of it, so that several products can be kept over one shared
 base (Bernstein, "Factoring into coprimes in essentially linear time",
-J. Algorithms, 2005).  In x alone the base holds integer coefficient lists,
-highest degree first, and all its arithmetic runs on plain ints, so that
-CPython's big integers do the work: gcds by the heuristic of Char, Geddes and
-Gonnet, which reads the gcd off the gcd of two integer values, exact
-quotients by checked long division, and the square-free test of what a new
-polynomial leaves over by its gcd with its derivative.  Only a leftover with
-a repeated root goes through sympy's square-free split.  Products with
-symbolic weights are held as integer sympy polynomials throughout.
+J. Algorithms, 2005).  The base holds polynomials in x alone, as integer
+coefficient lists, highest degree first, and all its arithmetic runs on
+plain ints, so that CPython's big integers do the work: gcds by the
+heuristic of Char, Geddes and Gonnet, which reads the gcd off the gcd of two
+integer values, exact quotients by checked long division, and the
+square-free test of what a new polynomial leaves over by its gcd with its
+derivative.  Only a leftover with a repeated root needs the full square-free
+split of _square_free.  Polynomials with symbolic weights have no place
+here; the dendrimer tier recursion multiplies them out as Poly values.
 
 Expanding a univariate product never multiplies two big polynomials.  With
 P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
@@ -30,9 +31,7 @@ d, so a product of degree n costs about (n/d) * (s/d) products of a big
 integer by a small one.  Dendrimer polynomials have few small factors
 raised to high powers, so s is tiny against n there; when s is close to n,
 as for a high-degree product of square-free factors, the cost is quadratic
-and a product tree would be faster.  A product with symbolic weights would
-need exact division by D(0), a polynomial in the weights, so it is
-multiplied out as Poly values instead.
+and a product tree would be faster.
 """
 
 from __future__ import annotations
@@ -41,35 +40,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, sub
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import sympy
 
-from .poly import Poly, Var, X, _norm_coeff
-
-
-def _to_sympy(p: Poly, gens: Sequence[Var]) -> tuple[Fraction, sympy.Poly]:
-    """p as scale * F with F an integer sympy polynomial in gens."""
-    if not p.is_exact():
-        raise ValueError("exact factorization needs exact coefficients")
-    position = {v: k for k, v in enumerate(gens)}
-    terms = p.terms()
-    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
-    rep = {}
-    for mono, c in terms.items():
-        exps = [0] * len(gens)
-        for v, e in mono:
-            if v not in position:
-                raise ValueError(f"variable {v} outside {', '.join(map(str, gens))}")
-            exps[position[v]] = e
-        rep[tuple(exps)] = int(c * den)
-    symbols = [sympy.Symbol(str(v)) for v in gens]
-    return Fraction(1, den), sympy.Poly.from_dict(rep, *symbols, domain=sympy.ZZ)
-
-
-def _from_sympy(f: sympy.Poly, gens: Sequence[Var]) -> Poly:
-    """f as a Poly in gens."""
-    return Poly({tuple(zip(gens, exps)): int(c) for exps, c in f.terms()})
+from .poly import Poly, X, _norm_coeff
 
 
 def _to_coeffs(p: Poly) -> tuple[Fraction, list[int]]:
@@ -169,48 +144,16 @@ def _exquo(f: list[int], g: list[int]) -> list[int]:
     return q
 
 
-_SX = sympy.Symbol(str(X))
-
-
-class _Ring(NamedTuple):
-    """How a base holds its polynomials: the conversion of a Poly to
-    (scale, element) and the operations the refinement uses."""
-
-    convert: Callable
-    gcd: Callable
-    exquo: Callable
-    is_ground: Callable
-    lc: Callable
-    negate: Callable
-    sqf: Callable
-
-
 def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
     """The square-free split of a non-constant integer list, as (primitive
-    list, multiplicity) pairs.  A list coprime to its derivative is square-free
-    and its primitive part is the one factor; only a list that is not goes to
-    sympy's sqf_list."""
+    list with a positive leading coefficient, multiplicity) pairs.  A list
+    coprime to its derivative is square-free and its primitive part is the
+    one factor; only a list that is not goes to sympy's sqf_list."""
     n = len(f) - 1
     if len(_gcd(f, [a * (n - i) for i, a in enumerate(f[:-1])])) == 1:
         return [(_primitive(f), 1)]
-    return [([int(c) for c in g.all_coeffs()], k)
-            for g, k in sympy.Poly.from_list(f, _SX, domain=sympy.ZZ).sqf_list()[1]]
-
-
-_X_LISTS = _Ring(
-    _to_coeffs, _gcd, _exquo, lambda f: len(f) == 1, lambda f: f[0], lambda f: [-a for a in f],
-    _square_free)
-
-
-def _ring(gens: tuple[Var, ...]) -> _Ring:
-    """Integer lists for polynomials in x alone, integer sympy polynomials
-    otherwise; those divide with auto=False, so the quotient is taken over ZZ
-    and not by way of rational coefficients."""
-    if gens == (X,):
-        return _X_LISTS
-    return _Ring(lambda p: _to_sympy(p, gens), lambda f, g: f.gcd(g),
-                 lambda f, g: f.exquo(g, auto=False), lambda f: f.is_ground,
-                 lambda f: int(f.LC()), lambda f: -f, lambda f: f.sqf_list()[1])
+    split = sympy.Poly.from_list(f, sympy.Symbol("x"), domain=sympy.ZZ).sqf_list()[1]
+    return [([int(c) for c in g.all_coeffs()], k) for g, k in split]
 
 
 def _times(a: list[int], b: list[int]) -> list[int]:
@@ -263,46 +206,33 @@ def _power_product(factors: Sequence[tuple[list[int], int]]) -> list[int]:
 
 @dataclass(frozen=True)
 class Factored:
-    """const * prod f**m over square-free, pairwise coprime factors f.
-
-    In x alone each f is an integer coefficient list, highest degree first;
-    otherwise it is an integer sympy polynomial in gens.
-    """
+    """const * prod f**m over square-free, pairwise coprime factors f in x,
+    each an integer coefficient list, highest degree first."""
 
     const: int | Fraction
-    factors: tuple[tuple[list[int] | sympy.Poly, int], ...]
-    gens: tuple[Var, ...] = (X,)
+    factors: tuple[tuple[list[int], int], ...]
 
     @staticmethod
     def from_poly(p: Poly) -> "Factored":
-        """Square-free decomposition of an exact nonzero polynomial."""
-        base = CoprimeBase(sorted(p.variables() | {X}))
+        """Square-free decomposition of an exact nonzero polynomial in x."""
+        base = CoprimeBase()
         return base.factored(*base.absorb(p))
 
-    def degree(self, v: Var = X) -> int:
-        k = self.gens.index(v)
-        if self.gens == (X,):
-            return sum((len(f) - 1) * m for f, m in self.factors)
-        return sum(f.degree(k) * m for f, m in self.factors)
+    def degree(self) -> int:
+        return sum((len(f) - 1) * m for f, m in self.factors)
 
     def expand(self) -> Poly:
         """The product as one polynomial.
 
-        In x alone each factor is split into x**a times g with g(0) != 0;
-        the x**a parts only shift exponents.  With d the gcd of the
-        exponents of the nonzero terms of all the g, each g is h(x**d), and
-        the powers of the h are expanded together by the recurrence
-        D P' = N P of the module docstring, then spread back with stride d:
-        about (n/d) * (s/d) products of a big integer by a small one for
-        degree n and s the summed degree of the g.  The constant is applied
-        last and the Poly built once.  With symbolic weights the powers are
-        multiplied out as Poly values, smallest first.
+        Each factor is split into x**a times g with g(0) != 0; the x**a
+        parts only shift exponents.  With d the gcd of the exponents of the
+        nonzero terms of all the g, each g is h(x**d), and the powers of the
+        h are expanded together by the recurrence D P' = N P of the module
+        docstring, then spread back with stride d: about (n/d) * (s/d)
+        products of a big integer by a small one for degree n and s the
+        summed degree of the g.  The constant is applied last and the Poly
+        built once.
         """
-        if self.gens != (X,):
-            total = Poly.const(self.const)
-            for f, m in sorted(self.factors, key=lambda fm: fm[0].total_degree() * fm[1]):
-                total = total * _from_sympy(f, self.gens) ** m
-            return total
         shift, parts = 0, []
         for f, m in self.factors:
             coeffs = f[::-1]
@@ -317,59 +247,54 @@ class Factored:
 
 
 class CoprimeBase:
-    """A growing list of square-free, pairwise coprime, primitive polynomials
-    with positive leading coefficients.
+    """A growing list of square-free, pairwise coprime, primitive integer
+    lists in x with positive leading coefficients, highest degree first.
 
     A product over the base is a constant and an exponent map {index:
     multiplicity}.  Absorbing a new polynomial may split elements of the
     base; the exponent maps passed as `held` are rewritten in place so that
     they still describe the same products.
 
-    Every element stays primitive without being made so: sympy's square-free
-    factors are, and by Gauss's lemma so are gcds and exact quotients of
-    primitive integer polynomials.
+    Every element stays primitive and positive without being made so: the
+    square-free factors of a leftover are, and by Gauss's lemma so are gcds
+    and exact quotients of primitive integer polynomials.
     """
 
-    def __init__(self, gens: Sequence[Var]):
-        self.gens = tuple(gens)
-        self.ring = _ring(self.gens)
-        self.polys: list[list[int] | sympy.Poly] = []
+    def __init__(self):
+        self.polys: list[list[int]] = []
 
     def absorb(self, p: Poly, held: Sequence[dict[int, int]] = ()) -> tuple[Fraction, dict[int, int]]:
-        """Refine the base until p factors over it; return p's constant and exponents."""
-        ring = self.ring
+        """Refine the base until p factors over it; return p's constant and exponents.
+
+        p must be exact and in x alone; anything else raises ValueError."""
         if p.is_zero():
             raise ValueError("the zero polynomial has no factorization")
-        scale, h = ring.convert(p)
-        lead = scale * ring.lc(h)
+        scale, h = _to_coeffs(p)
+        lead = scale * h[0]
         exps: dict[int, int] = {}
-
-        def positive(f):
-            return ring.negate(f) if ring.lc(f) < 0 else f
-
         for i in range(len(self.polys)):
-            if ring.is_ground(h):
+            if len(h) == 1:
                 break
-            g = ring.gcd(self.polys[i], h)
-            if ring.is_ground(g):
+            g = _gcd(self.polys[i], h)
+            if len(g) == 1:
                 continue
             # split element i by the multiplicity its roots have in h
             parts = {}
             cur, e = self.polys[i], 0
-            while not ring.is_ground(g):
-                rest = ring.exquo(cur, g)
-                if not ring.is_ground(rest):
+            while len(g) > 1:
+                rest = _exquo(cur, g)
+                if len(rest) > 1:
                     parts[e] = rest
-                h = ring.exquo(h, g)
+                h = _exquo(h, g)
                 cur, e = g, e + 1
-                g = ring.gcd(cur, h)
+                g = _gcd(cur, h)
             parts[e] = cur
             pieces = sorted(parts.items())
             indices = [i]
-            self.polys[i] = positive(pieces[0][1])
+            self.polys[i] = pieces[0][1]
             for _, piece in pieces[1:]:
                 indices.append(len(self.polys))
-                self.polys.append(positive(piece))
+                self.polys.append(piece)
             for m in held:
                 if i in m:
                     for j in indices[1:]:
@@ -377,14 +302,13 @@ class CoprimeBase:
             for (e, _), j in zip(pieces, indices):
                 if e:
                     exps[j] = e
-        if not ring.is_ground(h):
-            for g, k in ring.sqf(h):
+        if len(h) > 1:
+            for g, k in _square_free(h):
                 exps[len(self.polys)] = k
-                self.polys.append(positive(g))
-        const = lead / math.prod(ring.lc(self.polys[j]) ** k for j, k in exps.items())
+                self.polys.append(g)
+        const = lead / math.prod(self.polys[j][0] ** k for j, k in exps.items())
         return _norm_coeff(const), exps
 
     def factored(self, const, exps: dict[int, int]) -> Factored:
         """A product over the base as a Factored value."""
-        return Factored(const, tuple((self.polys[j], k) for j, k in sorted(exps.items()) if k),
-                        self.gens)
+        return Factored(const, tuple((self.polys[j], k) for j, k in sorted(exps.items()) if k))

@@ -72,14 +72,8 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
             found = _cluster(_solve(coeffs, 1, exact=False), cluster_tol)
             return _rootset([found], len(coeffs) - 1, cluster_tol)
         p = Factored.from_poly(p)
-    _require_univariate(p.gens)
     found = [_solve(f, m, exact=True) for f, m in p.factors]
     return _rootset(found, p.degree(), cluster_tol)
-
-
-def _require_univariate(gens) -> None:
-    if gens != (X,):
-        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, gens))}")
 
 
 def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
@@ -183,7 +177,9 @@ def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 
     """
     from . import factor  # local import; factor uses this module's root finder
 
-    _require_univariate(factor.weight_gens(mode, max(spec.unit.p, spec.core.p)))
+    symbolic = factor.weight_gens(mode, max(spec.unit.p, spec.core.p))
+    if symbolic:
+        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, symbolic))}")
     return roots(factor.dendrimer_factored(spec, mode, cap), cluster_tol)
 
 
@@ -229,15 +225,16 @@ def _numeric_roots(fc: list[complex]) -> list[complex]:
 
 
 def _newton_polish(fc, deriv, z: complex, steps: int = 40) -> complex:
-    best, best_val = z, abs(_horner(fc, z))
+    fz = _horner(fc, z)
+    best, best_val = z, abs(fz)
     for _ in range(steps):
-        fz = _horner(fc, z)
         dz = _horner(deriv, z)
         if dz == 0:
             break
         step = fz / dz
         z = z - step
-        val = abs(_horner(fc, z))
+        fz = _horner(fc, z)  # the next step's value too
+        val = abs(fz)
         if val < best_val:
             best, best_val = z, val
         if abs(step) < 1e-15 * max(1.0, abs(z)):

@@ -454,11 +454,22 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     rep_join = IdentityReport("edge-join-product")
     modes = (CHARACTERISTIC_STANDARD, PERMANENTAL)
     attachments = corpus_attachments()
+    graphs = dict(attachments)
 
-    # P(H) and P(H - r) of each attachment, by (attachment, root loop, mode):
-    # they do not depend on the core, nor the loop-stripped core and its roots
-    # on the loop variant
+    # P(H~) and P(H - r) of each attachment, by (attachment, mode), for both
+    # halves: they depend on neither the core nor the root loop, which changes
+    # only P(H), rebuilt from the two; nor do the loop-stripped core and its
+    # roots depend on the loop variant
     constituents: dict[tuple, tuple[Poly, Poly]] = {}
+
+    def pair(h_name: str, loop, mode: WeightMode) -> tuple[Poly, Poly]:
+        """P(H) and P(H - r) of the attachment with root loop weight `loop`."""
+        key = h_name, mode
+        if key not in constituents:
+            constituents[key] = factor.attachment_polys(graphs[h_name], mode, cap)[1:]
+        pl, ptri = constituents[key]
+        return factor._shift_root_loop(ptri, pl, loop, mode), pl
+
     for core_name, core_base in corpus_cores():
         free = {}
         for mode in modes:
@@ -476,10 +487,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                         continue  # root-product factors need a uniform unit
                     loop = loop_values.pop()
                     hb = attach_root_loop(h, loop)
-                    key = h_name, loop, mode
-                    if key not in constituents:
-                        constituents[key] = factor.attachment_polys(hb, mode, cap)[:2]
-                    ph_b, pl = constituents[key]
+                    ph_b, pl = pair(h_name, loop, mode)
                     exact = factor.simple_rooted_product_poly(bg_free, ph_b, pl, core.p,
                                                               mode.w1)
                     dev = coeff_deviation(exact, factor.spectral_product_form(
@@ -489,8 +497,6 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                         free_roots, hb, mode, cap))
                     rep_loops.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
 
-    graphs = dict(attachments)
-    simple = {mode: _simple_pairs(attachments, mode, cap) for mode in modes}
     for core_name, core in bipartite_cores():
         parts, p1, p2 = factor.core_parts(core)
         if p2 == 0:
@@ -502,7 +508,8 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                 h1, h2 = graphs[n1], graphs[n2]
                 if core.p + p1 * (h1.p - 1) + p2 * (h2.p - 1) > cap:
                     continue
-                ph1, pl1, ph2, pl2 = *simple[mode][n1], *simple[mode][n2]
+                ph1, pl1 = pair(n1, h1.loop(h1.root), mode)
+                ph2, pl2 = pair(n2, h2.loop(h2.root), mode)
                 exact = factor.restricted_product_poly(delta, ph1, pl1, ph2, pl2)
                 detail = f"{core_name}({n1},{n2}) {mode.name}"
                 dev = coeff_deviation(exact, factor.restricted_spectral_form(
@@ -515,7 +522,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
             # one-sided squared-root forms with loop-weighted bare vertices
             for b in (0, 2):
                 for larger in (True, False):
-                    ph, pl = simple[mode]["k2"]
+                    ph, pl = pair("k2", 0, mode)
                     exact = factor.one_sided_product_poly(delta, ph, pl, b, mode, larger)
                     unit = Poly.variable(X) * mode.w1 + mode.sigma_b * b * mode.w1
                     if larger:

@@ -10,30 +10,24 @@ from sympy.polys.rootisolation import dup_count_real_roots
 from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
 from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd
-from rootedpoly.graph import DendrimerSpec, Graph, dendrimer, k1, path
+from rootedpoly.graph import DendrimerSpec, Graph, complete, cycle, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
-                               MATCHING_MINUS, PERMANENTAL, simple_circuit_poly)
+                               MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly, wvar
 from rootedpoly.spectra import _real_root_count, dendrimer_spectrum
 
 MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
 
 
-def as_sympy(f, gens=(X,)) -> sympy.Poly:
-    """A factor, an integer list in x alone or a sympy polynomial, as a sympy polynomial."""
-    return sympy.Poly(f, *[sympy.Symbol(str(v)) for v in gens])
+def as_sympy(f: list[int]) -> sympy.Poly:
+    """A factor, an integer list in x, as a sympy polynomial."""
+    return sympy.Poly(f, sympy.Symbol("x"))
 
 
-def hand_built(const, powers: list[tuple[str, int]], gens=(X,)) -> tuple[Factored, Poly]:
+def hand_built(const, powers: list[tuple[str, int]]) -> tuple[Factored, Poly]:
     """A Factored value built directly from (polynomial text, exponent)
     pairs, and the same product multiplied out as Poly values."""
-    symbols = [sympy.Symbol(str(v)) for v in gens]
-    if tuple(gens) == (X,):
-        factors = tuple((parse_poly(text).univariate_coeffs(X), m) for text, m in powers)
-    else:
-        factors = tuple((sympy.Poly(sympy.sympify(text.replace("^", "**")), *symbols), m)
-                        for text, m in powers)
-    fac = Factored(const, factors, tuple(gens))
+    fac = Factored(const, tuple((parse_poly(text).univariate_coeffs(X), m) for text, m in powers))
     want = Poly.const(const)
     for text, m in powers:
         want = want * parse_poly(text) ** m
@@ -118,7 +112,7 @@ def test_dendrimer_factors_are_polynomials_in_x_squared():
 
 
 def test_absorb_splits_an_element_and_rewrites_held_products():
-    base = CoprimeBase((X,))
+    base = CoprimeBase()
     c1, e1 = base.absorb(parse_poly("3*x^2 - 3"))
     assert (c1, e1) == (3, {0: 1})
     held = dict(e1)
@@ -299,8 +293,10 @@ def test_factored_recursion_matches_built_dendrimer(spec, mode):
     built = dendrimer(spec)
     assert dendrimer_poly(spec, mode) == simple_circuit_poly(built, mode, cap=built.p)
 
+    if mode is GENERIC:  # symbolic weights: plain polynomials, no coprime base
+        return
     fac = dendrimer_factored(spec, mode)
-    polys = [as_sympy(f, fac.gens) for f, _ in fac.factors]
+    polys = [as_sympy(f) for f, _ in fac.factors]
     for k, f in enumerate(polys):
         assert not f.is_ground
         assert [m for _, m in f.sqf_list()[1]] == [1]
@@ -308,7 +304,7 @@ def test_factored_recursion_matches_built_dendrimer(spec, mode):
             assert f.gcd(g).is_ground
     product = Poly.const(fac.const)
     for f, m in fac.factors:
-        product = product * Factored(1, ((f, 1),), fac.gens).expand() ** m
+        product = product * Factored(1, ((f, 1),)).expand() ** m
     assert fac.expand() == product
 
     if mode is CHARACTERISTIC_STANDARD:
@@ -324,18 +320,40 @@ def test_factored_recursion_matches_built_dendrimer(spec, mode):
             assert abs(sum(copies) / mult - value) <= 1e-6 * scale
 
 
-def test_generic_dendrimer_factors_are_multivariate():
+def test_generic_dendrimer_poly_runs_on_plain_polynomials():
     spec = DendrimerSpec(core=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}),
                          unit=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}, root=1),
                          attach_sites=(2,), generations=2)
-    fac = dendrimer_factored(spec, GENERIC)
-    assert {str(v) for v in fac.gens} == {"x", "w1", "w2"}
-    assert fac.expand() == simple_circuit_poly(dendrimer(spec), GENERIC)
-    assert any(sympy.Symbol("w2") in f.free_symbols for f, _ in fac.factors)
-    # a multivariate factor with no constant term
-    fac, want = hand_built(Fraction(-2, 3), [("x^2*w1^2 + w2", 3), ("x + w1", 2), ("x", 1)],
-                           (X, wvar(1), wvar(2)))
-    assert fac.expand() == want
+    assert dendrimer_poly(spec, GENERIC) == simple_circuit_poly(dendrimer(spec), GENERIC)
+    with pytest.raises(ValueError, match="w1, w2 symbolic"):
+        dendrimer_factored(spec, GENERIC)
+
+
+def test_coprime_base_holds_polynomials_in_x_alone():
+    with pytest.raises(ValueError, match="not univariate in x"):
+        CoprimeBase().absorb(parse_poly("x^2*w1 - 1"))
+
+
+# C4 on C4 (unit C4 rooted at 1, sites 2 and 4) at generation 3 has 88
+# vertices and K3 on K3 (unit K3 rooted at 1, sites 2 and 3) at generation 4
+# has 93, far beyond enumeration
+CYCLIC_SPECS = [
+    DendrimerSpec(core=cycle(4), unit=cycle(4).with_root(1), attach_sites=(2, 4), generations=3),
+    DendrimerSpec(core=complete(3), unit=complete(3).with_root(1), attach_sites=(2, 3),
+                  generations=4),
+]
+
+
+@pytest.mark.parametrize("spec", CYCLIC_SPECS, ids=["C4-on-C4", "K3-on-K3"])
+def test_generic_dendrimer_poly_specializes_to_numeric_modes(spec):
+    generic = dendrimer_poly(spec, GENERIC)
+    weights = generic.variables() - {X}
+    assert {str(v) for v in weights} >= {"w1", "w2"}
+    assert any(v.index >= 3 for v in weights)  # cycles, which matchings drop
+    everyone = generic.substitute_many(dict.fromkeys(weights, 1))
+    assert everyone == dendrimer_poly(spec, PERMANENTAL)
+    matchings = generic.substitute_many({v: 1 if v.index <= 2 else 0 for v in weights})
+    assert matchings == dendrimer_poly(spec, MATCHING_PLUS)
 
 
 def test_dendrimer_poly_of_an_8191_vertex_binary_tree():
