@@ -14,14 +14,15 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
+from itertools import compress
+from operator import add, itemgetter
 
 from . import verify
 from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
                      simple_circuit_poly)
-from .poly import Poly
+from .poly import Poly, _exponents, _format_coeff, _format_terms
 from .spectra import dendrimer_spectrum, roots
 
 EXIT_OK = 0
@@ -52,29 +53,36 @@ def _load_graph(path: str) -> Graph:
     return graph_from_json(_read_json(path))
 
 
-_pair_text = functools.cache(repr)
+def _poly_json(p: Poly) -> str:
+    """The text of json.dumps({"text": str(p), "terms": terms}, indent=2),
+    written directly.
 
-
-def _mono_text(mono: tuple) -> str:
-    """str(mono), from the cached text of each (variable, exponent) pair."""
-    if len(mono) == 1:
-        return f"({_pair_text(mono[0])},)"
-    return f"({', '.join(map(_pair_text, mono))})"
-
-
-def _poly_terms_json(p: Poly) -> list[dict]:
-    out = []
-    # the order of str() of the monomial tuples, which the JSON output keeps
-    for mono, coeff in sorted(p.terms().items(), key=lambda kv: _mono_text(kv[0])):
-        entry = {str(v): e for v, e in mono}
-        if isinstance(coeff, Fraction):
-            c = f"{coeff.numerator}/{coeff.denominator}"
-        elif isinstance(coeff, int):
-            c = str(coeff)
-        else:
-            c = f"{coeff:.12g}"
-        out.append({"coeff": c, "monomial": entry})
-    return out
+    A term is {"coeff": its text, "monomial": {name: exponent}}, with the
+    variables in canonical order.  The terms come in the order of the text of
+    their monomial tuples, str(((Var(kind, index), e), ...)), which
+    tests/data/poly_outputs.json pins.  Factor by factor, that text compares
+    the kind, then the index and the exponent as decimal strings (so x10
+    comes before x2).  Where one monomial's factors begin the other's, one
+    of two or more factors comes first, one of a single factor comes last,
+    and the constant comes after every other term.
+    """
+    variables, exponents = _exponents(list(p._terms))
+    names = [str(v) for v in variables]
+    texts = [(v.kind, str(v.index)) for v in variables]
+    lines = [f'\n        "{name}": ' for name in names]
+    indices = range(len(variables))
+    entries = []
+    for e, c in zip(exponents, p._terms.values()):
+        used = list(compress(indices, e))
+        powers = list(map(str, compress(e, e)))
+        key = [x for pair in zip(map(texts.__getitem__, used), powers) for x in pair]
+        key.append((-1,) if len(used) > 1 else (4,))  # before or after every (kind, index)
+        mono = "{" + ",".join(map(add, map(lines.__getitem__, used), powers)) + "\n      }" if used else "{}"
+        entries.append((key, f'\n    {{\n      "coeff": "{_format_coeff(c)}",\n      "monomial": {mono}\n    }}'))
+    entries.sort(key=itemgetter(0))
+    terms = "[" + ",".join(map(itemgetter(1), entries)) + "\n  ]" if entries else "[]"
+    text = json.dumps(_format_terms(names, exponents, p._terms.values()))
+    return f'{{\n  "text": {text},\n  "terms": {terms}\n}}'
 
 
 def cmd_poly(args) -> int:
@@ -85,7 +93,7 @@ def cmd_poly(args) -> int:
     else:
         result = simple_circuit_poly(g, mode, args.cap)
     if args.format == "json":
-        print(json.dumps({"text": str(result), "terms": _poly_terms_json(result)}, indent=2))
+        print(_poly_json(result))
     else:
         print(result)
     return EXIT_OK
@@ -152,15 +160,20 @@ def _load_dendrimer_spec(path: str) -> DendrimerSpec:
         raise GraphFormatError(f"bad dendrimer spec: {exc}") from exc
 
 
+def _rootset_json(rs) -> str:
+    """The text of json.dumps({"degree", "cluster_tol", "roots"}, indent=2),
+    written directly."""
+    found = ",".join(f'\n    {{\n      "re": "{v.real:.12g}",\n      "im": "{v.imag:.12g}",'
+                     f'\n      "multiplicity": {m},\n      "residual": "{r:.3g}"\n    }}'
+                     for (v, m), r in zip(rs.roots, rs.residuals))
+    found = f"[{found}\n  ]" if found else "[]"
+    tol = json.dumps(rs.cluster_tol)
+    return f'{{\n  "degree": {rs.source_degree},\n  "cluster_tol": {tol},\n  "roots": {found}\n}}'
+
+
 def _print_rootset(rs, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps({
-            "degree": rs.source_degree,
-            "cluster_tol": rs.cluster_tol,
-            "roots": [{"re": f"{v.real:.12g}", "im": f"{v.imag:.12g}",
-                       "multiplicity": m, "residual": f"{r:.3g}"}
-                      for (v, m), r in zip(rs.roots, rs.residuals)],
-        }, indent=2))
+        print(_rootset_json(rs))
         return
     print(f"{'real':>18} {'imag':>18} {'mult':>5} {'residual':>10}")
     for (v, m), r in zip(rs.roots, rs.residuals):

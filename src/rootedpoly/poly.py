@@ -22,6 +22,14 @@ monomial that reaches 2**31 raises OverflowError.  The canonical order plays
 no part in storage; it is used only where terms are printed or shown, in
 terms(), whose monomials are sorted tuples of (variable, exponent) pairs, and
 for the order in which evaluation and substitution apply a term's variables.
+
+Substitution (substitute_many, ratio_substitute) runs on one common
+denominator when the polynomial has Fraction coefficients and every
+coefficient involved is exact: it scales them by the lcm of their
+denominators to integers and divides the result by it once, so the folds,
+sums and products in between run on integers wherever the replacements'
+coefficients are integers.  Float and complex coefficients keep their own
+rounding order.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import re
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import compress
+from math import lcm
 from operator import itemgetter, or_
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
@@ -138,7 +147,7 @@ def _exponents(keys: Sequence[int]) -> tuple[tuple[Var, ...], list[tuple[int, ..
     return variables, [reorder(unpack(key.to_bytes(4 * n, "little"))) for key in keys]
 
 
-def _pairs(variables: tuple[Var, ...], e: tuple[int, ...]) -> Iterator[tuple[Var, int]]:
+def _pairs(variables: Sequence, e: tuple[int, ...]) -> Iterator[tuple]:
     return zip(compress(variables, e), compress(e, e))
 
 
@@ -384,12 +393,8 @@ class Poly:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        # descending total degree, then graded-lex on the canonical variable order
         variables, exponents = _exponents(list(self._terms))
-        rows = sorted(zip(exponents, self._terms.values()), key=lambda r: (sum(r[0]), r[0]), reverse=True)
-        return " ".join(_format_term(_pairs(variables, e), c, first=(i == 0)) for i, (e, c) in enumerate(rows))
+        return _format_terms([str(v) for v in variables], exponents, self._terms.values())
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -416,7 +421,18 @@ def _format_coeff(c: Coeff) -> str:
     return f"{c:.12g}"
 
 
-def _format_term(mono: Iterable[tuple[Var, int]], coeff: Coeff, first: bool) -> str:
+def _format_terms(names: Sequence[str], exponents: Sequence[tuple[int, ...]],
+                  coeffs: Iterable[Coeff]) -> str:
+    """The text of str(Poly), from the names of the variables in canonical
+    order and each term's exponents of them."""
+    if not exponents:
+        return "0"
+    # descending total degree, then graded-lex on the canonical variable order
+    rows = sorted(zip(exponents, coeffs), key=lambda r: (sum(r[0]), r[0]), reverse=True)
+    return " ".join(_format_term(_pairs(names, e), c, first=(i == 0)) for i, (e, c) in enumerate(rows))
+
+
+def _format_term(mono: Iterable[tuple[Var | str, int]], coeff: Coeff, first: bool) -> str:
     negative = not isinstance(coeff, complex) and coeff < 0
     mag = -coeff if negative else coeff
     factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
@@ -452,8 +468,23 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     added up in the order their first terms come in p.  Exact coefficients
     give the same result in any order; float ones, which reach here from
     factor.spectral_product_from_loops, round in this order.
+
+    When p has a Fraction coefficient and every coefficient of p and of the
+    replacements is exact, the passes run on one common denominator: p's
+    coefficients are scaled by the lcm L of their denominators to integers,
+    and each result coefficient is divided by L once at the end.  This is
+    exact because the result is linear in p's coefficients, and where the
+    replacements have integer coefficients the passes then multiply and add
+    integers, with no gcd per step (oracle.circuit_poly scales by D**p for
+    the same reason).
     """
-    present = reduce(or_, p._terms, 0)
+    terms, scale = p._terms, 1
+    kinds = set(map(type, terms.values()))
+    if Fraction in kinds and kinds <= {int, Fraction} and all(
+            q.is_exact() for pair in table.values() for q in pair if q is not None):
+        scale = lcm(*{c.denominator for c in terms.values()})
+        terms = {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
+    present = reduce(or_, terms, 0)
     folds, expanded, ratios = [], [], []
     for v, (num, den) in table.items():
         if present >> _shift(v) & _FIELD:
@@ -479,7 +510,7 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     unpack, at = _layout(n)[0], _picker([_shift(v) // _WIDTH for v in folds])
     indices = range(len(folds))
     groups: dict[int, dict[int, Coeff]] = {}
-    for key, coeff in p._terms.items():
+    for key, coeff in terms.items():
         kept = key & keep
         exps = at(unpack(key.to_bytes(4 * n, "little")))
         for i, e in zip(compress(indices, exps), compress(exps, exps)):
@@ -517,6 +548,8 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
             _add_into(total, group)
         else:
             total = group
+    if scale > 1:
+        total = {key: Fraction(c, scale) for key, c in total.items()}
     return _from_keys(total)
 
 

@@ -1,16 +1,20 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from _brute import six_vertex_tree
-from rootedpoly.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
+from rootedpoly.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, _poly_json, _rootset_json, main
 from rootedpoly.graph import graph_from_json, graph_to_json
 from rootedpoly.oracle import CHARACTERISTIC_STANDARD, simple_circuit_poly
-from rootedpoly.poly import parse_poly
+from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
+from rootedpoly.spectra import RootSet
 
 
 @pytest.fixture()
@@ -288,3 +292,77 @@ def test_closed_stdout_pipe_exits_quietly(files):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+# -- the JSON writers against json.dumps ---------------------------------------
+
+
+def reference_poly_json(p: Poly) -> str:
+    """The `poly --format json` document as json.dumps builds it, with the
+    terms sorted by the text of their monomial tuples."""
+    terms = []
+    for mono, coeff in sorted(p.terms().items(), key=lambda kv: str(kv[0])):
+        if isinstance(coeff, Fraction):
+            text = f"{coeff.numerator}/{coeff.denominator}"
+        elif isinstance(coeff, int):
+            text = str(coeff)
+        else:
+            text = f"{coeff:.12g}"
+        terms.append({"coeff": text, "monomial": {str(v): e for v, e in mono}})
+    return json.dumps({"text": str(p), "terms": terms}, indent=2)
+
+
+WRITER_VARS = [X, xvar(1), xvar(2), xvar(10), xvar(13), yvar(1), yvar(2), wvar(1), wvar(2), wvar(10)]
+EXACT = st.one_of(st.integers(-10 ** 20, 10 ** 20),
+                  st.fractions(min_value=-50, max_value=50, max_denominator=60))
+
+
+@st.composite
+def writer_polys(draw):
+    p = Poly.zero()
+    for _ in range(draw(st.integers(0, 6))):
+        pairs = [(v, draw(st.integers(1, 12)))
+                 for v in draw(st.sets(st.sampled_from(WRITER_VARS), max_size=4))]
+        p = p + Poly.monomial(pairs, draw(EXACT))
+    return p
+
+
+@given(writer_polys())
+@example(Poly.zero())
+@example(Poly.const(Fraction(-7, 3)))
+@example(Poly.const(5))
+@example(parse_poly("x10 + x2 - 1/2*x1*x10 + x1*x2^10 + x1*x2^2 + x1 + y1*w1 - w2^3 + y2"))
+@example(parse_poly("x1*x2*x3 + x1*x2 - 2/3*x2*x3 - 2/3*x2 - 5/6*x3 - 1/12"))
+@example(Poly({((X, 2),): 0.5, ((wvar(1), 1),): -1e-30, (): 3.25}))
+def test_poly_writer_matches_json_dumps(p):
+    assert _poly_json(p) == reference_poly_json(p)
+
+
+def reference_rootset_json(rs: RootSet) -> str:
+    return json.dumps({
+        "degree": rs.source_degree,
+        "cluster_tol": rs.cluster_tol,
+        "roots": [{"re": f"{v.real:.12g}", "im": f"{v.imag:.12g}",
+                   "multiplicity": m, "residual": f"{r:.3g}"}
+                  for (v, m), r in zip(rs.roots, rs.residuals)],
+    }, indent=2)
+
+
+PARTS = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300]))
+
+
+@st.composite
+def rootsets(draw):
+    found = draw(st.lists(st.tuples(st.builds(complex, PARTS, PARTS), st.integers(1, 4)), max_size=5))
+    return RootSet(roots=tuple(found), source_degree=sum(m for _, m in found),
+                   cluster_tol=draw(st.floats(0, 1e300)),
+                   residuals=tuple(draw(st.lists(PARTS, min_size=len(found), max_size=len(found)))))
+
+
+@given(rootsets())
+@example(RootSet(roots=(), source_degree=0, cluster_tol=1e-7, residuals=()))
+@example(RootSet(roots=((complex(math.inf, 0), 1), (complex(-math.inf, math.nan), 2),
+                        (complex(1.5, -2.25), 1)),
+                 source_degree=4, cluster_tol=0.0, residuals=(math.inf, math.nan, 3e-16)))
+def test_rootset_writer_matches_json_dumps(rs):
+    assert _rootset_json(rs) == reference_rootset_json(rs)

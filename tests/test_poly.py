@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -155,6 +156,31 @@ def test_exponent_limit():
             p.substitute_many(mapping)
 
 
+def test_common_denominator_cases():
+    # exact coefficients with denominators run on integers scaled by their lcm
+    x1, w1, w3 = (Poly.variable(v) for v in (xvar(1), wvar(1), wvar(3)))
+    assert parse_poly("1/2*x1 - 1/2*x2").substitute_many({xvar(1): x, xvar(2): x}) == Poly.zero()
+    got = parse_poly("1/2*x1 + 1/2*x2 - 1/3*w1").substitute_many({xvar(1): x, xvar(2): x, wvar(1): 3})
+    assert str(got) == "x - 1" and got.terms() == {((X, 1),): 1, (): -1}
+    got = parse_poly("2/3*w3^2 + 1/6*w3 + x").substitute_many({wvar(3): Fraction(1, 2) * w3})
+    assert got == Fraction(1, 6) * w3 ** 2 + Fraction(1, 12) * w3 + x
+    got = ratio_substitute(parse_poly("3/4*x1^2 - 1/6*x1 + 1/2"),
+                           [(xvar(1), Fraction(1, 2) * x1 - Fraction(2, 3), Fraction(3, 5) * w1 + 1)])
+    num, den = Fraction(1, 2) * x1 - Fraction(2, 3), Fraction(3, 5) * w1 + 1
+    assert got == Fraction(3, 4) * num ** 2 - Fraction(1, 6) * num * den + Fraction(1, 2) * den ** 2
+    assert str(parse_poly("1/2*x1 + 3/2*x2").substitute_many({xvar(1): x, xvar(2): x})) == "2*x"
+
+
+def test_float_input_keeps_its_rounding_order():
+    # a float replacement or coefficient leaves the common denominator out
+    got = parse_poly("1/3*x1 + 1/7*x1^2").substitute_many({xvar(1): 0.3}).constant_value()
+    assert got == Fraction(1, 3) * 0.3 + Fraction(1, 7) * 0.3 ** 2
+    assert got != (7 * 0.3 + 3 * 0.3 ** 2) / 21  # the same sum on one denominator rounds apart
+    p = Poly({((xvar(1), 1),): 0.1, ((xvar(2), 1),): Fraction(1, 3)})
+    got = p.substitute_many({xvar(1): x, xvar(2): x})
+    assert got.terms() == {((X, 1),): 0.1 + Fraction(1, 3)}
+
+
 # -- property-based checks ---------------------------------------------------
 
 VARS = [X, xvar(1), xvar(2), yvar(1), yvar(2), wvar(1), wvar(2), xvar(13), wvar(13)]
@@ -248,3 +274,25 @@ def test_ratio_substitution_is_scaled_evaluation(p, targets, point):
     for v, _, _ in targets:
         want *= dens[v] ** p.degree_in(v)
     assert ratio_substitute(p, targets).evaluate(point) == want
+
+
+def assert_normal(p: Poly) -> None:
+    """Exact coefficients are ints or Fractions with a denominator above 1."""
+    for c in p.terms().values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), c
+    assert not re.search(r"/1\b", str(p))
+
+
+@given(polys(), st.dictionaries(st.sampled_from(VARS), st.one_of(polys(), FRACTIONS), max_size=3),
+       st.lists(st.tuples(st.sampled_from(VARS), polys(), polys()),
+                max_size=2, unique_by=lambda t: t[0]))
+@example(parse_poly("1/2*x1 - 1/2*x2"), {xvar(1): x, xvar(2): x}, [])
+@example(parse_poly("1/2*x1 + 3/2*x2 - 1/3*w1"), {xvar(1): x, xvar(2): x, wvar(1): 3},
+         [(xvar(1), x, 2 * one)])
+@example(parse_poly("2/3*w3^2 + 1/6*w3 + x"), {wvar(3): Fraction(1, 2) * Poly.variable(wvar(3))}, [])
+@example(parse_poly("3/4*x1^2 - 1/6*x1 + 1/2"), {},
+         [(xvar(1), Fraction(1, 2) * x - Fraction(2, 3), Fraction(3, 5) * Poly.variable(wvar(1)) + 1),
+          (wvar(2), Fraction(5, 2) * one, Fraction(1, 4) * x)])
+def test_substituted_coefficients_are_normal(p, mapping, targets):
+    assert_normal(p.substitute_many(mapping))
+    assert_normal(ratio_substitute(p, targets))

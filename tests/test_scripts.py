@@ -39,9 +39,12 @@ def test_oracle_scaling():
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
                     "C4": (4, 7), "grid2x2": (4, 7)}
-    # the last column times the simple characteristic polynomial
+    # the last columns time the simple characteristic polynomial, in the
+    # recursion and by the CLI's route on rational arc weights
+    assert out.splitlines()[0].split()[4:] == ["char_s", "spec_s"]
     for line in out.splitlines()[1:]:
         assert float(line.split()[4]) >= 0
+        assert float(line.split()[5]) >= 0
 
 
 def test_verify_profile():
