@@ -6,22 +6,20 @@ Conventions shared by everything here:
 
 * Substitution-style identities replace a vertex variable together with its
   one-vertex cover weight u: the generic w1 variable, or its numeric value
-  under the active specialization (see WeightMode.w1_unit).  Coalescences
-  and rooted products divide the unit out of the small core polynomial
-  first: every vertex variable there comes with its u, so a term with k
-  substituted variables loses u**k.  Then v -> num / den is substituted
-  with denominators cleared.  The other identities substitute
-  v -> num / (u * den) and divide the result by u**arity.  At w1 = 1 both
-  reduce to the plain textbook substitution.
+  under the active specialization (see WeightMode.w1_unit).  Every one of
+  them follows one rule: divide the unit out of the small core polynomial
+  first (every vertex variable there comes with its u, so a term with k
+  substituted variables loses u**k), then substitute v -> num / den with
+  denominators cleared.  At u = 1 this is the plain textbook substitution.
 * Constituent polynomials follow one of three loop splits: the core
   polynomial carries the total coalescence-node loop weights and the
   attachments are root-loop-stripped; or the core is fully loop-stripped and
   each attachment carries the total loop weight at its root; or each side
   keeps its own loops.  All three produce the identical polynomial.  The
-  third is the dendrimer tier step's: substituted into the core's
-  fixed-point factor (y + sigma_b * b_v) * w1, the ratio y = P / (w1 * Q)
-  gives (P + sigma_b * b_v * w1 * Q) / Q, the attachment with the core's
-  loop added to the one already at its root.
+  third is the dendrimer tier step's: the core's fixed-point factor
+  (y + sigma_b * b_v) * w1 is y + sigma_b * b_v * w1 once the unit is
+  divided out, and y = P / Q makes it (P + sigma_b * b_v * w1 * Q) / Q, the
+  attachment with the core's loop added to the one already at its root.
 * Bipartite expansion coefficients are normalized by the one-vertex unit
   weight, so the leading coefficient is always exactly 1 and the even part
   q(z) built from them is monic.
@@ -30,7 +28,6 @@ Conventions shared by everything here:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,13 +40,6 @@ from .poly import (_FIELD, Poly, Var, X, _from_keys, _shift, divides,
 from .spectra import RootSet, multiplicity_at, roots as numeric_roots
 
 Unit = Poly | int | Fraction
-
-
-class ProductMode(Enum):
-    """Which side of a rooted product carries the coalescence-node loops."""
-
-    ROOT_LOOPS_STRIPPED = "root-loops-stripped"
-    CORE_LOOPS_STRIPPED = "core-loops-stripped"
 
 
 @dataclass(frozen=True)
@@ -114,18 +104,6 @@ def _shift_root_loop(p: Poly, q: Poly, extra, mode: WeightMode) -> Poly:
     return p + _unit_mul(q, mode.w1_unit) * (mode.sigma_b * extra)
 
 
-def _unit_divide(p: Poly, unit, k: int) -> Poly:
-    if k == 0:
-        return p
-    if isinstance(unit, Poly):
-        if unit != _W1:
-            raise ValueError("polynomial unit must be the w1 variable")
-        return p.divide_var_power(wvar(1), k)
-    if unit == 1:
-        return p
-    return p * (Fraction(1) / unit) ** k
-
-
 def _unit_divide_terms(p: Poly, variables: Sequence[Var], unit) -> Poly:
     """p with each term divided by unit**k, k its total degree in the given
     variables; error if a term lacks the w1**k a symbolic unit needs."""
@@ -186,30 +164,23 @@ def coalescence_poly(bg: Poly, bh_minus_r: Poly, bh_tri: Poly, root_var: Var,
     return multilinear_ratio_substitute(core, [(root_var, bh_tri, bh_minus_r)])
 
 
-def rooted_product_poly(core_poly: Poly, gamma_polys: Sequence[tuple],
-                        flavor: ProductMode, w1_unit: Unit = 1) -> Poly:
-    """Product polynomial from the core polynomial and per-vertex triples.
+def rooted_product_poly(core_poly: Poly, gamma_polys: Sequence[tuple[Poly, Poly]],
+                        w1_unit: Unit = 1) -> Poly:
+    """Product polynomial from the core polynomial and one (numerator,
+    P(H - r)) pair per core vertex, x_i taking the i-th.
 
-    gamma_polys[i] = (ph, pl, ph_tri) holds the polynomials of the i-th
-    attachment carrying the full coalescence loop weight, of its root-deleted
-    graph, and of its root-loop-stripped graph.  With ROOT_LOOPS_STRIPPED the
-    core polynomial must carry all coalescence-node loops and ph_tri is the
-    substitution numerator; with CORE_LOOPS_STRIPPED the core must be
-    loop-free and ph is the numerator.  Unused entries may be None.  The unit
-    is divided out of the core polynomial before the substitution, so with a
-    symbolic unit a term in k of x_1..x_p must carry w1**k.
+    The numerator is P(H~), the attachment with its root loop stripped, when
+    the core polynomial carries all coalescence-node loops, and P(H), the
+    attachment with the full coalescence-node loop at its root, when the core
+    is loop-free.  The unit is divided out of the core polynomial before the
+    substitution, so with a symbolic unit a term in k of x_1..x_p must carry
+    w1**k.
     """
     p = len(gamma_polys)
     for v in core_poly.variables():
         if v.kind == 1 and v.index > p:
             raise ValueError(f"core polynomial mentions x{v.index} but only {p} attachments given")
-    targets = []
-    for i, entry in enumerate(gamma_polys, start=1):
-        ph, pl, ph_tri = entry
-        num = ph_tri if flavor is ProductMode.ROOT_LOOPS_STRIPPED else ph
-        if num is None or pl is None:
-            raise ValueError(f"attachment {i} lacks the polynomial needed for {flavor.value}")
-        targets.append((xvar(i), num, pl))
+    targets = [(xvar(i), num, pl) for i, (num, pl) in enumerate(gamma_polys, start=1)]
     core = _unit_divide_terms(core_poly, [v for v, _, _ in targets], w1_unit)
     return multilinear_ratio_substitute(core, targets)
 
@@ -222,10 +193,9 @@ def simple_rooted_product_poly(bg_simple: Poly, bh_tri: Poly, bh_minus_r: Poly,
     with powers of the attachment polynomials; exact, and identical to the
     substitution route.
     """
-    gammas = bg_simple.coeffs_in_x()
-    if len(gammas) - 1 != p:
-        raise ValueError(f"core polynomial has degree {len(gammas) - 1}, expected {p}")
-    ghat = [_unit_divide(g, w1_unit, p - i) for i, g in enumerate(gammas)]
+    ghat = _unit_divide_terms(bg_simple, [X], w1_unit).coeffs_in_x()
+    if len(ghat) - 1 != p:
+        raise ValueError(f"core polynomial has degree {len(ghat) - 1}, expected {p}")
     if ghat[0] != Poly.one():
         raise ValueError("gamma0 != 1: core polynomial is not monic after unit normalization")
     tri, rest = _powers(bh_tri, p), _powers(bh_minus_r, p)
@@ -245,9 +215,15 @@ def _powers(p: Poly, n: int) -> list[Poly]:
 
 def spectral_product_form(bg_roots: RootSet, bh_tri: Poly, bh_minus_r: Poly,
                           w1_unit: Unit = 1) -> Poly:
-    """Numeric product polynomial from the core roots: one factor per root."""
-    prod = _root_product(Poly.one(), bh_tri, _unit_mul(bh_minus_r, w1_unit), bg_roots)
-    return _unit_divide(prod, w1_unit, bg_roots.source_degree)
+    """Numeric product polynomial from the core roots: one factor per root.
+
+    The unit comes out of the core as in the substitution routes: bg(y / u),
+    monic, has the roots u * t for the roots t of bg, and y = P / Q turns
+    each into the factor bh_tri - u * t * bh_minus_r.
+    """
+    if isinstance(w1_unit, Poly):
+        raise ValueError("the root-product form needs a numeric unit")
+    return _root_product(Poly.one(), bh_tri, _unit_mul(bh_minus_r, w1_unit), bg_roots)
 
 
 def _root_product(prod: Poly, a: Poly, b: Poly, roots: RootSet) -> Poly:
@@ -272,7 +248,9 @@ def spectral_product_from_loops(bg_roots: RootSet, h: Graph, mode: WeightMode,
     base = h.loop(h.root)
     prod = Poly.one()
     for lam, mult in bg_roots.roots:
-        beta = -lam / (mode.sigma_b * mode.w1)
+        # the loop adds sigma_b * beta * w1 * P(H - r) = -w1 * lam * P(H - r),
+        # the factor of the unit-free core's root w1 * lam
+        beta = -lam / mode.sigma_b
         if beta.imag == 0:
             beta = beta.real
         decorated = attach_root_loop(h, base + beta)
@@ -315,7 +293,10 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
     normalized by the one-vertex unit weight, making the leading one 1.
     """
     bivar, p1, p2 = _part_collapsed(core, mode, cap)
-    p = core.p
+    try:
+        bivar = _unit_divide_terms(bivar, [yvar(1), yvar(2)], mode.w1_unit)
+    except ValueError as exc:
+        raise ValueError(f"not bipartite-consistent: {exc}") from exc
     buckets: list[dict] = [dict() for _ in range(p2 + 1)]
     for mono, coeff in bivar.terms().items():
         rest = dict(mono)
@@ -324,13 +305,7 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
         if k != p2 - e2 or not 0 <= k <= p2:
             raise ValueError(f"not bipartite-consistent: monomial y1^{e1}*y2^{e2}")
         buckets[k][tuple(rest.items())] = coeff
-    delta = []
-    for k, bucket in enumerate(buckets):
-        try:
-            delta.append(_unit_divide(Poly(bucket), mode.w1_unit, p - 2 * k))
-        except ValueError as exc:
-            raise ValueError(f"not bipartite-consistent: {exc}") from exc
-    return BipartiteExpansion(tuple(delta), p1, p2)
+    return BipartiteExpansion(tuple(Poly(bucket) for bucket in buckets), p1, p2)
 
 
 def restricted_product_poly(delta: BipartiteExpansion, ph1: Poly, pl1: Poly,
@@ -351,14 +326,10 @@ def restricted_product_poly(delta: BipartiteExpansion, ph1: Poly, pl1: Poly,
 def restricted_substitution_poly(bivariate: Poly, ph1: Poly, pl1: Poly,
                                  ph2: Poly, pl2: Poly, w1_unit: Unit = 1) -> Poly:
     """Restricted-product polynomial by direct substitution into the bivariate
-    core polynomial, denominators cleared.  Agrees exactly with the
-    expansion route."""
-    p = bivariate.degree_in(yvar(1)) + bivariate.degree_in(yvar(2))
-    raw = ratio_substitute(bivariate, [
-        (yvar(1), ph1, _unit_mul(pl1, w1_unit)),
-        (yvar(2), ph2, _unit_mul(pl2, w1_unit)),
-    ])
-    return _unit_divide(raw, w1_unit, p)
+    core polynomial, unit divided out first and denominators cleared.
+    Agrees exactly with the expansion route."""
+    core = _unit_divide_terms(bivariate, [yvar(1), yvar(2)], w1_unit)
+    return ratio_substitute(core, [(yvar(1), ph1, pl1), (yvar(2), ph2, pl2)])
 
 
 def one_sided_product_poly(delta: BipartiteExpansion, ph: Poly, pl: Poly,
@@ -469,21 +440,19 @@ def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
 _SITE = yvar(1)
 
 
-def _attached(targets: Sequence[tuple], p: Poly, q: Poly, mode: WeightMode) -> list[Poly]:
+def _attached(targets: Sequence[tuple], p: Poly, q: Poly) -> list[Poly]:
     """Rooted products of small cores with the branch p, of root-deleted
     graph q, at their attach sites.
 
     targets holds (core polynomial, k) per core: the core keeps its own loops,
-    its k attach sites are named y1 and every other vertex x.  The attachment
-    ratio p / (w1 * q) replaces y1, the result is divided by w1**k, and the
-    bare vertices need nothing.
+    its k attach sites are named y1 and every other vertex x, and the unit is
+    already divided out of it.  The attachment ratio p / q replaces y1, and
+    the bare vertices need nothing.
     """
-    ratio = [(_SITE, p, _unit_mul(q, mode.w1_unit))]
-    return [_unit_divide(ratio_substitute(core, ratio), mode.w1_unit, k) for core, k in targets]
+    return [ratio_substitute(core, [(_SITE, p, q)]) for core, _ in targets]
 
 
-def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple],
-              mode: WeightMode) -> list[tuple]:
+def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple]) -> list[tuple]:
     """_attached over the base, with P, Q and the products as (constant,
     exponents).  The base factors g that P and Q share cancel from the ratio,
     which leaves p_hat / q_hat in lowest terms and of small degree; each
@@ -496,9 +465,15 @@ def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[t
     q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()}).expand()
     carried = [{i: k * e for i, e in shared.items()} for _, k in targets]
     found = []
-    for attached in _attached(targets, p_hat, q_hat, mode):
+    for attached in _attached(targets, p_hat, q_hat):
         found.append(base.absorb(attached, held=carried + [e for _, e in found]))
     return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
+
+
+def _site_core(g: Graph, names: dict[int, Var], mode: WeightMode, cap: int) -> Poly:
+    """Polynomial of a tier core with the given vertex names, the unit
+    divided out of its attach sites."""
+    return _unit_divide_terms(circuit_poly(g, cap, _keep_x(mode), names), [_SITE], mode.w1_unit)
 
 
 def _unit_targets(unit: Graph, attach_sites: Sequence[int], mode: WeightMode,
@@ -511,14 +486,13 @@ def _unit_targets(unit: Graph, attach_sites: Sequence[int], mode: WeightMode,
     for g, kept in ((unit, range(1, unit.p + 1)),
                     (delete_root(unit), [v for v in range(1, unit.p + 1) if v != unit.root])):
         names = {i: _SITE if v in sites else X for i, v in enumerate(kept, start=1)}
-        targets.append((circuit_poly(g, cap, _keep_x(mode), names), len(sites.intersection(kept))))
+        targets.append((_site_core(g, names, mode, cap), len(sites.intersection(kept))))
     return targets
 
 
 def _core_target(core: Graph, mode: WeightMode, cap: int) -> tuple[Poly, int]:
     """The dendrimer core with a branch at every vertex."""
-    names = dict.fromkeys(range(1, core.p + 1), _SITE)
-    return circuit_poly(core, cap, _keep_x(mode), names), core.p
+    return _site_core(core, dict.fromkeys(range(1, core.p + 1), _SITE), mode, cap), core.p
 
 
 def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
@@ -531,7 +505,7 @@ def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode:
         return p_cur, q_cur
     targets = _unit_targets(unit, attach_sites, mode, cap)
     for _ in range(tiers):
-        p_cur, q_cur = _products(base, p_cur, q_cur, targets, mode)
+        p_cur, q_cur = _products(base, p_cur, q_cur, targets)
     return p_cur, q_cur
 
 
@@ -545,7 +519,7 @@ def _branch_plain(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: We
         return p, q
     targets = _unit_targets(unit, attach_sites, mode, cap)
     for _ in range(tiers):
-        p, q = _attached(targets, p, q, mode)
+        p, q = _attached(targets, p, q)
     return p, q
 
 
@@ -585,7 +559,7 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
                          "only polynomials in x are factored")
     base = CoprimeBase()
     p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
-    [(const, exps)] = _products(base, p_cur, q_cur, [_core_target(spec.core, mode, cap)], mode)
+    [(const, exps)] = _products(base, p_cur, q_cur, [_core_target(spec.core, mode, cap)])
     return base.factored(const, exps)
 
 
@@ -595,6 +569,6 @@ def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP
     tier recursion on plain polynomials."""
     if weight_gens(mode, max(spec.unit.p, spec.core.p)):
         p, q = _branch_plain(spec.unit, spec.attach_sites, spec.generations, mode, cap)
-        [poly] = _attached([_core_target(spec.core, mode, cap)], p, q, mode)
+        [poly] = _attached([_core_target(spec.core, mode, cap)], p, q)
         return poly
     return dendrimer_factored(spec, mode, cap).expand()

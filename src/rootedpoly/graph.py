@@ -8,6 +8,7 @@ arc pairs.  Graphs are immutable; every construction returns a new graph.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -396,12 +397,19 @@ def bipartition(g: Graph) -> tuple[int, ...]:
 # -- JSON interchange -------------------------------------------------------------
 
 
+# the form graph_to_json writes and parse_poly reads; Fraction alone would also
+# take exponents ("1e999999999", expanded before any check), decimals and spaces
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _weight_from_json(value, where: str) -> Weight:
     if isinstance(value, bool):
         raise GraphFormatError(f"{where}: weight must be a number or 'num/den' string")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise GraphFormatError(f"{where}: bad rational {value!r}, expected 'num' or 'num/den'")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

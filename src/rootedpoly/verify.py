@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import factor, spectra
-from .factor import ProductMode
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complete,
                     cycle, from_edges, k1, monodendron, monodendron_star,
                     path, rooted_product, restricted_rooted_product, star,
@@ -234,10 +233,9 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 triples = [triple(h_name, h, core.loop(k + 1), maps[k])
                            for k, (h_name, h) in enumerate(members)]
                 root_loops = {k + 1: h.loop(h.root) for k, h in enumerate(gamma)}
-                got_a = factor.rooted_product_poly(hatted(core_name, core, root_loops), triples,
-                                                   ProductMode.ROOT_LOOPS_STRIPPED, w1)
-                got_c = factor.rooted_product_poly(free, triples,
-                                                   ProductMode.CORE_LOOPS_STRIPPED, w1)
+                got_a = factor.rooted_product_poly(hatted(core_name, core, root_loops),
+                                                   [(ptri, pl) for _, pl, ptri in triples], w1)
+                got_c = factor.rooted_product_poly(free, [(ph, pl) for ph, pl, _ in triples], w1)
                 detail = f"{core_name} family {fam_idx} loops={loops}"
                 rep_attach.record(got_a == want, detail=detail)
                 rep_core.record(got_c == want, detail=detail)
@@ -248,8 +246,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     bg = hatted(core_name, core, root_loops, simple_generic)
                     _, pl, ptri = simple_triples[h_name]
                     # direct substitution into the simple core polynomial
-                    raw = ratio_substitute(bg, [(X, ptri, pl * w1)])
-                    got_sub = raw.divide_var_power(wvar(1), core.p)
+                    got_sub = ratio_substitute(factor._unit_divide_terms(bg, [X], w1), [(X, ptri, pl)])
                     rep_sub.record(got_sub == want_simple, detail=detail)
                     # expansion in powers of x
                     got_exp = factor.simple_rooted_product_poly(bg, ptri, pl, core.p, w1)

@@ -248,6 +248,13 @@ def test_non_array_graph_field_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == "error: 'arcs' must be a JSON array, got 5\n"
 
 
+def test_weight_with_an_exponent_exit_code(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"p": 2, "edges": [{"a": 1, "b": 2, "w": "1e400"}]}))
+    assert main(["poly", str(path)]) == EXIT_INPUT
+    assert "bad rational '1e400'" in capsys.readouterr().err
+
+
 def test_product_unwritable_output_exit_code(files, capsys):
     out = str(files["dir"] / "missing" / "x.json")
     assert main(["product", files["k2"], "--gamma", files["twig"], files["twig"], "-o", out]) == EXIT_INPUT

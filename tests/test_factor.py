@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from _brute import six_vertex_tree
-from rootedpoly.factor import (BipartiteExpansion, ProductMode, attachment_polys,
+from rootedpoly.factor import (BipartiteExpansion, attachment_polys,
                                bipartite_bivariate, bipartite_delta, coalescence_poly, core_parts,
                                dendrimer_poly, monodendron_polys, mu_squares,
                                one_sided_product_poly,
@@ -18,8 +18,9 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               cycle, delete_root, dendrimer, k1, path,
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, MODES,
-                               PERMANENTAL, UNDIRECTED_COVERS, char_poly_det, circuit_poly, simple_circuit_poly, specialize)
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
+                               MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS, WeightMode,
+                               char_poly_det, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import multiplicity_at, roots
 from rootedpoly.verify import bipartite_cores, corpus_attachments
@@ -27,10 +28,23 @@ from rootedpoly.verify import bipartite_cores, corpus_attachments
 TWIG = complete(2).with_root(1)
 W1 = Poly.variable(wvar(1))
 CHAR = CHARACTERISTIC_STANDARD
+# a one-vertex unit other than +-1: dividing by it and multiplying by it differ
+UNIT_TWO = WeightMode("unit-two", sigma_b=-1, w1=2, w2=3, w_rest=-1)
 
 
 def rename(p, mapping):
     return p.substitute_many({xvar(a): Poly.variable(xvar(b)) for a, b in mapping.items()})
+
+
+def tri_pairs(triples):
+    """(P(H~), P(H - r)) of each (P(H), P(H - r), P(H~)) triple: the pairs a
+    core polynomial carrying the coalescence-node loops takes."""
+    return [(ptri, pl) for _, pl, ptri in triples]
+
+
+def hat_pairs(triples):
+    """(P(H), P(H - r)) of each triple: the pairs a loop-free core takes."""
+    return [(ph, pl) for ph, pl, _ in triples]
 
 
 def test_coalescence_with_bare_vertex_is_identity():
@@ -71,10 +85,8 @@ def test_rooted_product_poly_flavors_agree_with_loops():
         triples.append((ph, pl, ptri))
     core_hat = Graph(p=3, arcs=core.arcs,
                      loops={v: core.loop(v) + h.loop(1) for v in (1, 2, 3)})
-    got_a = rooted_product_poly(circuit_poly(core_hat), triples,
-                                ProductMode.ROOT_LOOPS_STRIPPED, W1)
-    got_b = rooted_product_poly(circuit_poly(strip_all_loops(core)), triples,
-                                ProductMode.CORE_LOOPS_STRIPPED, W1)
+    got_a = rooted_product_poly(circuit_poly(core_hat), tri_pairs(triples), W1)
+    got_b = rooted_product_poly(circuit_poly(strip_all_loops(core)), hat_pairs(triples), W1)
     assert got_a == want
     assert got_b == want
 
@@ -82,8 +94,7 @@ def test_rooted_product_poly_flavors_agree_with_loops():
 def test_rooted_product_poly_arity_check():
     core = circuit_poly(complete(3))
     with pytest.raises(ValueError, match="attachments"):
-        rooted_product_poly(core, [(Poly.one(), Poly.one(), Poly.one())] * 2,
-                            ProductMode.CORE_LOOPS_STRIPPED)
+        rooted_product_poly(core, [(Poly.one(), Poly.one())] * 2)
 
 
 def test_simple_product_with_bare_attachment_returns_core():
@@ -200,6 +211,44 @@ def test_restricted_product_edge_core_twigs():
     ph = simple_circuit_poly(TWIG, CHAR)
     pl = simple_circuit_poly(delete_root(TWIG), CHAR)
     assert restricted_product_poly(delta, ph, pl, ph, pl) == parse_poly("x^4 - 3*x^2 + 1")
+
+
+@pytest.mark.parametrize("mode", [CHAR, UNIT_TWO], ids=lambda m: m.name)
+def test_restricted_routes_divide_out_the_unit(mode):
+    """Expansion and substitution agree with the built restricted product on
+    attachments with root loops, under a unit of 1 and of 2."""
+    t = six_vertex_tree()
+    h1, h2 = k1(loop=3), attach_root_loop(TWIG, Fraction(1, 2))
+    product, _ = restricted_rooted_product(t, h1, h2)
+    want = simple_circuit_poly(product, mode, cap=9)
+    ph1, pl1, _ = attachment_polys(h1, mode)
+    ph2, pl2, _ = attachment_polys(h2, mode)
+    assert restricted_product_poly(bipartite_delta(t, mode), ph1, pl1, ph2, pl2) == want
+    assert restricted_substitution_poly(bipartite_bivariate(t, mode), ph1, pl1, ph2, pl2,
+                                        mode.w1_unit) == want
+
+
+@pytest.mark.parametrize("mode", [CHARACTERISTIC_UNIFORM, UNIT_TWO], ids=lambda m: m.name)
+def test_uniform_product_routes_under_the_unit(mode):
+    """On a triangle core, whose roots are not symmetric and whose unit**3 is
+    not 1, the expansion and both root-product routes give the built product."""
+    bg = simple_circuit_poly(complete(3), mode)
+    tri = simple_circuit_poly(TWIG, mode)
+    pl = simple_circuit_poly(delete_root(TWIG), mode)
+    got = simple_rooted_product_poly(bg, tri, pl, 3, w1_unit=mode.w1)
+    product, _ = rooted_product(complete(3), [TWIG] * 3)
+    assert got == simple_circuit_poly(product, mode)
+    for numeric in (spectral_product_form(roots(bg), tri, pl, w1_unit=mode.w1),
+                    spectral_product_from_loops(roots(bg), TWIG, mode)):
+        dev = max(abs(complex(a) - complex(b)) for a, b in
+                  zip(got.univariate_coeffs(X), numeric.univariate_coeffs(X)))
+        assert dev < 1e-9
+
+
+def test_spectral_product_form_rejects_a_symbolic_unit():
+    bg = simple_circuit_poly(complete(2), CHAR)
+    with pytest.raises(ValueError, match="numeric unit"):
+        spectral_product_form(roots(bg), Poly.variable(X), Poly.one(), w1_unit=W1)
 
 
 def test_restricted_three_routes_on_flagship_tree():
@@ -468,8 +517,7 @@ def test_rooted_product_poly_on_directed_weighted_core():
         pl = circuit_poly(delete_root(h)).substitute_many(
             {xvar(1): Poly.variable(xvar(maps[k][1])), xvar(2): Poly.variable(xvar(maps[k][3]))})
         triples.append((ph, pl, ptri))
-    got = rooted_product_poly(circuit_poly(strip_all_loops(core)), triples,
-                              ProductMode.CORE_LOOPS_STRIPPED, W1)
+    got = rooted_product_poly(circuit_poly(strip_all_loops(core)), hat_pairs(triples), W1)
     assert got == want
 
 
@@ -501,19 +549,18 @@ def test_rooted_product_identities_on_random_directed_cores():
         core_hat = Graph(p=pc, arcs=core.arcs,
                          loops={v: core.loop(v) + gamma[v - 1].loop(gamma[v - 1].root)
                                 for v in range(1, pc + 1)})
-        got_a = rooted_product_poly(circuit_poly(core_hat), triples,
-                                    ProductMode.ROOT_LOOPS_STRIPPED, W1)
-        got_b = rooted_product_poly(circuit_poly(strip_all_loops(core)), triples,
-                                    ProductMode.CORE_LOOPS_STRIPPED, W1)
+        got_a = rooted_product_poly(circuit_poly(core_hat), tri_pairs(triples), W1)
+        got_b = rooted_product_poly(circuit_poly(strip_all_loops(core)), hat_pairs(triples), W1)
         assert got_a == want and got_b == want
         checked += 1
 
 
-@pytest.mark.parametrize("mode", [GENERIC, CHARACTERISTIC_STANDARD, MATCHING_MINUS],
+@pytest.mark.parametrize("mode", [GENERIC, CHARACTERISTIC_STANDARD, MATCHING_MINUS, UNIT_TWO],
                          ids=lambda m: m.name)
 def test_unit_divided_out_of_the_core(mode):
     """The unit comes off the core polynomial before the substitution, for a
-    symbolic w1, w1 = 1 and w1 = -1, on a core and attachments with loops."""
+    symbolic w1, w1 = 1, w1 = -1 and w1 = 2, on a core and attachments with
+    loops."""
     from rootedpoly.verify import attachment_triple
 
     core = Graph(p=3, arcs=complete(3).arcs, loops={1: 2, 3: -1})
@@ -525,10 +572,9 @@ def test_unit_divided_out_of_the_core(mode):
                for k, h in enumerate(gamma)]
     core_hat = Graph(p=3, arcs=core.arcs,
                      loops={v: core.loop(v) + h.loop(h.root) for v, h in enumerate(gamma, 1)})
-    assert rooted_product_poly(circuit_poly(core_hat, 9, mode), triples,
-                               ProductMode.ROOT_LOOPS_STRIPPED, unit) == want
-    assert rooted_product_poly(circuit_poly(strip_all_loops(core), 9, mode), triples,
-                               ProductMode.CORE_LOOPS_STRIPPED, unit) == want
+    assert rooted_product_poly(circuit_poly(core_hat, 9, mode), tri_pairs(triples), unit) == want
+    assert rooted_product_poly(circuit_poly(strip_all_loops(core), 9, mode),
+                               hat_pairs(triples), unit) == want
 
     for h in gamma:
         product, maps = rooted_product(core, [h, k1(), k1()])
@@ -542,7 +588,7 @@ def test_core_term_without_its_unit_is_rejected():
     bare = Poly.variable(xvar(1))  # x1 without the w1 of its fixed point
     ph, pl, ptri = attachment_polys(TWIG, GENERIC, 9, {1: 1, 2: 2})
     with pytest.raises(ValueError, match="not divisible by w1"):
-        rooted_product_poly(bare, [(ph, pl, ptri)], ProductMode.ROOT_LOOPS_STRIPPED, W1)
+        rooted_product_poly(bare, [(ptri, pl)], W1)
     with pytest.raises(ValueError, match="not divisible by w1"):
         coalescence_poly(bare, pl, ptri, xvar(1), w1_unit=W1)
 

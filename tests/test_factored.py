@@ -12,11 +12,15 @@ from rootedpoly.factor import dendrimer_factored, dendrimer_poly
 from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd
 from rootedpoly.graph import DendrimerSpec, Graph, complete, cycle, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
-                               MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, simple_circuit_poly)
+                               MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, WeightMode,
+                               simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly, wvar
 from rootedpoly.spectra import _real_root_count, dendrimer_spectrum
 
-MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC]
+# UNIT_TWO has a one-vertex unit other than +-1, so the tier step's division
+# by the unit cannot pass for a multiplication
+UNIT_TWO = WeightMode("unit-two", sigma_b=-1, w1=2, w2=3, w_rest=-1)
+MODES = [CHARACTERISTIC_STANDARD, PERMANENTAL, MATCHING_MINUS, CHARACTERISTIC_UNIFORM, GENERIC, UNIT_TWO]
 
 
 def as_sympy(f: list[int]) -> sympy.Poly:
@@ -289,6 +293,7 @@ LOOPED = DendrimerSpec(core=Graph(p=2, arcs={(1, 2): 1, (2, 1): 1}, loops={1: Fr
 @given(dendrimer_specs(), st.sampled_from(MODES))
 @example(LOOPED, CHARACTERISTIC_STANDARD)
 @example(LOOPED, GENERIC)
+@example(LOOPED, UNIT_TWO)
 def test_factored_recursion_matches_built_dendrimer(spec, mode):
     built = dendrimer(spec)
     assert dendrimer_poly(spec, mode) == simple_circuit_poly(built, mode, cap=built.p)

@@ -232,6 +232,15 @@ def test_json_errors():
         graph_from_json({"p": 2, "arcs": [{"from": 1}]})
     with pytest.raises(GraphFormatError, match="rational"):
         graph_from_json({"p": 2, "arcs": [{"from": 1, "to": 2, "w": "x"}]})
+    # only the written form -?num(/den)?: no exponent (Fraction would expand
+    # 10**exp first), decimal point, digit separator or surrounding space
+    for text in ["1e400", "1E5", "0.5", "1_000", " 3", "3 ", "+3", "1/-2", "1/0", "", "/2"]:
+        for doc in ({"p": 2, "arcs": [{"from": 1, "to": 2, "w": text}]},
+                    {"p": 2, "edges": [{"a": 1, "b": 2, "w": text}]},
+                    {"p": 1, "loops": [{"at": 1, "b": text}]}):
+            with pytest.raises(GraphFormatError, match="rational"):
+                graph_from_json(doc)
+    assert graph_from_json({"p": 1, "loops": [{"at": 1, "b": "-6/4"}]}).loop(1) == Fraction(-3, 2)
     # JSON booleans and floats are no vertex counts or indices
     for doc, where in [({"p": True}, "'p'"),
                        ({"p": 2, "arcs": [{"from": 1, "to": 2.0}]}, "arcs\\[0\\].to"),
