@@ -3,7 +3,8 @@
 Subcommands: poly (circuit polynomial of a graph file), product (construct
 rooted products), verify (identity suites), spectrum (numeric roots).
 Exit codes: 0 success, 2 input or validation problem or a numeric failure,
-3 enumeration cap exceeded, 4 verification failure.  ROOTEDPOLY_CAP
+3 enumeration cap exceeded (or a cover recursion too deep), 4 verification
+failure.  ROOTEDPOLY_CAP
 overrides the default cap.
 """
 

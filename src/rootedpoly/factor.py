@@ -31,13 +31,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
-from .factored import CoprimeBase, Factored
+from .factored import CoprimeBase, Factored, divides, multiplicity_at
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
                     edge_join, normalize_parts, strip_root_loops)
 from .oracle import DEFAULT_CAP, WeightMode, circuit_poly
-from .poly import (_FIELD, Poly, Var, X, _from_keys, _shift, divides,
-                   multilinear_ratio_substitute, ratio_substitute, wvar, xvar, yvar)
-from .spectra import RootSet, multiplicity_at, roots as numeric_roots
+from .poly import (_FIELD, Poly, Var, X, _from_keys, _shift, multilinear_ratio_substitute,
+                   ratio_substitute, wvar, xvar, yvar)
+from .spectra import RootSet, roots as numeric_roots
 
 Unit = Poly | int | Fraction
 

@@ -19,6 +19,12 @@ derivative.  Only a leftover with a repeated root needs the full square-free
 split of _square_free.  Polynomials with symbolic weights have no place
 here; the dendrimer tier recursion multiplies them out as Poly values.
 
+The same integer lists carry the library's other exact work in x: the
+divisibility test divides and the root multiplicity multiplicity_at, each a
+checked division of primitive integer lists (by Gauss's lemma, a division
+over the rationals is one over the integers of the primitive parts; Knuth,
+TAOCP vol. 2, 4.6.1).
+
 Expanding a univariate product never multiplies two big polynomials.  With
 P = prod g_i**m_i, D = prod g_i and N = sum m_i g_i' D / g_i, the logarithmic
 derivative gives D P' = N P, so each coefficient of P follows from the s
@@ -142,6 +148,50 @@ def _exquo(f: list[int], g: list[int]) -> list[int]:
     if not q or any(r[len(q):]):
         raise ArithmeticError("inexact division of integer polynomials")
     return q
+
+
+def divides(d: Poly, p: Poly) -> tuple[bool, Poly | None]:
+    """Exact divisibility of polynomials in x: (True, p / d) when p == d * q
+    exactly, else (False, None).
+
+    By Gauss's lemma d divides p over the rationals exactly when the
+    primitive part of d's integer list divides p's integer list, so the test
+    is one checked integer division, and the quotient is scaled by the ratio
+    of the two scales and d's content.  Both must be exact and in x alone;
+    anything else raises ValueError, for d with "unsupported divisor".
+    """
+    if d.is_zero():
+        raise ValueError("zero divisor")
+    try:
+        d_scale, f = _to_coeffs(d)
+    except ValueError as exc:
+        raise ValueError(f"unsupported divisor: {exc}") from exc
+    if p.is_zero():
+        return True, Poly.zero()
+    p_scale, h = _to_coeffs(p)
+    g = _primitive(f)
+    try:
+        q = _exquo(h, g)
+    except ArithmeticError:
+        return False, None
+    ratio = p_scale / (d_scale * (f[0] // g[0]))
+    return True, Poly.from_univariate_coeffs([ratio * c for c in q])
+
+
+def multiplicity_at(p: Poly, lam: int | Fraction) -> int:
+    """Largest k with (x - lam)**k dividing p, by repeated checked division
+    of p's integer list by den * x - num for lam = num / den."""
+    if p.is_zero():
+        raise ValueError("zero polynomial")
+    _, f = _to_coeffs(p)
+    lam = Fraction(lam)
+    root, count = [lam.denominator, -lam.numerator], 0
+    try:
+        while True:
+            f = _exquo(f, root)
+            count += 1
+    except ArithmeticError:
+        return count
 
 
 def _square_free(f: list[int]) -> list[tuple[list[int], int]]:

@@ -29,7 +29,8 @@ DEFAULT_CAP = 9
 
 
 class OracleCapExceeded(ValueError):
-    """Raised when a graph is too large for factorial-flavoured enumeration."""
+    """Raised when a graph is too large for factorial-flavoured enumeration,
+    or for the depth of the cover recursion."""
 
 
 @dataclass(frozen=True)
@@ -131,6 +132,10 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     the division is exact in Fraction and integral results come back as int.
     Otherwise D = 1: nothing is scaled or divided, which covers float loops
     and complex arc weights.
+
+    The recursion goes one level deeper per choice, so a graph of about a
+    thousand vertices can exceed the interpreter's recursion limit whatever
+    the cap; that raises OracleCapExceeded too.
     """
     p = g.p
     if p > cap:
@@ -191,8 +196,13 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
                         d[key + code] = d.get(key + code, 0) + c * coeff
         return memo[mask]
 
-    terms = cover(0)
-    del cover  # it calls itself; unbinding it frees the memo now, not at a garbage collection
+    try:
+        terms = cover(0)
+    except RecursionError:
+        raise OracleCapExceeded(
+            f"graph has {p} vertices, too many for the depth of the cover recursion") from None
+    finally:
+        del cover  # it calls itself; unbinding it frees the memo now, not at a garbage collection
     if scale != 1:
         denom = scale ** p
         terms = {key: Fraction(c, denom) for key, c in terms.items()}

@@ -30,6 +30,9 @@ denominators to integers and divides the result by it once, so the folds,
 sums and products in between run on integers wherever the replacements'
 coefficients are integers.  Float and complex coefficients keep their own
 rounding order.
+
+Exact division and root multiplicity in x live in factored, on integer
+coefficient lists.
 """
 
 from __future__ import annotations
@@ -376,20 +379,6 @@ class Poly:
             out[deg - e] = coeff
         return out
 
-    def divide_var_power(self, v: Var, k: int) -> "Poly":
-        """Exact division by v**k; error if any term lacks the factor."""
-        if k < 0:
-            raise ValueError(f"negative power {k} of {v}")
-        if k == 0:
-            return self
-        shift = _shift(v)
-        out: dict[int, Coeff] = {}
-        for key, coeff in self._terms.items():
-            if key >> shift & _FIELD < k:
-                raise ValueError(f"term {_format_term(_mono(key), coeff, first=True)} not divisible by {v}^{k}")
-            out[key - (k << shift)] = coeff
-        return _from_keys(out)
-
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
@@ -578,40 +567,6 @@ def multilinear_ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Pol
         if p.degree_in(v) > 1:
             raise ValueError(f"not multilinear: degree of {v} exceeds 1")
     return ratio_substitute(p, targets)
-
-
-# -- exact univariate division ----------------------------------------------
-
-
-def divides(d: Poly, p: Poly) -> tuple[bool, Poly | None]:
-    """Exact divisibility test for univariate polynomials in x.
-
-    Returns (True, quotient) when p == d * q exactly, else (False, None).
-    """
-    if d.is_zero():
-        raise ValueError("zero divisor")
-    try:
-        dc = d.univariate_coeffs(X)
-    except ValueError as exc:
-        raise ValueError(f"unsupported divisor: {exc}") from exc
-    pc = p.univariate_coeffs(X)
-    if p.is_zero():
-        return True, Poly.zero()
-    if len(pc) < len(dc):
-        return False, None
-    rem = [Fraction(c) if isinstance(c, int) else c for c in pc]
-    lead = dc[0]
-    qlen = len(pc) - len(dc) + 1
-    quot: list[Coeff] = [0] * qlen
-    for i in range(qlen):
-        q = rem[i] / lead
-        quot[i] = q
-        if q != 0:
-            for j, dj in enumerate(dc):
-                rem[i + j] -= q * dj
-    if any(c != 0 for c in rem[qlen:]):
-        return False, None
-    return True, Poly.from_univariate_coeffs(quot)
 
 
 # -- parsing of the canonical text form ---------------------------------------

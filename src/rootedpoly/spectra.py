@@ -11,7 +11,8 @@ multiplicities of exact input come from the factorization alone; only the
 roots of a float-coefficient polynomial are merged within the cluster
 tolerance.
 Residuals are reported against the factor a root was extracted from, which
-keeps them meaningful for huge-coefficient inputs.
+keeps them meaningful for huge-coefficient inputs.  The exact multiplicity
+of one given root comes from factored.multiplicity_at.
 """
 
 from __future__ import annotations
@@ -141,29 +142,6 @@ def _times_power_of_two(z: complex, shift: int) -> complex:
             return math.copysign(math.inf, v)
 
     return z if shift == 0 else complex(part(z.real), part(z.imag))
-
-
-def multiplicity_at(p: Poly, lam: int | Fraction) -> int:
-    """Largest k with (x - lam)**k dividing p, by repeated exact division."""
-    coeffs = p.univariate_coeffs(X)
-    if not p.is_exact():
-        raise ValueError("exact multiplicity needs exact coefficients")
-    if p.is_zero():
-        raise ValueError("zero polynomial")
-    lam = Fraction(lam)
-    count = 0
-    while len(coeffs) > 1:
-        # synthetic division by (x - lam); the final accumulator is the remainder
-        acc = Fraction(0)
-        quotient = []
-        for c in coeffs:
-            acc = acc * lam + c
-            quotient.append(acc)
-        if acc != 0:
-            break
-        coeffs = quotient[:-1]
-        count += 1
-    return count
 
 
 def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 1e-7) -> RootSet:

@@ -14,13 +14,14 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import factor, spectra
+from .factored import divides, multiplicity_at
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complete,
                     cycle, from_edges, k1, monodendron, monodendron_star,
                     path, rooted_product, restricted_rooted_product, star,
                     strip_all_loops, strip_root_loops)
 from .oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode,
                      char_poly_det, circuit_poly)
-from .poly import Poly, X, divides, ratio_substitute, wvar, xvar
+from .poly import Poly, X, ratio_substitute, wvar, xvar
 
 SUITE_CAP = 13
 
@@ -125,19 +126,7 @@ def bipartite_cores() -> list[tuple[str, Graph]]:
     return out
 
 
-# -- constituent polynomials in the product's variable space --------------------
-
-
-def attachment_triple(h: Graph, extra_root_loop, mode: WeightMode, cap: int,
-                      vmap: dict[int, int] | None = None):
-    """(full, root-deleted, root-loop-stripped) polynomials of one attachment.
-
-    extra_root_loop is the loop weight the attachment root picks up from the
-    core vertex it lands on.  With vmap given, per-vertex variables are renamed
-    into the product graph's numbering; otherwise the simple collapse applies.
-    """
-    hhat = attach_root_loop(h, extra_root_loop + h.loop(h.root))
-    return factor.attachment_polys(hhat, mode, cap, vmap)
+# -- helpers ----------------------------------------------------------------------
 
 
 def _with_loops(g: Graph, loops: dict[int, int]) -> Graph:
@@ -177,7 +166,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
     # simple polynomials of the uniform families' attachments; the suite skips
     # every product beyond the cap, so it never needs a larger attachment
     fits = [(n, h) for n, h in attachments if h.p <= cap]
-    simple_triples = {n: attachment_triple(h, 0, GENERIC, cap) for n, h in fits}
+    simple_triples = {n: factor.attachment_polys(h, GENERIC, cap) for n, h in fits}
     tri_chars = {n: circuit_poly(strip_root_loops(h), cap, simple_char) for n, h in fits}
 
     # P(H~) and P(H - r) of each attachment in the product's numbering, by
@@ -253,7 +242,7 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     rep_exp.record(got_exp == want_simple, detail=detail)
 
                     # zero-root divisibility of the product polynomial
-                    s = spectra.multiplicity_at(hatted(core_name, core, root_loops, simple_char), 0)
+                    s = multiplicity_at(hatted(core_name, core, root_loops, simple_char), 0)
                     if s >= 1:
                         ok, _ = divides(tri_chars[h_name] ** s, circuit_poly(product, cap, simple_char))
                         rep_div.record(ok, detail=detail)
@@ -299,7 +288,7 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
         char_delta = factor.bipartite_delta(core, CHARACTERISTIC_STANDARD, cap)
         rep_struct.record(all(_parity_and_divisibility(simple, p1, p2))
                           and _from_delta(char_delta) == simple, detail=core_name)
-        zero_mult = spectra.multiplicity_at(simple, 0)
+        zero_mult = multiplicity_at(simple, 0)
         pairs = [(a, a) for a in attachments]
         pairs += [(attachments[i], attachments[(i + 2) % len(attachments)])
                   for i in range(len(attachments))]

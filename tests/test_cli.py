@@ -285,20 +285,39 @@ def test_boundary_numeric_options_accepted(files, capsys):
     assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "2"]) == EXIT_OK
 
 
-def test_closed_stdout_pipe_exits_quietly(files):
-    """The reader of stdout is gone before the first write, as in `... | head`."""
+def cli_env() -> dict:
+    """The environment for running the CLI from this checkout in a subprocess."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return env
+
+
+def test_closed_stdout_pipe_exits_quietly(files):
+    """The reader of stdout is gone before the first write, as in `... | head`."""
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", "spectrum", files["tree"]],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+                              stdout=write_end, stderr=subprocess.PIPE, env=cli_env(), text=True,
                               timeout=120)
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("command", ["poly", "spectrum"])
+def test_too_deep_cover_recursion_exits_with_the_cap_code(command, tmp_path):
+    """A 1100-vertex path under a cap that admits it needs a cover recursion
+    deeper than the interpreter allows; it ends with exit 3 and one line on
+    stderr, not a traceback."""
+    path = tmp_path / "path1100.json"
+    path.write_text(json.dumps({"p": 1100, "edges": [{"a": i, "b": i + 1} for i in range(1, 1100)]}))
+    done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", command, str(path), "--cap", "2000"],
+                          capture_output=True, env=cli_env(), text=True, timeout=120)
+    assert done.returncode == EXIT_CAP
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: graph has 1100 vertices") and done.stderr.count("\n") == 1
 
 
 # -- the JSON writers against json.dumps ---------------------------------------

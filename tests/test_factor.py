@@ -21,8 +21,9 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS, WeightMode,
                                char_poly_det, circuit_poly, simple_circuit_poly, specialize)
-from rootedpoly.poly import Poly, X, divides, parse_poly, wvar, xvar, yvar
-from rootedpoly.spectra import multiplicity_at, roots
+from rootedpoly.factored import divides, multiplicity_at
+from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
+from rootedpoly.spectra import roots
 from rootedpoly.verify import bipartite_cores, corpus_attachments
 
 TWIG = complete(2).with_root(1)
@@ -358,12 +359,26 @@ def test_attachment_polys_names_match_renaming(b):
                             {k: vmap[v] for k, v in enumerate(others, start=1)})
 
 
+def divide_w1_power(p: Poly, k: int) -> Poly:
+    """p / w1**k term by term; a term without w1**k raises ValueError."""
+    out = {}
+    for mono, c in p.terms().items():
+        exps = dict(mono)
+        if exps.get(wvar(1), 0) < k:
+            raise ValueError(f"a term of {p} is not divisible by w1^{k}")
+        exps[wvar(1)] = exps.get(wvar(1), 0) - k
+        out[tuple((v, e) for v, e in exps.items() if e)] = c
+    return Poly(out)
+
+
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_bipartite_polys_match_the_specialize_route(mode):
     """The bivariate polynomial and the expansion coefficients equal those of
     the generic polynomial with part variables substituted, then specialized."""
     mode = MODES[mode]
     keep = replace(mode, collapse_x=False)
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_w1_power(W1 + W1 ** 2, 2)
     for _, core in bipartite_cores():
         parts, p1, p2 = core_parts(core)
         generic = circuit_poly(core).substitute_many(
@@ -374,7 +389,7 @@ def test_bipartite_polys_match_the_specialize_route(mode):
             bucket = Poly({tuple(ve for ve in mono if ve[0] not in (yvar(1), yvar(2))): c
                            for mono, c in generic.terms().items()
                            if dict(mono).get(yvar(1), 0) == p1 - k})
-            assert d == specialize(bucket.divide_var_power(wvar(1), core.p - 2 * k), keep, core)
+            assert d == specialize(divide_w1_power(bucket, core.p - 2 * k), keep, core)
 
 
 def test_reciprocal_flagship_and_cycle():
@@ -527,8 +542,6 @@ def test_rooted_product_identities_on_random_directed_cores():
     import random
 
     from _brute import random_graph
-    from rootedpoly.graph import attach_root_loop
-    from rootedpoly.verify import attachment_triple
 
     rng = random.Random(7)
     checked = 0
@@ -544,8 +557,8 @@ def test_rooted_product_identities_on_random_directed_cores():
         if product.p > 8:
             continue
         want = circuit_poly(product, cap=9)
-        triples = [attachment_triple(h, core.loop(k + 1), GENERIC, 9, maps[k])
-                   for k, h in enumerate(gamma)]
+        triples = [attachment_polys(attach_root_loop(h, core.loop(k + 1) + h.loop(h.root)),
+                                    GENERIC, 9, maps[k]) for k, h in enumerate(gamma)]
         core_hat = Graph(p=pc, arcs=core.arcs,
                          loops={v: core.loop(v) + gamma[v - 1].loop(gamma[v - 1].root)
                                 for v in range(1, pc + 1)})
@@ -561,15 +574,13 @@ def test_unit_divided_out_of_the_core(mode):
     """The unit comes off the core polynomial before the substitution, for a
     symbolic w1, w1 = 1, w1 = -1 and w1 = 2, on a core and attachments with
     loops."""
-    from rootedpoly.verify import attachment_triple
-
     core = Graph(p=3, arcs=complete(3).arcs, loops={1: 2, 3: -1})
     gamma = [TWIG, attach_root_loop(path(3).with_root(2), 1), k1(loop=3)]
     unit = mode.w1_unit
     product, maps = rooted_product(core, gamma)
     want = circuit_poly(product, 9, mode)
-    triples = [attachment_triple(h, core.loop(k + 1), mode, 9, maps[k])
-               for k, h in enumerate(gamma)]
+    triples = [attachment_polys(attach_root_loop(h, core.loop(k + 1) + h.loop(h.root)),
+                                mode, 9, maps[k]) for k, h in enumerate(gamma)]
     core_hat = Graph(p=3, arcs=core.arcs,
                      loops={v: core.loop(v) + h.loop(h.root) for v, h in enumerate(gamma, 1)})
     assert rooted_product_poly(circuit_poly(core_hat, 9, mode), tri_pairs(triples), unit) == want
@@ -578,7 +589,8 @@ def test_unit_divided_out_of_the_core(mode):
 
     for h in gamma:
         product, maps = rooted_product(core, [h, k1(), k1()])
-        _, pl, ptri = attachment_triple(h, core.loop(1), mode, 9, maps[0])
+        hhat = attach_root_loop(h, core.loop(1) + h.loop(h.root))
+        _, pl, ptri = attachment_polys(hhat, mode, 9, maps[0])
         core_hat = Graph(p=3, arcs=core.arcs, loops={**core.loops, 1: core.loop(1) + h.loop(h.root)})
         got = coalescence_poly(circuit_poly(core_hat, 9, mode), pl, ptri, xvar(1), w1_unit=unit)
         assert got == circuit_poly(product, 9, mode)

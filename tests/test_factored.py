@@ -9,7 +9,7 @@ from sympy.polys.rootisolation import dup_count_real_roots
 
 from _brute import tree_char_value
 from rootedpoly.factor import dendrimer_factored, dendrimer_poly
-from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd
+from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd, divides, multiplicity_at
 from rootedpoly.graph import DendrimerSpec, Graph, complete, cycle, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, WeightMode,
@@ -226,6 +226,62 @@ def test_list_exact_quotient_raises_on_a_remainder():
     for f, g in (([1, 0, 1], [1, -1]), ([3, 3], [2]), ([1, 1], [1, 0, 0]), ([2, 1], [2, 0])):
         with pytest.raises(ArithmeticError):
             _exquo(f, g)
+
+
+# -- divisibility and root multiplicity on the integer lists ------------------------
+
+FRACTION_COEFFS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+FRACTION_POLYS = st.lists(FRACTION_COEFFS, min_size=1, max_size=5).map(Poly.from_univariate_coeffs)
+
+
+@given(st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool),
+       st.integers(0, 4), FRACTION_POLYS.filter(bool))
+@example(Fraction(2, 3), 2, parse_poly("3*x^2 - 2*x"))  # g has the root 2/3 once more
+def test_multiplicity_counts_each_linear_factor(lam, k, g):
+    b, a = lam.denominator, lam.numerator
+    p = (b * Poly.variable(X) - a) ** k * g
+    assert multiplicity_at(p, lam) == k + multiplicity_at(g, lam)
+
+
+@given(st.integers(-6, -1), st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+       FRACTION_COEFFS.filter(lambda c: c > 0), FRACTION_POLYS)
+def test_divides_round_trip_with_negative_non_primitive_divisors(lead, rest, scale, q):
+    """d is a positive scale times a non-constant integer list with the
+    negative leading coefficient lead and content |lead|, so the quotient
+    depends on that content and its sign."""
+    d = scale * Poly.from_univariate_coeffs([lead] + [lead * c for c in rest])
+    assert divides(d, d * q) == (True, q)
+    assert divides(d, d * q + 1) == (False, None)
+
+
+def test_divides_scales_the_quotient_by_the_divisor_content():
+    x = Poly.variable(X)
+    assert divides(-2 * x + 4, x ** 2 - 4) == (True, Fraction(-1, 2) * x - 1)
+    assert divides(Fraction(-2, 3) * x + Fraction(4, 3), x ** 2 - 4) == (True, Fraction(-3, 2) * x - 3)
+    assert divides(-2 * x + 4, x ** 2 + 4) == (False, None)
+    assert divides(Poly.const(-6), Fraction(3, 2) * x) == (True, Fraction(-1, 4) * x)
+    assert divides(x, Poly.zero()) == (True, Poly.zero())
+
+
+def test_kernel_rejects_zero_float_and_multivariate_input():
+    x, w1 = Poly.variable(X), Poly.variable(wvar(1))
+    with pytest.raises(ValueError, match="zero divisor"):
+        divides(Poly.zero(), x)
+    with pytest.raises(ValueError, match="zero polynomial"):
+        multiplicity_at(Poly.zero(), 0)
+    with pytest.raises(ValueError, match="exact"):
+        divides(x, 0.5 * x ** 2)
+    with pytest.raises(ValueError, match="unsupported divisor"):
+        divides(0.5 * x, x ** 2)
+    with pytest.raises(ValueError, match="exact"):
+        multiplicity_at(x ** 2 - 0.25, Fraction(1, 2))
+    with pytest.raises(ValueError, match="not univariate"):
+        divides(x, w1 * x ** 2)
+    with pytest.raises(ValueError, match="unsupported divisor"):
+        divides(w1 * x, x ** 2)
+    with pytest.raises(ValueError, match="not univariate"):
+        multiplicity_at(w1 * x, 0)
 
 
 # -- the factored tier recursion against the built dendrimer ------------------------

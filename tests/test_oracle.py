@@ -39,6 +39,13 @@ def test_cap_enforced():
         circuit_poly(path(5), cap=4)
 
 
+def test_too_deep_cover_recursion_is_a_cap_error():
+    """The cover recursion goes one level per covered vertex or cycle; past
+    the interpreter's depth it raises the cap error, not RecursionError."""
+    with pytest.raises(OracleCapExceeded, match="1100 vertices"):
+        circuit_poly(Graph(p=1100), cap=2000, mode=MATCHING_MINUS.simple())
+
+
 @st.composite
 def small_graphs(draw):
     rng = random.Random(draw(st.integers(0, 10 ** 9)))

@@ -11,8 +11,9 @@ from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root
                               star)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
                                SIMPLE, char_poly_det, circuit_poly, simple_circuit_poly)
+from rootedpoly.factored import multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly
-from rootedpoly.spectra import RootSet, dendrimer_spectrum, multiplicity_at, roots
+from rootedpoly.spectra import RootSet, dendrimer_spectrum, roots
 
 CHAR = CHARACTERISTIC_STANDARD
 
