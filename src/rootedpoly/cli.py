@@ -89,10 +89,7 @@ def _poly_json(p: Poly) -> str:
 def cmd_poly(args) -> int:
     g = _load_graph(args.graph)
     mode = mode_by_name(args.mode)
-    if args.full:
-        result = circuit_poly(g, args.cap, mode)
-    else:
-        result = simple_circuit_poly(g, mode, args.cap)
+    result = circuit_poly(g, args.cap, mode if args.full else mode.simple())
     if args.format == "json":
         print(_poly_json(result))
     else:

@@ -121,7 +121,11 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     only reachable states, so a sparse graph costs no more than a walk over
     its paths, and a dense one O(2^p * p^2) instead of one step per path.
     Paths that meet in a state are summed before they are extended, so float
-    cycle sums may round differently from a path-by-path sum.
+    cycle sums may round differently from a path-by-path sum.  The table runs
+    at most L layers, L the longest cycle length l whose w_l the mode keeps
+    nonzero, a symbolic w_l counting as nonzero: L = p in the generic and
+    characteristic modes, while in the matching modes, where w_l = 0 for
+    l >= 3, the table holds only 2-cycles.
 
     When every weight is an int or a Fraction and one is a Fraction, each arc
     and loop weight is multiplied by the lcm D of their denominators, and the
@@ -149,10 +153,12 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in arcs.items():
         out[i].append((j, w))
+    # the longest cycle whose weight the mode keeps nonzero; a symbolic w_l counts
+    longest = max((l for l in range(1, p + 1) if mode.w_value(l) != 0), default=0)
     cycles: dict[int, dict] = {v: {} for v in range(1, p + 1)}  # lowest vertex -> {set: weight}
     for v, found in cycles.items():
         layer = {(1 << (v - 1), v): 1}
-        while layer:
+        for _ in range(longest):  # the k-th round closes the cycles of length k
             nxt: dict = {}
             for (used, u), acc in layer.items():
                 for t, w in out[u]:
@@ -162,6 +168,8 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
                         state = (used | 1 << (t - 1), t)
                         nxt[state] = nxt.get(state, 0) + acc * w
             layer = nxt
+            if not layer:
+                break
 
     # w_l under the mode as (key, coefficient), for l = 1..p
     wmode = []
@@ -246,13 +254,15 @@ def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> P
     """Specialized polynomial with all vertex variables collapsed into x.
 
     It still expands the full polynomial and then specializes it, where
-    circuit_poly(g, cap, mode.simple()) would not.  Its remaining callers are
-    the CLI's simple polynomials and spectra, the tests and the scripts; the
-    library's verify suites and factor routes call circuit_poly directly.
-    The benchmark's tracer tests in bench/test_bench.py expect the CLI path
-    to pass through specialize (an oracle.specialize span, and a nonzero
-    oracle.reenumerations count on small-graphs), so switching it waits for
-    the change to the benchmark in ROADMAP item 6.
+    circuit_poly(g, cap, mode.simple()) would not.  Its one remaining CLI
+    caller is `spectrum`; `poly`, the verify suites and the factor routes
+    call circuit_poly directly.  Three benchmark tests hold spectrum on this
+    route: tests/test_bench_targets.py::test_traced_run_records_probes wants
+    an oracle.specialize span from spectrum,
+    bench/test_bench.py::test_tracer_patches_every_alias_and_restores_them
+    calls this function, and test_smoke_traced[small-graphs] wants a nonzero
+    oracle.reenumerations count.  Switching spectrum waits for the change to
+    the benchmark in ROADMAP item 2.
     """
     return specialize(circuit_poly(g, cap), mode.simple(), g)
 

@@ -147,6 +147,53 @@ def undirected_cover_poly(g: Graph) -> Poly:
     return total
 
 
+def lowest_vertex_matching_poly(g: Graph, w1, w2, sigma_b: int = 1) -> Poly:
+    """P(G) in x when every cycle of three or more vertices has weight 0, by
+    the recurrence on the lowest vertex v of G:
+    P(G) = w1 (x + sigma_b b_v) P(G - v) + w2 sum_u a_vu a_uv P(G - u - v).
+    Memoized on the set of remaining vertices, so a graph with a narrow
+    numbering, such as a ladder or a grid numbered row by row, costs few sets."""
+    memo: dict[frozenset, list] = {frozenset(): [1]}
+
+    def rec(rest: frozenset) -> list:  # ascending coefficients
+        if rest not in memo:
+            v = min(rest)
+            without_v = rest - {v}
+            below = rec(without_v)
+            out = [0] + [w1 * c for c in below]
+            for i, c in enumerate(below):
+                out[i] += w1 * sigma_b * g.loop(v) * c
+            for u in sorted(without_v):
+                pair = g.arc(v, u) * g.arc(u, v)
+                if pair:
+                    for i, c in enumerate(rec(without_v - {u})):
+                        out[i] += w2 * pair * c
+            memo[rest] = out
+        return memo[rest]
+
+    return Poly.from_univariate_coeffs(rec(frozenset(range(1, g.p + 1)))[::-1])
+
+
+def grid(rows: int, cols: int) -> Graph:
+    """The rows x cols grid graph, vertices numbered row by row."""
+    edges = [(r * cols + c + 1, r * cols + c + 2) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c + 1, (r + 1) * cols + c + 1) for r in range(rows - 1) for c in range(cols)]
+    return from_edges(rows * cols, edges)
+
+
+def ladder(rungs: int) -> Graph:
+    """The ladder with the given number of rungs, rung k joining 2k - 1 and 2k."""
+    return grid(rungs, 2)
+
+
+def reweighted(g: Graph, rng) -> Graph:
+    """g with every arc weighted independently, so that the two arcs of an
+    edge usually differ, and a loop on about two vertices in five."""
+    values = [1, 2, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]
+    return Graph(p=g.p, arcs={arc: rng.choice(values) for arc in sorted(g.arcs)},
+                 loops={v: rng.choice(values) for v in range(1, g.p + 1) if rng.random() < 0.4})
+
+
 def six_vertex_tree() -> Graph:
     """Five-vertex path with a sixth vertex hanging off the middle; the two
     parts have three vertices each but cannot be swapped by any symmetry."""

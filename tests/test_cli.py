@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,10 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _brute import six_vertex_tree
+from _brute import ladder, lowest_vertex_matching_poly, reweighted, six_vertex_tree
 from rootedpoly.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, _poly_json, _rootset_json, main
 from rootedpoly.graph import graph_from_json, graph_to_json
-from rootedpoly.oracle import CHARACTERISTIC_STANDARD, simple_circuit_poly
+from rootedpoly.oracle import CHARACTERISTIC_STANDARD, MODES, simple_circuit_poly
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import RootSet
 
@@ -239,6 +242,56 @@ def test_poly_output_is_pinned(case, tmp_path, capsys):
     path.write_text(json.dumps(PINNED_GRAPH))
     assert main(["poly", str(path), "--mode", mode, f"--{form}", "--format", fmt]) == EXIT_OK
     assert capsys.readouterr().out == PINNED[case]
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of the CLI, without pytest's function-scoped capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+# an int or a "num/den" string, as a graph file holds them
+FILE_WEIGHTS = st.one_of(st.integers(-4, 4),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=6).map(
+                             lambda f: f"{f.numerator}/{f.denominator}"))
+
+
+@st.composite
+def graph_docs(draw):
+    p = draw(st.integers(1, 7))
+    vertex = st.integers(1, p)
+    arcs = draw(st.lists(st.tuples(vertex, vertex, FILE_WEIGHTS).filter(lambda a: a[0] != a[1]),
+                         max_size=3 * p))
+    loops = draw(st.dictionaries(vertex, FILE_WEIGHTS, max_size=p))
+    return {"p": p, "arcs": [{"from": i, "to": j, "w": w} for i, j, w in arcs],
+            "loops": [{"at": v, "b": b} for v, b in loops.items()]}
+
+
+@given(graph_docs())
+@example(PINNED_GRAPH)
+def test_simple_poly_in_the_recursion_matches_specialize(tmp_path_factory, doc):
+    """`poly` applies the mode inside the cover recursion; every mode prints
+    byte for byte what specializing the full polynomial prints."""
+    path = tmp_path_factory.mktemp("doc") / "g.json"
+    path.write_text(json.dumps(doc))
+    g = graph_from_json(doc)
+    for name, mode in MODES.items():
+        want = simple_circuit_poly(g, mode)
+        assert run_main(["poly", str(path), "--mode", name]) == (EXIT_OK, f"{want}\n")
+        assert run_main(["poly", str(path), "--mode", name, "--format", "json"]) == (
+            EXIT_OK, _poly_json(want) + "\n")
+
+
+def test_matching_poly_past_the_default_cap(tmp_path, capsys):
+    """A 30-vertex ladder in matching-minus: the frontier table stops after
+    the 2-cycles, and the lowest-vertex recurrence gives the same polynomial."""
+    g = reweighted(ladder(15), random.Random(15))
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    assert main(["poly", str(path), "--mode", "matching-minus", "--cap", "60"]) == EXIT_OK
+    assert capsys.readouterr().out == f"{lowest_vertex_matching_poly(g, -1, -1, -1)}\n"
 
 
 def test_non_array_graph_field_exit_code(tmp_path, capsys):

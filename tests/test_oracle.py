@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _brute import (brute_circuit_poly, brute_determinant, brute_permanent,
-                    cycle_index_sym, permanental_poly_check, random_graph,
+                    cycle_index_sym, grid, ladder, lowest_vertex_matching_poly,
+                    permanental_poly_check, random_graph, reweighted,
                     undirected_cover_poly, x_matrix)
 from rootedpoly.graph import Graph, complete, cycle, k1, path, star
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, DEFAULT_CAP,
@@ -123,6 +124,50 @@ def test_mode_in_the_recursion_matches_specialize(g):
                 assert got == want
         keep = replace(mode, collapse_x=False)
         assert circuit_poly(g, DEFAULT_CAP, keep, names) == specialize(full, keep, g).substitute_many(rename)
+
+
+@st.composite
+def graphs_up_to_eight(draw):
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    return random_graph(rng, draw(st.integers(1, 8)), directed=draw(st.booleans()),
+                        loops=draw(st.booleans()), density=draw(st.sampled_from([0.3, 0.6])))
+
+
+@given(graphs_up_to_eight())
+@example(LOOPED_SEVEN)
+def test_stopped_table_matches_specialize(g):
+    """In the matching modes the frontier table stops after the 2-cycles;
+    the full table, specialized afterwards, agrees in every mode."""
+    full = circuit_poly(g)
+    for mode in MODES.values():
+        for m in (mode, mode.simple()):
+            assert circuit_poly(g, DEFAULT_CAP, m) == specialize(full, m, g)
+
+
+# (sigma_b, w1, w2) of the two matching modes, written out rather than read from them
+MATCHING_SIGNS = [(MATCHING_MINUS, (-1, -1, -1)), (MATCHING_PLUS, (1, 1, 1))]
+# past the enumeration cap, with Fraction loops and 2-cycles whose two arcs differ
+STOPPED_GRAPHS = {"grid4x8": reweighted(grid(4, 8), random.Random(48)),
+                  "ladder30": reweighted(ladder(15), random.Random(30))}
+
+
+@given(small_graphs())
+def test_lowest_vertex_recurrence_matches_permutation_sum(g):
+    """The lowest-vertex recurrence agrees with the permutation sum in both
+    matching modes, so it can stand in for it on graphs past the cap."""
+    for _, (sigma_b, w1, w2) in MATCHING_SIGNS:
+        want = brute_circuit_poly(g, sigma_b).substitute_many(
+            {**{wvar(i): 0 for i in range(3, g.p + 1)}, wvar(1): w1, wvar(2): w2,
+             **{xvar(i): Poly.variable(X) for i in range(1, g.p + 1)}})
+        assert lowest_vertex_matching_poly(g, w1, w2, sigma_b) == want
+
+
+@pytest.mark.parametrize("mode, signs", MATCHING_SIGNS, ids=[m.name for m, _ in MATCHING_SIGNS])
+@pytest.mark.parametrize("name", sorted(STOPPED_GRAPHS))
+def test_matching_modes_match_lowest_vertex_recurrence(name, mode, signs):
+    g = STOPPED_GRAPHS[name]
+    sigma_b, w1, w2 = signs
+    assert circuit_poly(g, g.p, mode.simple()) == lowest_vertex_matching_poly(g, w1, w2, sigma_b)
 
 
 @pytest.mark.parametrize("mode", [CHARACTERISTIC_STANDARD, MATCHING_MINUS], ids=lambda m: m.name)

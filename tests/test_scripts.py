@@ -35,16 +35,25 @@ def test_dendrimer_scaling():
 
 def test_oracle_scaling():
     out = run_script("oracle_scaling.py", "--max-vertices", "4")
-    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in out.splitlines()[1:])}
+    full, matching = (block.splitlines() for block in out.split("\n\n"))
+    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in full[1:])}
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
                     "C4": (4, 7), "grid2x2": (4, 7)}
     # the last columns time the simple characteristic polynomial, in the
-    # recursion and by the CLI's route on rational arc weights
-    assert out.splitlines()[0].split()[4:] == ["char_s", "spec_s"]
-    for line in out.splitlines()[1:]:
+    # recursion and by the route through the full polynomial on rational arc weights
+    assert full[0].split()[4:] == ["char_s", "spec_s"]
+    for line in full[1:]:
         assert float(line.split()[4]) >= 0
         assert float(line.split()[5]) >= 0
+    # the matching-minus rows, past --max-vertices: every graph has a perfect
+    # matching, so a polynomial on p vertices has a term for each even power
+    assert matching[0].split() == ["graph", "vertices", "matching_s", "terms"]
+    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in matching[1:])}
+    assert rows == {"grid2x4": (8, 5), "grid3x6": (18, 10), "grid4x8": (32, 17), "grid5x10": (50, 26),
+                    "ladder10": (10, 6), "ladder20": (20, 11), "ladder40": (40, 21),
+                    "ladder80": (80, 41)}
+    assert all(float(line.split()[2]) >= 0 for line in matching[1:])
 
 
 def test_verify_profile():
