@@ -5,9 +5,10 @@ polynomial past it.
 Computes `oracle.circuit_poly` of the complete graph K_n, the cycle C_n and
 the k x k grid for every size up to --max-vertices, with the enumeration cap
 set to the vertex count.  Per graph it reports the vertex count, the seconds
-one call takes, the number of terms of the polynomial, and the seconds the
-simple characteristic polynomial det(x*I - A) takes when the weight mode is
-applied inside the recursion, which is the route of `rootedpoly poly`.  The
+one call takes, the number of terms of the polynomial, and, as char_s, the
+seconds the simple characteristic polynomial det(x*I - A) takes by the route
+of `rootedpoly poly`, `circuit_poly(g, cap, CHARACTERISTIC_STANDARD.simple())`,
+which computes it as a determinant and enumerates nothing.  The
 last column, spec_s, times the route of `rootedpoly spectrum`,
 `simple_circuit_poly` (the full polynomial, then `specialize`), on the same
 graph with rational arc weights, which put Fraction coefficients into the
@@ -19,13 +20,17 @@ A second table times the simple matching-minus polynomial, whatever
 80 vertices, each numbered row by row.  Its cycle weights vanish from length
 3 on, so the frontier table stops after the 2-cycles.  Per graph it reports
 the vertex count, the seconds one call takes, and the number of terms.
+
+A third table times that determinant route, char_s, on the same k x 2k grids,
+the 10 x 10 grid, the ladders, and the path and the cycle of 80 vertices,
+with the vertex count and the number of terms.
 """
 
 import argparse
 import time
 from fractions import Fraction
 
-from rootedpoly.graph import Graph, complete, cycle, from_edges
+from rootedpoly.graph import Graph, complete, cycle, from_edges, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, MATCHING_MINUS, circuit_poly,
                                simple_circuit_poly)
 
@@ -74,6 +79,14 @@ def main():
     for name, g in graphs:
         t0 = time.perf_counter()
         poly = circuit_poly(g, g.p, matching)
+        t1 = time.perf_counter()
+        print(f"{name:>9} {g.p:>9} {t1 - t0:>10.4f} {len(poly.terms()):>7}")
+
+    graphs = [*graphs[:4], ("grid10x10", grid(10, 10)), *graphs[4:], ("P80", path(80)), ("C80", cycle(80))]
+    print(f"\n{'graph':>9} {'vertices':>9} {'char_s':>10} {'terms':>7}")
+    for name, g in graphs:
+        t0 = time.perf_counter()
+        poly = circuit_poly(g, g.p, simple_char)
         t1 = time.perf_counter()
         print(f"{name:>9} {g.p:>9} {t1 - t0:>10.4f} {len(poly.terms()):>7}")
 

@@ -11,8 +11,9 @@ recursion runs on integers: every weight is scaled by the lcm D of the
 denominators, and each coefficient is divided by D^p once at the end.
 
 Specializations assign values to the w variables and fix the sign convention
-for loop weights; an independent cross-check, the exact determinant, lives
-here too.
+for loop weights.  In the two characteristic modes the simple polynomial is a
+determinant, and it is computed as one, by Berkowitz's division-free
+recurrence, with no enumeration at all.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ GENERIC = WeightMode("generic")
 UNDIRECTED_COVERS = WeightMode("undirected-covers", halve_rest=True, x_to_one=True)
 # per(x*I + A + diag b)
 PERMANENTAL = WeightMode("permanental", w1=1, w2=1, w_rest=1)
-# every component weight -1; matches a determinant only when all cycles are even
+# every component weight -1: (-1)^p * det(x*I - (diag b - A)) on every graph
 CHARACTERISTIC_UNIFORM = WeightMode("characteristic-uniform", sigma_b=-1, w1=-1, w2=-1, w_rest=-1)
 # det(x*I - A - diag b)
 CHARACTERISTIC_STANDARD = WeightMode("characteristic-standard", sigma_b=-1, w1=1, w2=-1, w_rest=-1)
@@ -127,6 +128,20 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     characteristic modes, while in the matching modes, where w_l = 0 for
     l >= 3, the table holds only 2-cycles.
 
+    The simple characteristic modes skip the table and the recursion: when
+    names is None, collapse_x is set, x_to_one is not, sigma_b = -1,
+    w1 = +-1 and w_l = -1 for every l >= 2, the polynomial is
+    w1^p * det(x*I - (diag b + w1 * A)), that is det(x*I - A - diag b) in
+    characteristic-standard and (-1)^p * det(x*I - (diag b - A)) in
+    characteristic-uniform, odd cycles and loops included.  It is computed
+    as that determinant by Berkowitz's division-free recurrence, exactly and
+    in polynomial time: O(p^2 * (p + number of arcs)) coefficient
+    operations, whatever the cycles, so grids and ladders that the
+    enumeration cannot reach take a fraction of a second, while long paths
+    and cycles, which the enumeration walks in about p^2 steps, take longer
+    than before.  The vertex cap still applies.  Per-vertex x, a names map
+    and every other mode enumerate.
+
     When every weight is an int or a Fraction and one is a Fraction, each arc
     and loop weight is multiplied by the lcm D of their denominators, and the
     fixed-point choice carries D, so the recursion runs on integers.  A
@@ -135,7 +150,8 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     carries exactly D^p, and each final coefficient is divided by D^p once;
     the division is exact in Fraction and integral results come back as int.
     Otherwise D = 1: nothing is scaled or divided, which covers float loops
-    and complex arc weights.
+    and complex arc weights.  The determinant route scales the same way and
+    divides the coefficient of x^(p-k) by D^k.
 
     The recursion goes one level deeper per choice, so a graph of about a
     thousand vertices can exceed the interpreter's recursion limit whatever
@@ -144,12 +160,10 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     p = g.p
     if p > cap:
         raise OracleCapExceeded(f"graph has {p} vertices, enumeration cap is {cap}")
-    arcs, loops, scale = g.arcs, g.loops, 1
-    weights = [*arcs.values(), *loops.values()]
-    if Fraction in map(type, weights) and all(isinstance(w, (int, Fraction)) for w in weights):
-        scale = math.lcm(*(w.denominator for w in weights))
-        arcs = {a: w.numerator * (scale // w.denominator) for a, w in arcs.items()}
-        loops = {v: b.numerator * (scale // b.denominator) for v, b in loops.items()}
+    arcs, loops, scale = _scaled_weights(g)
+    if (names is None and mode.collapse_x and not mode.x_to_one and mode.sigma_b == -1
+            and mode.w1 in (1, -1) and mode.w2 == mode.w_rest == -1):
+        return _characteristic(p, arcs, loops, scale, mode.w1)
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in arcs.items():
         out[i].append((j, w))
@@ -217,6 +231,82 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     return _from_keys(terms)
 
 
+def _scaled_weights(g: Graph) -> tuple[dict, dict, int]:
+    """g's arc and loop weights and their scale D.  When every weight is an
+    int or a Fraction and one is a Fraction, D is the lcm of their
+    denominators and the weights come back multiplied by it, as ints;
+    otherwise D = 1 and they come back as they are."""
+    arcs, loops = g.arcs, g.loops
+    weights = [*arcs.values(), *loops.values()]
+    if Fraction not in map(type, weights) or not all(isinstance(w, (int, Fraction)) for w in weights):
+        return arcs, loops, 1
+    scale = math.lcm(*(w.denominator for w in weights))
+    return ({a: w.numerator * (scale // w.denominator) for a, w in arcs.items()},
+            {v: b.numerator * (scale // b.denominator) for v, b in loops.items()}, scale)
+
+
+def _characteristic(p: int, arcs: Mapping, loops: Mapping, scale: int, w1: int) -> Poly:
+    """w1^p * det(x*I - (diag b + w1*A)) for the weights before scaling.
+
+    Berkowitz's recurrence (Inf. Proc. Letters 18, 1984) adds the vertices
+    one at a time.  With B the block of the vertices below v, c(x) =
+    det(x*I - B), and R and C the arcs from v into B and from B into v, the
+    block with v has the determinant
+        (x - b_v) * c(x) - sum over k = 0..v-2 of (R B^k C) * quo(c(x), x^(k+1)).
+    No step divides, so on the scaled weights it runs on integers, and the
+    coefficient of x^(p-k) is divided by scale^k once at the end.  B^k C is a
+    sparse vector pushed along the arcs of B: a step costs about v times the
+    arcs below v, and nothing when v has no arc into B or none out of it.
+    """
+    below: list[list] = [[] for _ in range(p + 1)]  # below[v]: (u, n_vu) for u < v
+    above: list[list] = [[] for _ in range(p + 1)]  # above[v]: (u, n_uv) for u < v
+    for (i, j), w in arcs.items():
+        if w1 < 0:
+            w = -w
+        if i > j:
+            below[i].append((j, w))
+        else:
+            above[j].append((i, w))
+    into: list[list] = [[] for _ in range(p + 1)]  # into[u]: (t, n_tu) within the block
+    c = [1]  # descending coefficients of det(x*I - B)
+    for v in range(1, p + 1):
+        b = loops.get(v, 0)
+        new = c + [0]
+        if b:
+            for n in range(1, v + 1):
+                new[n] -= b * c[n - 1]
+        row, col = below[v], above[v]
+        if row and col:
+            vec = dict(col)  # B^k C as {vertex: value}
+            for k in range(v - 1):
+                d = 0
+                for u, w in row:
+                    value = vec.get(u)
+                    if value is not None:
+                        d += w * value
+                if d:
+                    for i in range(v - 1 - k):
+                        new[i + k + 2] -= d * c[i]
+                if k == v - 2:
+                    break
+                nxt: dict = {}
+                for u, value in vec.items():
+                    for t, w in into[u]:
+                        nxt[t] = nxt.get(t, 0) + w * value
+                vec = nxt
+                if not vec:
+                    break
+        c = new
+        for u, w in row:
+            into[u].append((v, w))
+        into[v] = [*col, (v, b)] if b else col
+    if w1 < 0 and p % 2:
+        c = [-x for x in c]
+    if scale != 1:
+        c = [Fraction(x, scale ** k) for k, x in enumerate(c)]
+    return Poly.from_univariate_coeffs(c)
+
+
 def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
     """Apply a weight mode to the full polynomial P of g.
 
@@ -267,77 +357,9 @@ def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> P
     return specialize(circuit_poly(g, cap), mode.simple(), g)
 
 
-# -- independent cross-checks -------------------------------------------------
-
-
-def _adjacency(g: Graph) -> list[list]:
-    a = [[0] * g.p for _ in range(g.p)]
-    for (i, j), w in g.arcs.items():
-        a[i - 1][j - 1] = w
-    for v, b in g.loops.items():
-        a[v - 1][v - 1] = b
-    return a
-
-
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
-    n = len(m)
-    m = [row[:] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def char_poly_det(g: Graph) -> Poly:
-    """Monic det(x*I - A - diag b) via evaluation at p+1 integers and interpolation."""
-    p = g.p
-    a = _adjacency(g)
-    points = list(range(p + 1))
-    values = []
-    for t in points:
-        m = [[Fraction(t if r == c else 0) - Fraction(a[r][c]) for c in range(p)] for r in range(p)]
-        values.append(_det_fraction(m))
-    # Lagrange interpolation on the exact samples.
-    coeffs = [Fraction(0)] * (p + 1)
-    for k, t in enumerate(points):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j, s in enumerate(points):
-            if j == k:
-                continue
-            num = _poly_mul_linear(num, -Fraction(s))
-            denom *= Fraction(t - s)
-        scale = values[k] / denom
-        for i, c in enumerate(num):
-            coeffs[i] += scale * c
-    coeffs.reverse()  # descending
-    return Poly.from_univariate_coeffs(coeffs)
-
-
-def _poly_mul_linear(coeffs: list[Fraction], c0: Fraction) -> list[Fraction]:
-    # multiply ascending-coefficient poly by (x + c0)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * c0
-        out[i + 1] += c
-    return out
-
-
 __all__ = [
     "DEFAULT_CAP", "OracleCapExceeded", "WeightMode", "GENERIC", "UNDIRECTED_COVERS",
     "PERMANENTAL", "CHARACTERISTIC_UNIFORM", "CHARACTERISTIC_STANDARD",
     "MATCHING_PLUS", "MATCHING_MINUS", "SIMPLE", "MODES", "mode_by_name",
-    "circuit_poly", "specialize", "simple_circuit_poly", "char_poly_det",
+    "circuit_poly", "specialize", "simple_circuit_poly",
 ]

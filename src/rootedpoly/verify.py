@@ -19,8 +19,7 @@ from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, complet
                     cycle, from_edges, k1, monodendron, monodendron_star,
                     path, rooted_product, restricted_rooted_product, star,
                     strip_all_loops, strip_root_loops)
-from .oracle import (CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode,
-                     char_poly_det, circuit_poly)
+from .oracle import CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode, circuit_poly
 from .poly import Poly, X, ratio_substitute, wvar, xvar
 
 SUITE_CAP = 13
@@ -546,7 +545,7 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                         reverse=True)
         got = sorted((v.real for v in rs.expanded()), reverse=True)
         dev = max(abs(a - b) for a, b in zip(expect, got))
-        built_ok = factored.expand() == char_poly_det(path(n))
+        built_ok = factored.expand() == circuit_poly(path(n), cap, mode.simple())
         rep_path.record(dev <= tol and built_ok, dev, f"generations={j}")
 
     branch_units = [(complete(2).with_root(1), (2,), [(0, 3), (2, 3), (3, 2), (1, 4)]),

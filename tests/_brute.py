@@ -1,7 +1,8 @@
 """Independent brute-force reference computations for the tests.
 
-Everything here enumerates permutations or covers directly, with no shared
-code paths with the production enumeration, so agreement is meaningful.
+Everything here enumerates permutations or covers directly, or eliminates
+over Fractions, with no shared code paths with the production routes, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -108,6 +109,52 @@ def x_matrix(g: Graph, diag_sign: int = 1, off_sign: int = 1) -> list[list[Poly]
                 row.append(Poly.const(off_sign * g.arc(i, j)))
         out.append(row)
     return out
+
+
+def char_det_at(g: Graph, t, arc_sign: int = 1) -> Fraction:
+    """det(t*I - (diag b + arc_sign*A)) at a rational t, by Gaussian
+    elimination over Fractions.  Rows are dicts of their nonzero entries,
+    so a banded matrix stays banded and a 10 x 10 grid costs little."""
+    p = g.p
+    rows = [{j - 1: Fraction(-arc_sign * w) for (i, j), w in g.arcs.items() if i == r}
+            for r in range(1, p + 1)]
+    for r, row in enumerate(rows):
+        row[r] = Fraction(t) - Fraction(g.loops.get(r + 1, 0))
+    det = Fraction(1)
+    for col in range(p):
+        pivot = next((r for r in range(col, p) if rows[r].get(col, 0) != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        top = rows[col]
+        det *= top[col]
+        for r in range(col + 1, p):
+            f = rows[r].pop(col, 0)
+            if f != 0:
+                f /= top[col]
+                for c, v in top.items():
+                    if c > col:
+                        rows[r][c] = rows[r].get(c, 0) - f * v
+    return det
+
+
+def brute_char_poly(g: Graph, arc_sign: int = 1) -> Poly:
+    """det(x*I - (diag b + arc_sign*A)) in x, interpolated through its values
+    from char_det_at at x = 0..p (Lagrange)."""
+    p = g.p
+    coeffs = [Fraction(0)] * (p + 1)  # ascending
+    for k in range(p + 1):
+        basis, denom = [Fraction(1)], Fraction(1)  # prod over j != k of (x - j), ascending
+        for j in range(p + 1):
+            if j != k:
+                basis = [a - j * b for a, b in zip([Fraction(0)] + basis, basis + [Fraction(0)])]
+                denom *= k - j
+        scale = char_det_at(g, k, arc_sign) / denom
+        for i, c in enumerate(basis):
+            coeffs[i] += scale * c
+    return Poly.from_univariate_coeffs(coeffs[::-1])
 
 
 def undirected_cover_poly(g: Graph) -> Poly:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from _brute import six_vertex_tree
+from _brute import brute_char_poly, six_vertex_tree
 from rootedpoly.factor import (BipartiteExpansion, attachment_polys,
                                bipartite_bivariate, bipartite_delta, coalescence_poly, core_parts,
                                dendrimer_poly, monodendron_polys, mu_squares,
@@ -20,7 +20,7 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               strip_all_loops, strip_root_loops)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS, WeightMode,
-                               char_poly_det, circuit_poly, simple_circuit_poly, specialize)
+                               circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.factored import divides, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import roots
@@ -480,7 +480,7 @@ def test_dendrimer_poly_matches_constructed_graph():
     spec = DendrimerSpec(core=complete(2), unit=path(3).with_root(2),
                          attach_sites=(1, 3), generations=1)
     built = dendrimer(spec)
-    assert dendrimer_poly(spec, CHAR) == char_poly_det(built)
+    assert dendrimer_poly(spec, CHAR) == brute_char_poly(built)
 
 
 def test_dendrimer_poly_with_loops_everywhere():
@@ -488,7 +488,7 @@ def test_dendrimer_poly_with_loops_everywhere():
     unit = Graph(p=2, arcs=complete(2).arcs, loops={1: Fraction(1, 2), 2: 3}, root=1)
     spec = DendrimerSpec(core=core, unit=unit, attach_sites=(2,), generations=2)
     built = dendrimer(spec)
-    assert dendrimer_poly(spec, CHAR) == char_poly_det(built)
+    assert dendrimer_poly(spec, CHAR) == brute_char_poly(built)
     assert dendrimer_poly(spec, PERMANENTAL) == simple_circuit_poly(built, PERMANENTAL, cap=10)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -5,16 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from _brute import (brute_circuit_poly, brute_determinant, brute_permanent,
-                    cycle_index_sym, grid, ladder, lowest_vertex_matching_poly,
+from _brute import (brute_char_poly, brute_circuit_poly, brute_determinant, brute_permanent,
+                    char_det_at, cycle_index_sym, grid, ladder, lowest_vertex_matching_poly,
                     permanental_poly_check, random_graph, reweighted,
                     undirected_cover_poly, x_matrix)
 from rootedpoly.graph import Graph, complete, cycle, k1, path, star
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, DEFAULT_CAP,
                                MATCHING_MINUS, MATCHING_PLUS, MODES, PERMANENTAL,
-                               UNDIRECTED_COVERS, OracleCapExceeded, char_poly_det,
-                               circuit_poly, mode_by_name, simple_circuit_poly,
-                               specialize)
+                               UNDIRECTED_COVERS, OracleCapExceeded, circuit_poly,
+                               mode_by_name, simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar
 
 
@@ -144,6 +144,84 @@ def test_stopped_table_matches_specialize(g):
             assert circuit_poly(g, DEFAULT_CAP, m) == specialize(full, m, g)
 
 
+CHARACTERISTIC = (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM)
+
+
+@st.composite
+def weighted_graphs_up_to_eight(draw):
+    """Graphs of 0 to 8 vertices, directed or not, with or without loops,
+    their weights Fractions or, on request, only ints."""
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+    g = random_graph(rng, draw(st.integers(0, 8)), directed=draw(st.booleans()),
+                     loops=draw(st.booleans()), density=draw(st.sampled_from([0.3, 0.6])))
+    if draw(st.booleans()):
+        g = Graph(p=g.p, arcs={a: math.ceil(w) for a, w in g.arcs.items()},
+                  loops={v: math.ceil(b) for v, b in g.loops.items()})
+    return g
+
+
+@given(weighted_graphs_up_to_eight())
+@example(Graph(p=0))
+@example(Graph(p=1, loops={1: Fraction(-3, 2)}))
+@example(k1())
+@example(LOOPED_SEVEN)
+@example(MIXED_DENOMINATORS)
+@example(COMPLEX_ARC)
+def test_characteristic_modes_by_determinant_match_specialize(g):
+    """The simple characteristic modes are computed as a determinant, not
+    enumerated; they equal the specialized full polynomial, also as text."""
+    full = circuit_poly(g)
+    for mode in CHARACTERISTIC:
+        got, want = circuit_poly(g, DEFAULT_CAP, mode.simple()), specialize(full, mode.simple(), g)
+        assert got == want
+        assert str(got) == str(want)
+
+
+def _grid_with_rational_loops() -> Graph:
+    g = reweighted(grid(10, 10), random.Random(100))
+    return Graph(p=g.p, arcs=g.arcs, loops={v: Fraction(v % 7 - 3, v % 4 + 2) for v in range(1, g.p + 1)})
+
+
+def _directed_rational_cycle(n: int) -> Graph:
+    rationals = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), 2, Fraction(-1, 5)]
+    return Graph(p=n, arcs={(v, v % n + 1): rationals[v % len(rationals)] for v in range(1, n + 1)},
+                 loops={1: Fraction(1, 3)})
+
+
+# past the enumeration's reach: det(tI - M) at a few points by Fraction elimination
+DETERMINANT_GRAPHS = {"grid10x10": _grid_with_rational_loops(), "cycle100": _directed_rational_cycle(100)}
+
+
+@pytest.mark.parametrize("mode", CHARACTERISTIC, ids=lambda m: m.name)
+@pytest.mark.parametrize("name", sorted(DETERMINANT_GRAPHS))
+def test_characteristic_modes_match_elimination_past_the_cap(name, mode):
+    g = DETERMINANT_GRAPHS[name]
+    got = circuit_poly(g, g.p, mode.simple())
+    assert got.degree_in(X) == g.p
+    for t in (0, 3, Fraction(-5, 2), Fraction(7, 3)):
+        if mode is CHARACTERISTIC_STANDARD:
+            want = char_det_at(g, t)
+        else:
+            want = (-1) ** g.p * char_det_at(g, t, arc_sign=-1)
+        assert got.evaluate({X: t}) == want
+
+
+def test_characteristic_modes_on_float_weights():
+    """Float weights take the determinant route unscaled, as the float loops
+    of factor.spectral_product_from_loops do; they agree with the
+    enumeration to rounding."""
+    rng = random.Random(6)
+    g = random_graph(rng, 6, directed=True, density=0.6)
+    g = Graph(p=g.p, arcs={a: float(w) + rng.random() / 3 for a, w in g.arcs.items()},
+              loops={v: 2 ** 0.5 * v for v in range(1, 7)})
+    full = circuit_poly(g)
+    for mode in CHARACTERISTIC:
+        got = circuit_poly(g, DEFAULT_CAP, mode.simple()).univariate_coeffs(X)
+        want = specialize(full, mode.simple(), g).univariate_coeffs(X)
+        assert len(got) == len(want) == 7
+        assert all(abs(a - b) <= 1e-9 * max(1, abs(b)) for a, b in zip(got, want))
+
+
 # (sigma_b, w1, w2) of the two matching modes, written out rather than read from them
 MATCHING_SIGNS = [(MATCHING_MINUS, (-1, -1, -1)), (MATCHING_PLUS, (1, 1, 1))]
 # past the enumeration cap, with Fraction loops and 2-cycles whose two arcs differ
@@ -206,7 +284,7 @@ def test_characteristic_standard_triangle():
 
 
 def test_characteristic_conventions_disagree_on_triangle():
-    """The all-negative-weight specialization is not the determinant for odd
+    """The all-negative-weight specialization is not det(A - xI) on odd
     cycles: the two differ in the three-cycle term on a triangle."""
     literal = simple_circuit_poly(complete(3), CHARACTERISTIC_UNIFORM)
     # det(A - xI) expanded directly
@@ -219,16 +297,29 @@ def test_characteristic_conventions_disagree_on_triangle():
     assert literal != det
 
 
-def test_characteristic_uniform_matches_determinant_on_even_cycles():
-    for g in (complete(2), path(4), cycle(4), star(3)):
+EVEN_CYCLES = (complete(2), path(4), cycle(4), star(3))
+ODD_OR_LOOPED = (complete(3), cycle(5), complete(4), Graph(p=2, arcs={(1, 2): 2, (2, 1): 3}, loops={1: -1}),
+                 Graph(p=3, arcs={(1, 2): Fraction(1, 2), (2, 3): 1, (3, 1): -2, (2, 1): 3},
+                       loops={2: Fraction(5, 3), 3: 1}))
+
+
+def test_characteristic_uniform_is_the_signed_determinant_of_diag_b_minus_a():
+    """characteristic-uniform is (-1)^p det(xI - (diag b - A)) on every graph,
+    odd cycles and loops included; with only even cycles and no loops that
+    is (-1)^p det(xI - A) too."""
+    for g in EVEN_CYCLES:
         literal = simple_circuit_poly(g, CHARACTERISTIC_UNIFORM)
-        det = char_poly_det(g) * (-1) ** g.p
+        det = brute_char_poly(g) * (-1) ** g.p
         assert literal == det
+    for g in EVEN_CYCLES + ODD_OR_LOOPED:
+        want = brute_char_poly(g, arc_sign=-1) * (-1) ** g.p
+        assert simple_circuit_poly(g, CHARACTERISTIC_UNIFORM) == want
+        assert circuit_poly(g, DEFAULT_CAP, CHARACTERISTIC_UNIFORM.simple()) == want
 
 
 @given(small_graphs())
 def test_characteristic_standard_equals_determinant(g):
-    assert simple_circuit_poly(g, CHARACTERISTIC_STANDARD) == char_poly_det(g)
+    assert simple_circuit_poly(g, CHARACTERISTIC_STANDARD) == brute_char_poly(g)
 
 
 @given(small_graphs())
@@ -242,9 +333,10 @@ def test_matching_modes_keep_only_short_components(g):
     assert all(v.index <= 2 for v in p.variables() if v.kind == 3)
 
 
-def test_char_poly_det_examples():
-    assert char_poly_det(complete(2)) == parse_poly("x^2 - 1")
-    assert char_poly_det(star(3)) == parse_poly("x^4 - 3*x^2")
+def test_brute_char_poly_examples():
+    assert brute_char_poly(complete(2)) == parse_poly("x^2 - 1")
+    assert brute_char_poly(star(3)) == parse_poly("x^4 - 3*x^2")
+    assert char_det_at(complete(3), Fraction(1, 2), arc_sign=-1) == Fraction(5, 8)
 
 
 def test_permanental_check_examples():

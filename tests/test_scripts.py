@@ -35,7 +35,7 @@ def test_dendrimer_scaling():
 
 def test_oracle_scaling():
     out = run_script("oracle_scaling.py", "--max-vertices", "4")
-    full, matching = (block.splitlines() for block in out.split("\n\n"))
+    full, matching, char = (block.splitlines() for block in out.split("\n\n"))
     rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in full[1:])}
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
@@ -54,6 +54,16 @@ def test_oracle_scaling():
                     "ladder10": (10, 6), "ladder20": (20, 11), "ladder40": (40, 21),
                     "ladder80": (80, 41)}
     assert all(float(line.split()[2]) >= 0 for line in matching[1:])
+    # the characteristic rows, by the determinant route: a bipartite graph's
+    # polynomial has only the powers of p's parity, and a graph with 0 as an
+    # eigenvalue of multiplicity m lacks the lowest m/2 of them (the 10 x 10
+    # grid, m = 10; the 10- and 40-vertex ladders and C80, m = 2)
+    assert char[0].split() == ["graph", "vertices", "char_s", "terms"]
+    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in char[1:])}
+    assert rows == {"grid2x4": (8, 5), "grid3x6": (18, 10), "grid4x8": (32, 17), "grid5x10": (50, 26),
+                    "grid10x10": (100, 46), "ladder10": (10, 5), "ladder20": (20, 11),
+                    "ladder40": (40, 20), "ladder80": (80, 41), "P80": (80, 41), "C80": (80, 40)}
+    assert all(float(line.split()[2]) >= 0 for line in char[1:])
 
 
 def test_verify_profile():

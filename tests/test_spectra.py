@@ -5,12 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _brute import brute_char_poly
 from rootedpoly import factor
 from rootedpoly.factor import dendrimer_poly
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root, k1, path,
                               star)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
-                               SIMPLE, char_poly_det, circuit_poly, simple_circuit_poly)
+                               SIMPLE, circuit_poly, simple_circuit_poly)
 from rootedpoly.factored import multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly
 from rootedpoly.spectra import RootSet, dendrimer_spectrum, roots
@@ -74,7 +75,7 @@ def test_roots_conjugate_closure():
 
 def test_roots_multiplicity_sum_and_order():
     for g in (path(5), star(4), cycle(6)):
-        p = char_poly_det(g)
+        p = brute_char_poly(g)
         rs = roots(p)
         assert rs.source_degree == g.p
         assert sum(m for _, m in rs.roots) == g.p
@@ -84,7 +85,7 @@ def test_roots_multiplicity_sum_and_order():
 
 def test_roots_reconstruct_monic_input():
     for g in (path(6), star(5), cycle(8), complete(4), path(12), cycle(12)):
-        p = char_poly_det(g)
+        p = brute_char_poly(g)
         rs = roots(p)
         recon = Poly.one()
         for v, m in rs.roots:
@@ -96,7 +97,7 @@ def test_roots_reconstruct_monic_input():
 
 def test_bipartite_negation_symmetry():
     for g in (path(4), star(3), cycle(6)):
-        rs = roots(char_poly_det(g))
+        rs = roots(brute_char_poly(g))
         values = rs.expanded()
         for v in values:
             assert any(abs(v + u) < 1e-8 for u in values)
