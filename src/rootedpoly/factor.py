@@ -27,11 +27,13 @@ Conventions shared by everything here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
-from .factored import CoprimeBase, Factored, divides, multiplicity_at
+from .factored import CoprimeBase, Factored, _times, divides, multiplicity_at
 from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_root,
                     edge_join, normalize_parts, strip_root_loops)
 from .oracle import DEFAULT_CAP, WeightMode, circuit_poly
@@ -442,7 +444,8 @@ _SITE = yvar(1)
 
 def _attached(targets: Sequence[tuple], p: Poly, q: Poly) -> list[Poly]:
     """Rooted products of small cores with the branch p, of root-deleted
-    graph q, at their attach sites.
+    graph q, at their attach sites, as plain polynomials: the tier step of
+    the plain path, for modes that leave some component weight symbolic.
 
     targets holds (core polynomial, k) per core: the core keeps its own loops,
     its k attach sites are named y1 and every other vertex x, and the unit is
@@ -452,21 +455,53 @@ def _attached(targets: Sequence[tuple], p: Poly, q: Poly) -> list[Poly]:
     return [ratio_substitute(core, [(_SITE, p, q)]) for core, _ in targets]
 
 
+def _site_rows(core: Poly) -> tuple[int, list[list[int]]]:
+    """An exact tier core in y1 and x as (den, rows) with den * core =
+    sum_e rows[e] * y1**e, each row an integer list in x, lowest degree
+    first; a float coefficient raises ValueError."""
+    if not core.is_exact():
+        raise ValueError("exact factorization needs exact coefficients")
+    xs, ys = _shift(X), _shift(_SITE)
+    den = math.lcm(*(c.denominator for c in core._terms.values()))
+    rows = [[0] * (core.degree_in(X) + 1) for _ in range(core.degree_in(_SITE) + 1)]
+    for key, c in core._terms.items():
+        rows[key >> ys & _FIELD][key >> xs & _FIELD] = int(c * den)
+    return den, rows
+
+
 def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple]) -> list[tuple]:
-    """_attached over the base, with P, Q and the products as (constant,
+    """The tier step over the base, with P, Q and the products as (constant,
     exponents).  The base factors g that P and Q share cancel from the ratio,
-    which leaves p_hat / q_hat in lowest terms and of small degree; each
-    product of those is refined into the base, and the shared factors come
-    back as g**k.
+    which leaves p_hat / q_hat in lowest terms and of small degree.  With
+    their constants cleared into one scale, p_hat and q_hat are c * P and
+    c * Q for integer lists P and Q, and the core sum_e row_e * y1**e of
+    degree k in y1 gives the product c**k * sum_e row_e * P**e * Q**(k - e),
+    formed by Horner's rule in P on integer lists and refined into the base;
+    the shared factors come back as g**k.
     """
     (cp, ep), (cq, eq) = p_cur, q_cur
     shared = {i: min(e, eq[i]) for i, e in ep.items() if i in eq}
-    p_hat = base.factored(cp, {i: e - shared.get(i, 0) for i, e in ep.items()}).expand()
-    q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()}).expand()
+    p_hat = base.factored(cp, {i: e - shared.get(i, 0) for i, e in ep.items()})
+    q_hat = base.factored(cq, {i: e - shared.get(i, 0) for i, e in eq.items()})
+    ratio = Fraction(cp) / cq
+    p = [ratio.numerator * c for c in reversed(p_hat.coeffs())]
+    q = [ratio.denominator * c for c in reversed(q_hat.coeffs())]
+    q_powers = [[1], q]
     carried = [{i: k * e for i, e in shared.items()} for _, k in targets]
     found = []
-    for attached in _attached(targets, p_hat, q_hat):
-        found.append(base.absorb(attached, held=carried + [e for _, e in found]))
+    for core, _ in targets:
+        den, rows = _site_rows(core)
+        k = len(rows) - 1
+        while len(q_powers) <= k:
+            q_powers.append(_times(q_powers[-1], q))
+        acc = rows[k]
+        for e in range(k - 1, -1, -1):
+            acc = [a + b for a, b in zip_longest(_times(acc, p), _times(rows[e], q_powers[k - e]),
+                                                 fillvalue=0)]
+        while len(acc) > 1 and not acc[-1]:
+            acc.pop()
+        scale = Fraction(cq, ratio.denominator) ** k / den
+        found.append(base.absorb_coeffs(scale, acc[::-1], held=carried + [e for _, e in found]))
     return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
 
 

@@ -88,10 +88,12 @@ def _prem(f: list[int], g: list[int]) -> list[int]:
     return r
 
 
-def _gcd(f: list[int], g: list[int]) -> list[int]:
-    """gcd of two nonzero integer lists, with a positive leading coefficient,
-    by the heuristic gcd of Char, Geddes and Gonnet (GCDHEU, J. Symbolic
-    Comput. 7, 1989).
+def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(G, f / G, g / G) for two nonzero integer lists, G their gcd with a
+    positive leading coefficient, by the heuristic gcd of Char, Geddes and
+    Gonnet (GCDHEU, J. Symbolic Comput. 7, 1989).  The cofactors are the
+    exact quotients of the caller's f and g, signs and contents included;
+    the trial divisions that accept G compute them anyway.
 
     With the content taken out, both primitive lists are evaluated at an
     integer xi > 2 min(|f|_inf, |g|_inf), and the symmetric xi-adic digits of
@@ -105,10 +107,10 @@ def _gcd(f: list[int], g: list[int]) -> list[int]:
     the digits are exactly k G.
     """
     content = math.gcd(math.gcd(*f), math.gcd(*g))
-    f, g = _primitive(f), _primitive(g)
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    fp, gp = _primitive(f), _primitive(g)
+    xi = 2 * min(max(map(abs, fp)), max(map(abs, gp))) + 29
     while True:
-        h, digits = math.gcd(_horner(f, xi), _horner(g, xi)), []
+        h, digits = math.gcd(_horner(fp, xi), _horner(gp, xi)), []
         while h:
             d = h % xi
             if d > xi // 2:
@@ -117,13 +119,20 @@ def _gcd(f: list[int], g: list[int]) -> list[int]:
             h = (h - d) // xi
         candidate = _primitive(digits[::-1])
         try:
-            if len(candidate) > 1:  # a constant divides both
-                _exquo(f, candidate)
-                _exquo(g, candidate)
+            if len(candidate) > 1:
+                qf, qg = _exquo(fp, candidate), _exquo(gp, candidate)
+            else:  # a constant divides both
+                qf, qg = fp, gp
         except ArithmeticError:
             xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
         else:
-            return [content * a for a in candidate]
+            return ([content * a for a in candidate],
+                    _scaled(qf, f[0] // (fp[0] * content)), _scaled(qg, g[0] // (gp[0] * content)))
+
+
+def _scaled(f: list[int], c: int) -> list[int]:
+    """c * f, and f itself when c is 1."""
+    return f if c == 1 else [c * a for a in f]
 
 
 def _horner(f: list, z):
@@ -200,7 +209,7 @@ def _square_free(f: list[int]) -> list[tuple[list[int], int]]:
     coprime to its derivative is square-free and its primitive part is the
     one factor; only a list that is not goes to sympy's sqf_list."""
     n = len(f) - 1
-    if len(_gcd(f, [a * (n - i) for i, a in enumerate(f[:-1])])) == 1:
+    if len(_gcd(f, [a * (n - i) for i, a in enumerate(f[:-1])])[0]) == 1:
         return [(_primitive(f), 1)]
     split = sympy.Poly.from_list(f, sympy.Symbol("x"), domain=sympy.ZZ).sqf_list()[1]
     return [([int(c) for c in g.all_coeffs()], k) for g, k in split]
@@ -272,7 +281,12 @@ class Factored:
         return sum((len(f) - 1) * m for f, m in self.factors)
 
     def expand(self) -> Poly:
-        """The product as one polynomial.
+        """The product as one polynomial, built once from coeffs()."""
+        return Poly.from_univariate_coeffs([self.const * c for c in self.coeffs()])
+
+    def coeffs(self) -> list[int]:
+        """The integer coefficient list of the product without its constant,
+        highest degree first.
 
         Each factor is split into x**a times g with g(0) != 0; the x**a
         parts only shift exponents.  With d the gcd of the exponents of the
@@ -280,8 +294,7 @@ class Factored:
         h are expanded together by the recurrence D P' = N P of the module
         docstring, then spread back with stride d: about (n/d) * (s/d)
         products of a big integer by a small one for degree n and s the
-        summed degree of the g.  The constant is applied last and the Poly
-        built once.
+        summed degree of the g.
         """
         shift, parts = 0, []
         for f, m in self.factors:
@@ -292,8 +305,8 @@ class Factored:
         d = math.gcd(*(k for g, _ in parts for k, c in enumerate(g) if c)) or 1
         p = _power_product([(g[::d], m) for g, m in parts])
         spread = [0] * ((len(p) - 1) * d + 1)
-        spread[::d] = [self.const * c for c in p]
-        return Poly.from_univariate_coeffs(spread[::-1] + [0] * shift)
+        spread[::d] = p
+        return spread[::-1] + [0] * shift
 
 
 class CoprimeBase:
@@ -317,27 +330,30 @@ class CoprimeBase:
         """Refine the base until p factors over it; return p's constant and exponents.
 
         p must be exact and in x alone; anything else raises ValueError."""
-        if p.is_zero():
+        return self.absorb_coeffs(*_to_coeffs(p), held)
+
+    def absorb_coeffs(self, scale: Fraction, h: list[int],
+                      held: Sequence[dict[int, int]] = ()) -> tuple[Fraction, dict[int, int]]:
+        """absorb for the polynomial scale * h, h an integer list in x with no
+        leading zeros, highest degree first."""
+        if h == [0]:
             raise ValueError("the zero polynomial has no factorization")
-        scale, h = _to_coeffs(p)
         lead = scale * h[0]
         exps: dict[int, int] = {}
         for i in range(len(self.polys)):
             if len(h) == 1:
                 break
-            g = _gcd(self.polys[i], h)
+            g, rest, h_rest = _gcd(self.polys[i], h)
             if len(g) == 1:
                 continue
             # split element i by the multiplicity its roots have in h
             parts = {}
             cur, e = self.polys[i], 0
             while len(g) > 1:
-                rest = _exquo(cur, g)
                 if len(rest) > 1:
                     parts[e] = rest
-                h = _exquo(h, g)
-                cur, e = g, e + 1
-                g = _gcd(cur, h)
+                h, cur, e = h_rest, g, e + 1
+                g, rest, h_rest = _gcd(cur, h)
             parts[e] = cur
             pieces = sorted(parts.items())
             indices = [i]

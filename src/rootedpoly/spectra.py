@@ -4,22 +4,26 @@ Exact-coefficient polynomials are first split into square-free, pairwise
 coprime factors (so repeated roots come out with exact integer
 multiplicities), or arrive so factored; each factor is solved on its own by
 companion-matrix eigenvalues and polished by Newton steps.  Coefficients
-beyond the double range are scaled by exact powers of two first.  A Sturm
-count on the factor's integer coefficient list, by pseudo-remainders in
-plain ints, fixes how many roots of each factor are real.  The
-multiplicities of exact input come from the factorization alone; only the
-roots of a float-coefficient polynomial are merged within the cluster
-tolerance.
-Residuals are reported against the factor a root was extracted from, which
-keeps them meaningful for huge-coefficient inputs.  The exact multiplicity
-of one given root comes from factored.multiplicity_at.
+beyond the double range are scaled by exact powers of two first.  The
+polish of an exact factor stops once a correction is no smaller than the
+one before, where the float values of the factor are rounding noise, and
+then takes one last step whose value of the factor is computed exactly on
+its integer list and rounded once.  A Sturm count on the factor's integer
+coefficient list, by pseudo-remainders in plain ints, fixes how many roots
+of each factor are real.  The multiplicities of exact input come from the
+factorization alone; only the roots of a float-coefficient polynomial are
+merged within the cluster tolerance.
+Residuals are |f(z)| on the float coefficients of the factor a root was
+extracted from, which keeps them meaningful for huge-coefficient inputs.
+The exact multiplicity of one given root comes from factored.multiplicity_at.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -94,15 +98,23 @@ def _rootset(found: list[list[tuple[complex, int, float]]], degree: int,
 def _solve(coeffs: list, mult: int, exact: bool) -> list[tuple[complex, int, float]]:
     """The roots of one factor, each with the factor's multiplicity and its residual.
 
-    An exact factor, a square-free integer list, has its real roots counted
-    exactly when some root came out with a nonzero imaginary part, and that
-    many roots with the smallest imaginary parts are made real.
+    An exact factor, a square-free integer list, is polished by Newton steps
+    until they converge or their corrections stop shrinking; in the second
+    case the best iterate takes one last step whose value of the factor is
+    computed exactly on its integer list.
+    Its real roots are counted exactly when some root came out with a
+    nonzero imaginary part, and that many roots with the smallest imaginary
+    parts are made real.
     Residuals are |f(z)| on the float coefficients the roots were found
     from, so on the scaled polynomial when the coefficients needed scaling.
     A root beyond the double range comes out infinite.
     """
-    fc, shift = _float_coeffs(coeffs)
-    found = _numeric_roots(fc)
+    if exact:
+        fc, shift, top = _float_coeffs(coeffs)
+        found = _numeric_roots(fc, partial(_exact_value, coeffs, shift, top))
+    else:
+        fc, shift = [complex(c) for c in coeffs], 0
+        found = _numeric_roots(fc)
     if exact and any(z.imag for z in found):
         order = sorted(range(len(found)), key=lambda k: abs(found[k].imag))
         for k in order[:_real_root_count(coeffs)]:
@@ -169,47 +181,60 @@ def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 
 _PLAIN_EXPONENT = 1000
 
 
-def _float_coeffs(coeffs) -> tuple[list[complex], int]:
-    """Float coefficients of 2**-t * f(2**s * y), and s.
+def _float_coeffs(f: list[int]) -> tuple[list[complex], int, int]:
+    """Float coefficients of 2**-t * f(2**s * y) for an integer list f, s and t.
 
-    Exact coefficients far outside the double range are scaled exactly: s
-    puts the geometric mean of the nonzero roots near 1 and t the largest
+    Coefficients far outside the double range are scaled exactly: s puts
+    the geometric mean of the nonzero roots near 1 and t the largest
     coefficient near 1, both read off the coefficient bit sizes.  The roots
     of f are 2**s times those of the result.
     """
-    if not all(isinstance(c, (int, Fraction)) for c in coeffs):
-        return [complex(c) for c in coeffs], 0
-    exps = [_exponent(c) if c != 0 else None for c in coeffs]
-    if all(e is None or abs(e) <= _PLAIN_EXPONENT for e in exps):
-        return [complex(c) for c in coeffs], 0
-    n = len(coeffs) - 1
+    exps = [abs(c).bit_length() - 1 if c else None for c in f]  # floor(log2 |c|)
+    if all(e is None or e <= _PLAIN_EXPONENT for e in exps):
+        return [complex(c) for c in f], 0, 0
+    n = len(f) - 1
     last = max(i for i, e in enumerate(exps) if e is not None)
     shift = round((exps[last] - exps[0]) / last) if last else 0
     top = max(e + shift * (n - i) for i, e in enumerate(exps) if e is not None)
-    return [complex(c * Fraction(2) ** (shift * (n - i) - top)) for i, c in enumerate(coeffs)], shift
+    return [complex(_times_2_to(c, shift * (n - i) - top)) for i, c in enumerate(f)], shift, top
 
 
-def _exponent(c) -> int:
-    """Roughly log2 |c| of a nonzero exact coefficient."""
-    c = Fraction(c)
-    return c.numerator.bit_length() - c.denominator.bit_length()
+def _times_2_to(c: int, e: int) -> float:
+    """c * 2**e correctly rounded; OverflowError beyond the double range."""
+    return float(c << e) if e >= 0 else c / (1 << -e)
 
 
-def _numeric_roots(fc: list[complex]) -> list[complex]:
-    """Roots of one (preferably square-free) polynomial, Newton-polished."""
+def _numeric_roots(fc: list[complex], exact_value=None) -> list[complex]:
+    """Roots of one (preferably square-free) polynomial, Newton-polished;
+    exact_value(a, b, k) gives its value at (a + b i) / 2**k as a complex
+    when the polynomial has exact coefficients."""
     degree = len(fc) - 1
     deriv = [c * (degree - i) for i, c in enumerate(fc[:-1])]
-    return [_newton_polish(fc, deriv, complex(z)) for z in np.roots(fc)]
+    return [_newton_polish(fc, deriv, complex(z), exact_value) for z in np.roots(fc)]
 
 
-def _newton_polish(fc, deriv, z: complex, steps: int = 40) -> complex:
+def _newton_polish(fc, deriv, z: complex, exact_value=None, steps: int = 40) -> complex:
+    """Newton's method from z on the float coefficients, at most `steps`
+    steps, stopped once a correction falls below 1e-15 relative; the iterate
+    of smallest |f| is kept.
+
+    With exact_value, the iteration also stops once a correction is no
+    smaller than the one before: the float values of f have reached their
+    rounding floor, and a Newton step is only as accurate as the value it
+    divides (Wilkinson, Rounding Errors in Algebraic Processes, 1963).  The
+    best iterate then takes one last step on an exact value of f.
+    """
     fz = _horner(fc, z)
     best, best_val = z, abs(fz)
+    last = math.inf
     for _ in range(steps):
         dz = _horner(deriv, z)
         if dz == 0:
             break
         step = fz / dz
+        if exact_value is not None and abs(step) >= last:
+            return _exact_step(deriv, best, exact_value)
+        last = abs(step)
         z = z - step
         fz = _horner(fc, z)  # the next step's value too
         val = abs(fz)
@@ -218,6 +243,45 @@ def _newton_polish(fc, deriv, z: complex, steps: int = 40) -> complex:
         if abs(step) < 1e-15 * max(1.0, abs(z)):
             break
     return best
+
+
+def _exact_step(deriv, z: complex, exact_value) -> complex:
+    """One Newton step from z, rounded to 53 bits at its own magnitude, with
+    the exact value of f there divided by the float derivative; z itself
+    when z is not finite, the value overflows a double, the derivative is 0
+    or the step is not finite."""
+    if not cmath.isfinite(z):
+        return z
+    k = 53 - math.frexp(max(abs(z.real), abs(z.imag)))[1]
+    a, b = round(math.ldexp(z.real, k)), round(math.ldexp(z.imag, k))
+    w = complex(math.ldexp(a, -k), math.ldexp(b, -k))
+    dw = _horner(deriv, w)
+    if dw == 0:
+        return z
+    try:
+        out = w - exact_value(a, b, k) / dw
+    except OverflowError:
+        return z
+    return out if cmath.isfinite(out) else z
+
+
+def _exact_value(f: list[int], shift: int, top: int, a: int, b: int, k: int) -> complex:
+    """2**-top * f(2**shift * w) at w = (a + b i) / 2**k for an integer list
+    f, the polynomial _float_coeffs scaled, evaluated on Gaussian integers by
+    Horner's rule on f's homogenized form and rounded once to a complex
+    double; OverflowError when a part is beyond the double range."""
+    e = k - shift  # 2**shift * w = (a + b i) / 2**e
+    if e < 0:
+        a, b, e = a << -e, b << -e, 0
+    re = im = 0
+    if b:
+        for i, c in enumerate(f):
+            re, im = re * a - im * b + (c << e * i), re * b + im * a
+    else:
+        for i, c in enumerate(f):
+            re = re * a + (c << e * i)
+    d = -(e * (len(f) - 1) + top)
+    return complex(_times_2_to(re, d), _times_2_to(im, d))
 
 
 def _cluster(found: list[tuple[complex, int, float]], tol: float) -> list[tuple[complex, int, float]]:

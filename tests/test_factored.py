@@ -151,7 +151,9 @@ def test_list_gcd_and_exact_quotient_match_sympy(a, b, c):
     f, g = product(a, c), product(b, c)  # a shared factor c
     for u, v in ((f, g), (a, b), (f, c), (a, a)):
         want = [int(k) for k in as_sympy(u).gcd(as_sympy(v)).all_coeffs()]
-        assert _gcd(u, v) == want == _gcd(v, u)
+        assert _gcd(u, v)[0] == want == _gcd(v, u)[0]
+        # the cofactors, signs and contents included
+        assert all(product(want, q) == w for q, w in zip(_gcd(u, v)[1:], (u, v)))
     assert _exquo(f, c) == a and _exquo(g, b) == c
     for u, v in ((f, b), (a, c), (c, f)):
         try:
@@ -167,13 +169,13 @@ def test_list_gcd_and_exact_quotient_match_sympy(a, b, c):
 def test_heuristic_gcd_matches_sympy_on_wide_coefficients(a, b, c):
     f, g = product(a, c), product(b, c)  # a shared factor c, degree up to 12
     want = [int(k) for k in as_sympy(f).gcd(as_sympy(g)).all_coeffs()]
-    assert _gcd(f, g) == want == _gcd(g, f)
+    assert _gcd(f, g)[0] == want == _gcd(g, f)[0]
 
 
 def test_heuristic_gcd_grows_xi_past_a_false_candidate():
     # xi = 2 * 1 + 29 = 31 first: gcd(32, 64) = 32 reads as x + 1, which
     # does not divide x + 33, so xi must grow before the gcd 1 is found
-    assert _gcd([1, 1], [1, 33]) == [1]
+    assert _gcd([1, 1], [1, 33])[0] == [1]
 
 
 @st.composite
@@ -393,6 +395,17 @@ def test_generic_dendrimer_poly_runs_on_plain_polynomials():
 def test_coprime_base_holds_polynomials_in_x_alone():
     with pytest.raises(ValueError, match="not univariate in x"):
         CoprimeBase().absorb(parse_poly("x^2*w1 - 1"))
+
+
+def test_dendrimer_factored_rejects_float_weights():
+    # a float loop on a unit vertex makes the tier cores inexact, and one on
+    # the core the last tier step
+    unit = path(3).with_root(2)
+    for core, unit in ((k1(rooted=False), Graph(p=3, arcs=unit.arcs, loops={3: 0.5}, root=2)),
+                       (Graph(p=1, loops={1: 0.25}), unit)):
+        spec = DendrimerSpec(core=core, unit=unit, attach_sites=(1, 3), generations=2)
+        with pytest.raises(ValueError, match="^exact factorization needs exact coefficients$"):
+            dendrimer_factored(spec, CHARACTERISTIC_STANDARD)
 
 
 # C4 on C4 (unit C4 rooted at 1, sites 2 and 4) at generation 3 has 88

@@ -26,11 +26,15 @@ def test_isospectral_pair():
 
 def test_dendrimer_scaling():
     out = run_script("dendrimer_scaling.py", "--max-generations", "4")
-    rows = [line.split() for line in out.splitlines()[1:]]
+    binary, c4 = ([line.split() for line in block.splitlines()[1:]] for block in out.split("\n\n"))
     # generation, then the vertex count of the binary path(3) dendrimer
-    assert [(int(r[0]), int(r[1])) for r in rows] == [(j, 2 ** (j + 1) - 1) for j in range(5)]
+    assert [(int(r[0]), int(r[1])) for r in binary] == [(j, 2 ** (j + 1) - 1) for j in range(5)]
     # the coprime factors and the largest factor degree
-    assert [(int(r[2]), int(r[3])) for r in rows] == [(1, 1), (2, 2), (3, 2), (4, 4), (5, 4)]
+    assert [(int(r[2]), int(r[3])) for r in binary] == [(1, 1), (2, 2), (3, 2), (4, 4), (5, 4)]
+    # C4 on C4: a branch of 3 * 2**j - 2 vertices at each of the 4 core
+    # vertices, and per generation one more factor, of degree 4 more
+    assert [(int(r[0]), int(r[1])) for r in c4] == [(j, 12 * 2 ** j - 8) for j in range(5)]
+    assert [(int(r[2]), int(r[3])) for r in c4] == [(2, 2), (3, 6), (4, 10), (5, 14), (6, 18)]
 
 
 def test_oracle_scaling():

@@ -2,19 +2,21 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from _brute import brute_char_poly
 from rootedpoly import factor
-from rootedpoly.factor import dendrimer_poly
+from rootedpoly.factor import dendrimer_factored, dendrimer_poly
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root, k1, path,
                               star)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
                                SIMPLE, circuit_poly, simple_circuit_poly)
-from rootedpoly.factored import multiplicity_at
+from rootedpoly.factored import Factored, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly
-from rootedpoly.spectra import RootSet, dendrimer_spectrum, roots
+from rootedpoly.spectra import (RootSet, _exact_step, _exact_value, _float_coeffs,
+                                dendrimer_spectrum, roots)
 
 CHAR = CHARACTERISTIC_STANDARD
 
@@ -194,6 +196,61 @@ def test_roots_of_exact_input_are_never_merged():
     rs = roots(parse_poly("10000000000000000*x^2 - 1"))
     assert [m for _, m in rs.roots] == [1, 1]
     assert [v.real for v in rs.values()] == pytest.approx([1e-8, -1e-8], rel=1e-12)
+
+
+def test_roots_of_exact_factors_match_mpmath():
+    """Every root of the C4-on-C4 factors at generations 6 and 8, whose
+    largest ones are ill-conditioned, and of the largest one with its roots
+    scaled by 2**100, which _float_coeffs has to scale, lies within 1e-12
+    relative of mpmath's roots at 60 digits."""
+    unit = cycle(4).with_root(1)
+    cases = {}
+    with mpmath.workdps(60):
+        for gen in (6, 8):
+            spec = DendrimerSpec(core=cycle(4), unit=unit, attach_sites=(2, 4), generations=gen)
+            for f, _ in dendrimer_factored(spec, CHAR).factors:
+                cases[tuple(f)] = mpmath.polyroots(f, maxsteps=100, extraprec=100)
+        big = max(cases, key=len)
+        # 2**(100 n) * big(x / 2**100), whose roots are 2**100 times those of big
+        scaled = [c << 100 * i for i, c in enumerate(big)]
+        cases[tuple(scaled)] = [r * mpmath.mpf(2) ** 100 for r in cases[big]]
+    assert _float_coeffs(scaled)[1] != 0
+    for f, want in cases.items():
+        got = roots(Factored(1, ((list(f), 1),))).values()
+        assert len(got) == len(want)
+        for z in got:
+            assert min(abs(z - w) / abs(w) if w else abs(z) for w in want) <= 1e-12
+
+
+def test_exact_step_keeps_the_iterate_when_it_cannot_step():
+    def overflowing(a, b, k):
+        raise OverflowError
+
+    def zero(a, b, k):
+        return 0j
+
+    z = complex(1.5, -0.25)
+    assert _exact_step([0j], z, zero) == z  # the derivative is 0
+    assert _exact_step([1 + 0j], z, overflowing) == z
+    for bad in (complex(math.inf, 0), complex(math.nan, 1)):
+        assert _exact_step([1 + 0j], bad, zero) is bad
+    assert _exact_step([1e-320 + 0j], z, lambda a, b, k: complex(1e300, 0)) == z  # not finite
+    # the value of x^2 at 2^1000 is beyond the double range
+    with pytest.raises(OverflowError):
+        _exact_value([1, 0, 0], 0, 0, 1, 0, -1000)
+    assert _exact_step([2 + 0j, 0j], complex(2.0 ** 1000, 0),
+                       lambda a, b, k: _exact_value([1, 0, 0], 0, 0, a, b, k)) == 2.0 ** 1000
+
+
+@given(st.lists(st.integers(-2 ** 1200, 2 ** 1200), min_size=2, max_size=9).filter(lambda f: f[0]),
+       st.floats(), st.floats())
+def test_exact_step_never_raises(f, re, im):
+    """From any iterate, finite or not, on any integer list, scaled or not."""
+    fc, shift, top = _float_coeffs(f)
+    deriv = [c * (len(fc) - 1 - i) for i, c in enumerate(fc[:-1])]
+    z = complex(re, im)
+    assert isinstance(_exact_step(deriv, z, lambda a, b, k: _exact_value(f, shift, top, a, b, k)),
+                      complex)
 
 
 def test_dendrimer_spectrum_of_symmetric_matrix_is_exactly_real():
