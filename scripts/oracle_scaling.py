@@ -24,6 +24,15 @@ the vertex count, the seconds one call takes, and the number of terms.
 A third table times that determinant route, char_s, on the same k x 2k grids,
 the 10 x 10 grid, the ladders, and the path and the cycle of 80 vertices,
 with the vertex count and the number of terms.
+
+A fourth table times the simple permanental polynomial, perm_s, which
+`circuit_poly` computes as a permanent row by row over the sets of columns
+taken, on the ladders, on the 3 x 8 grid numbered by rows (grid3x8) and by
+columns (grid8x3), and on K_n for n up to --max-vertices, with the vertex
+count and the number of terms.  Its cost follows the bandwidth of the row
+order, which the route chooses itself, so both numberings of the grid, of
+bandwidths 8 and 3, take milliseconds, while the complete graphs, of
+bandwidth n - 1, grow fastest.
 """
 
 import argparse
@@ -31,7 +40,7 @@ import time
 from fractions import Fraction
 
 from rootedpoly.graph import Graph, complete, cycle, from_edges, path
-from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, MATCHING_MINUS, circuit_poly,
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, MATCHING_MINUS, PERMANENTAL, circuit_poly,
                                simple_circuit_poly)
 
 RATIONALS = [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(2, 3), Fraction(-1, 3),
@@ -87,6 +96,17 @@ def main():
     for name, g in graphs:
         t0 = time.perf_counter()
         poly = circuit_poly(g, g.p, simple_char)
+        t1 = time.perf_counter()
+        print(f"{name:>9} {g.p:>9} {t1 - t0:>10.4f} {len(poly.terms()):>7}")
+
+    graphs = [(f"ladder{n}", grid(n // 2, 2)) for n in (10, 20, 40, 80)]
+    graphs += [("grid3x8", grid(3, 8)), ("grid8x3", grid(8, 3))]
+    graphs += [(f"K{n}", complete(n)) for n in range(1, n_max + 1)]
+    permanental = PERMANENTAL.simple()
+    print(f"\n{'graph':>9} {'vertices':>9} {'perm_s':>10} {'terms':>7}")
+    for name, g in graphs:
+        t0 = time.perf_counter()
+        poly = circuit_poly(g, g.p, permanental)
         t1 = time.perf_counter()
         print(f"{name:>9} {g.p:>9} {t1 - t0:>10.4f} {len(poly.terms()):>7}")
 

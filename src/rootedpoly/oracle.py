@@ -1,19 +1,26 @@
-"""Ground-truth circuit polynomials by a recursion over covered vertex sets.
+"""Ground-truth circuit polynomials, by three exact routes.
 
 The full polynomial of a graph sums, over all permutations of the vertex set,
 the product of matrix entries x_i + b_i on fixed points and arc weights along
-longer cycles, times w_l per cycle of length l.  One memoized recursion over
-the set of covered vertices computes it, the directed cycles on one vertex set
-entering once with their arc weights summed; it equals the permutation sum.
-A frontier table over (vertex set, last vertex) gives those cycle sums
-(Held & Karp, 1962).  When the weights are rational and not all integers, the
-recursion runs on integers: every weight is scaled by the lcm D of the
-denominators, and each coefficient is divided by D^p once at the end.
+longer cycles, times w_l per cycle of length l.  The enumeration route
+computes it by one memoized recursion over the set of covered vertices, the
+directed cycles on one vertex set entering once with their arc weights
+summed; it equals the permutation sum.  A frontier table over (vertex set,
+last vertex) gives those cycle sums (Held & Karp, 1962).  When the weights
+are rational and not all integers, every route runs on integers: every
+weight is scaled by the lcm D of the denominators, and the result is divided
+by a power of D once at the end.
 
 Specializations assign values to the w variables and fix the sign convention
-for loop weights.  In the two characteristic modes the simple polynomial is a
+for loop weights.  Two of them have routes of their own that enumerate no
+cycle.  In the two characteristic modes the simple polynomial is a
 determinant, and it is computed as one, by Berkowitz's division-free
-recurrence, with no enumeration at all.
+recurrence.  In the permanental mode the polynomial is a permanent, and it is
+computed row by row over the sets of columns taken.  That costs the live
+column sets times the terms of their values, and the bandwidth of the row
+order bounds the live sets, whatever the number of cycles.  Float weights are
+summed in another order there than in the cycle sums, so they may round
+differently from the enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .graph import Graph
 from .poly import Poly, Var, X, _from_keys, _key, wvar, xvar
@@ -101,6 +108,10 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     """Circuit polynomial of g under a weight mode, by default the full one
     in x_1..x_p and w_1..w_p.
 
+    It takes one of three routes: a determinant in the simple characteristic
+    modes, a permanent in the permanental modes, both described below, and
+    otherwise the enumeration of cycle covers.
+
     cover(covered) sums the covers of the other vertices.  The lowest of them,
     v, is a fixed point with factor (x_v + b_v) * w_1, or the lowest vertex of
     directed cycles on a vertex set of size l, with factor w_l times their
@@ -139,8 +150,21 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     operations, whatever the cycles, so grids and ladders that the
     enumeration cannot reach take a fraction of a second, while long paths
     and cycles, which the enumeration walks in about p^2 steps, take longer
-    than before.  The vertex cap still applies.  Per-vertex x, a names map
-    and every other mode enumerate.
+    than before.
+
+    The permanental modes skip them too: when w1 = w2 = w_rest = 1 and
+    neither halve_rest nor x_to_one is set, with or without collapse_x and
+    names, the polynomial is per(diag(y_v + sigma_b * b_v) + A), computed by
+    _permanental one row at a time over the sets of columns the rows so far
+    have taken.  Its cost is the number of live column sets times the terms
+    of their values, and the live sets are subsets of a band as wide as the
+    bandwidth of the row order, Cuthill-McKee's unless the numbering is
+    already as narrow as any: a 2 x 40 ladder takes a few milliseconds, a
+    path of a thousand vertices a fraction of a second, while a complete
+    graph still has 2^p sets.  It sums the products of a row's
+    entries in another order than the cycle sums do, so float weights may
+    round differently from the enumeration.  The vertex cap applies to every
+    route; every other mode enumerates.
 
     When every weight is an int or a Fraction and one is a Fraction, each arc
     and loop weight is multiplied by the lcm D of their denominators, and the
@@ -151,11 +175,13 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     the division is exact in Fraction and integral results come back as int.
     Otherwise D = 1: nothing is scaled or divided, which covers float loops
     and complex arc weights.  The determinant route scales the same way and
-    divides the coefficient of x^(p-k) by D^k.
+    divides the coefficient of x^(p-k) by D^k; the permanent carries D once
+    per row and divides by D^p.
 
     The recursion goes one level deeper per choice, so a graph of about a
     thousand vertices can exceed the interpreter's recursion limit whatever
-    the cap; that raises OracleCapExceeded too.
+    the cap; that raises OracleCapExceeded too.  The determinant and the
+    permanent do not recurse, so their only limit is the cap.
     """
     p = g.p
     if p > cap:
@@ -164,6 +190,10 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     if (names is None and mode.collapse_x and not mode.x_to_one and mode.sigma_b == -1
             and mode.w1 in (1, -1) and mode.w2 == mode.w_rest == -1):
         return _characteristic(p, arcs, loops, scale, mode.w1)
+    if mode.w1 == mode.w2 == mode.w_rest == 1 and not mode.halve_rest and not mode.x_to_one:
+        if names is None:
+            names = {v: X if mode.collapse_x else xvar(v) for v in range(1, p + 1)}
+        return _permanental(p, arcs, loops, scale, mode.sigma_b, names)
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in arcs.items():
         out[i].append((j, w))
@@ -305,6 +335,101 @@ def _characteristic(p: int, arcs: Mapping, loops: Mapping, scale: int, w1: int) 
     if scale != 1:
         c = [Fraction(x, scale ** k) for k, x in enumerate(c)]
     return Poly.from_univariate_coeffs(c)
+
+
+def _permanental(p: int, arcs: Mapping, loops: Mapping, scale: int, sigma_b: int,
+                 names: Mapping[int, Var]) -> Poly:
+    """per(diag(y_v + sigma_b * b_v) + A), y_v = names[v], for the weights
+    before scaling.
+
+    The rows are added one at a time.  A state is the set of columns the rows
+    so far have taken, as a bit mask, and its value a term dict on Poly's
+    keys; row v extends it by each free column with a nonzero entry, the
+    diagonal as the two atoms y_v * scale and sigma_b * b_v.  After a row,
+    a state that lacks a column no later row can take is dropped, so the
+    live states are the subsets of a band whose width is the bandwidth of
+    the row order.  The rows go as numbered when no numbering is narrower,
+    else in Cuthill-McKee order (ACM National Conference, 1969), see
+    _row_order.  A symmetric permutation leaves the permanent unchanged, and
+    each name stays with its vertex.  Every row carries one factor of scale,
+    so each coefficient is divided by scale^p once at the end.
+    """
+    order = _row_order(p, arcs)
+    row_of = [0] * (p + 1)
+    for r, v in enumerate(order):
+        row_of[v] = r
+    rows = []  # each row's entries as (column bit, atoms (key, coefficient))
+    for r, v in enumerate(order):
+        diagonal = [(_key([(names[v], 1)]), scale)]
+        if v in loops:
+            diagonal.append((0, sigma_b * loops[v]))
+        rows.append([(1 << r, diagonal)])
+    last = list(range(p))  # each column's last row with an entry
+    for (i, j), w in arcs.items():
+        r, c = row_of[i], row_of[j]
+        rows[r].append((1 << c, [(0, w)]))
+        if r > last[c]:
+            last[c] = r
+    due = [0] * p  # due[r]: the columns no row after r can take
+    for c, r in enumerate(last):
+        due[r] |= 1 << c
+    states: dict[int, dict] = {0: {0: 1}}
+    for row, need in zip(rows, due):
+        nxt: dict[int, dict] = {}
+        for used, terms in states.items():
+            for bit, atoms in row:
+                state = used | bit
+                if used & bit or state & need != need:
+                    continue
+                d = nxt.get(state)
+                if d is None:
+                    d = nxt[state] = {}
+                for code, c in atoms:
+                    for key, coeff in terms.items():
+                        key += code
+                        d[key] = d.get(key, 0) + c * coeff
+        states = nxt
+    terms = states[(1 << p) - 1]
+    if scale != 1:
+        denom = scale ** p
+        terms = {key: Fraction(c, denom) for key, c in terms.items()}
+    return _from_keys(terms)
+
+
+def _row_order(p: int, arcs: Mapping) -> Sequence[int]:
+    """The vertices in the order the permanent takes its rows, arcs counting
+    in both directions.
+
+    A band of width b holds at most b * p - b * (b + 1) / 2 edges, so when
+    the edges do not fit in a band narrower than the numbering's own, the
+    numbering already has the least bandwidth and is kept.  Otherwise the
+    order is Cuthill-McKee's: breadth first from a least-degree vertex of
+    each component, each vertex's unplaced neighbours by degree, ties by
+    number.
+    """
+    edges = {(i, j) if i < j else (j, i) for i, j in arcs}
+    narrower = max((j - i for i, j in edges), default=0) - 1
+    if narrower * p - narrower * (narrower + 1) // 2 < len(edges):
+        return range(1, p + 1)
+    adjacent: list[set] = [set() for _ in range(p + 1)]
+    for i, j in arcs:
+        adjacent[i].add(j)
+        adjacent[j].add(i)
+    degree = list(map(len, adjacent))
+    rank = sorted(range(1, p + 1), key=degree.__getitem__)
+    place = dict(zip(rank, range(p))).__getitem__
+    order: list[int] = []
+    seen: set[int] = set()
+    for start in rank:
+        if start not in seen:
+            seen.add(start)
+            queue = [start]
+            for v in queue:  # the loop reaches what it appends
+                fresh = sorted(adjacent[v] - seen, key=place)
+                seen.update(fresh)
+                queue += fresh
+            order += queue
+    return order
 
 
 def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:

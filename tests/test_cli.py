@@ -373,6 +373,25 @@ def test_too_deep_cover_recursion_exits_with_the_cap_code(command, tmp_path):
     assert done.stderr.startswith("error: graph has 1100 vertices") and done.stderr.count("\n") == 1
 
 
+def test_permanental_poly_of_a_long_path(tmp_path):
+    """The permanental mode computes a permanent row by row, with no
+    recursion, so the same 1100-vertex path exits 0.  On a forest the
+    permanental polynomial is the matching-plus polynomial: deleting an end
+    vertex gives m_n = x * m_(n-1) + m_(n-2)."""
+    path = tmp_path / "path1100.json"
+    path.write_text(json.dumps({"p": 1100, "edges": [{"a": i, "b": i + 1} for i in range(1, 1100)]}))
+    done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", "poly", str(path), "--mode", "permanental",
+                           "--cap", "2000"], capture_output=True, env=cli_env(), text=True, timeout=120)
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    before, current = [1], [0, 1]  # m_0 and m_1, ascending
+    for _ in range(1099):
+        nxt = [0, *current]
+        for i, c in enumerate(before):
+            nxt[i] += c
+        before, current = current, nxt
+    assert parse_poly(done.stdout) == Poly.from_univariate_coeffs(current[::-1])
+
+
 # -- the JSON writers against json.dumps ---------------------------------------
 
 

@@ -15,7 +15,7 @@ from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, 
                                MATCHING_MINUS, MATCHING_PLUS, MODES, PERMANENTAL,
                                UNDIRECTED_COVERS, OracleCapExceeded, circuit_poly,
                                mode_by_name, simple_circuit_poly, specialize)
-from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar
+from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
 
 
 def test_single_vertex_with_loop():
@@ -325,6 +325,53 @@ def test_characteristic_standard_equals_determinant(g):
 @given(small_graphs())
 def test_permanental_equals_inclusion_exclusion(g):
     assert simple_circuit_poly(g, PERMANENTAL) == permanental_poly_check(g)
+
+
+@given(weighted_graphs_up_to_eight())
+@example(Graph(p=0))
+@example(LOOPED_SEVEN)
+@example(MIXED_DENOMINATORS)
+@example(WHOLE_FRACTIONS)
+def test_permanental_route_equals_inclusion_exclusion(g):
+    """The simple permanental mode is computed as a permanent, row by row
+    over the columns taken, not through the full polynomial."""
+    assert circuit_poly(g, DEFAULT_CAP, PERMANENTAL.simple()) == permanental_poly_check(g)
+
+
+@st.composite
+def graphs_with_sites(draw):
+    g = draw(graphs_up_to_eight())
+    return g, draw(st.sets(st.integers(1, g.p)))
+
+
+@given(graphs_with_sites())
+@example((MIXED_DENOMINATORS, {2, 3}))
+def test_permanental_route_with_repeated_names(case):
+    """Attach sites named y1 and every other vertex x, as a dendrimer tier
+    core is named: the permanent keeps each name with its vertex, whatever
+    the row order.  With sigma_b = -1 the loops enter the diagonal negated."""
+    g, sites = case
+    names = {v: yvar(1) if v in sites else X for v in range(1, g.p + 1)}
+    rename = {xvar(v): Poly.variable(name) for v, name in names.items()}
+    full = circuit_poly(g)
+    for mode in (PERMANENTAL, replace(PERMANENTAL, sigma_b=-1)):
+        want = specialize(full, mode, g).substitute_many(rename)
+        assert circuit_poly(g, DEFAULT_CAP, mode, names) == want
+
+
+@pytest.mark.parametrize("rungs", [20, 40])
+def test_permanental_ladders_past_the_cap(rungs):
+    """A ladder is bipartite, so per(A) is the square of its perfect-matching
+    count, the Fibonacci number F(rungs + 1); the coefficient of x^(p - 2)
+    sums the 2 x 2 principal permanents, one per edge."""
+    g = ladder(rungs)
+    coeffs = circuit_poly(g, g.p, PERMANENTAL.simple()).univariate_coeffs(X)
+    fib = [0, 1]
+    while len(fib) <= rungs + 1:
+        fib.append(fib[-1] + fib[-2])
+    assert len(coeffs) == g.p + 1 and coeffs[0] == 1 and coeffs[1] == 0
+    assert coeffs[2] == len(g.arcs) // 2 == 3 * rungs - 2
+    assert coeffs[-1] == fib[rungs + 1] ** 2
 
 
 @given(small_graphs())

@@ -39,7 +39,7 @@ def test_dendrimer_scaling():
 
 def test_oracle_scaling():
     out = run_script("oracle_scaling.py", "--max-vertices", "4")
-    full, matching, char = (block.splitlines() for block in out.split("\n\n"))
+    full, matching, char, perm = (block.splitlines() for block in out.split("\n\n"))
     rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in full[1:])}
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
@@ -68,6 +68,14 @@ def test_oracle_scaling():
                     "grid10x10": (100, 46), "ladder10": (10, 5), "ladder20": (20, 11),
                     "ladder40": (40, 20), "ladder80": (80, 41), "P80": (80, 41), "C80": (80, 40)}
     assert all(float(line.split()[2]) >= 0 for line in char[1:])
+    # the permanental rows, by the row-by-row permanent: a bipartite graph
+    # has only the powers of p's parity, all of them; K_n lacks x^(n-1)
+    assert perm[0].split() == ["graph", "vertices", "perm_s", "terms"]
+    rows = {r[0]: (int(r[1]), int(r[3])) for r in (line.split() for line in perm[1:])}
+    assert rows == {"ladder10": (10, 6), "ladder20": (20, 11), "ladder40": (40, 21), "ladder80": (80, 41),
+                    "grid3x8": (24, 13), "grid8x3": (24, 13), "K1": (1, 1), "K2": (2, 2), "K3": (3, 3),
+                    "K4": (4, 4)}
+    assert all(float(line.split()[2]) >= 0 for line in perm[1:])
 
 
 def test_verify_profile():
