@@ -11,7 +11,7 @@ from rootedpoly.factor import (bipartite_delta, mu_squares, restricted_product_p
                                restricted_spectral_form)
 from rootedpoly.graph import (complete, delete_root, from_edges, k1,
                               restricted_rooted_product)
-from rootedpoly.oracle import CHARACTERISTIC_STANDARD, simple_circuit_poly
+from rootedpoly.oracle import CHARACTERISTIC_STANDARD, circuit_poly
 from rootedpoly.poly import Poly
 from rootedpoly.spectra import roots
 
@@ -26,18 +26,18 @@ def main():
 
     first, _ = restricted_rooted_product(tree, bare, twig)
     second, _ = restricted_rooted_product(tree, twig, bare)
-    p_first = simple_circuit_poly(first, MODE, cap=9)
-    p_second = simple_circuit_poly(second, MODE, cap=9)
+    p_first = circuit_poly(first, 9, MODE.simple())
+    p_second = circuit_poly(second, 9, MODE.simple())
 
-    print("core tree:           ", simple_circuit_poly(tree, MODE))
+    print("core tree:           ", circuit_poly(tree, mode=MODE.simple()))
     print("first product:       ", p_first)
     print("reciprocal product:  ", p_second)
     print("identical:           ", p_first == p_second)
 
     delta = bipartite_delta(tree, MODE)
-    ph1 = simple_circuit_poly(bare, MODE)
-    ph2 = simple_circuit_poly(twig, MODE)
-    pl2 = simple_circuit_poly(delete_root(twig), MODE)
+    ph1 = circuit_poly(bare, mode=MODE.simple())
+    ph2 = circuit_poly(twig, mode=MODE.simple())
+    pl2 = circuit_poly(delete_root(twig), mode=MODE.simple())
     via_expansion = restricted_product_poly(delta, ph1, Poly.one(), ph2, pl2)
     print("via expansion:       ", via_expansion, "(equal:", via_expansion == p_first, ")")
 

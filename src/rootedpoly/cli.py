@@ -19,12 +19,13 @@ from itertools import compress
 from operator import add, itemgetter
 
 from . import verify
+from .factor import dendrimer_spectrum
 from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
                      simple_circuit_poly)
 from .poly import Poly, _exponents, _format_coeff, _format_terms
-from .spectra import dendrimer_spectrum, roots
+from .spectra import roots
 
 EXIT_OK = 0
 EXIT_INPUT = 2

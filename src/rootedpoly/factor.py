@@ -425,14 +425,6 @@ def zero_divisibility_report(t_poly: Poly, ph1: Poly, ph2: Poly,
 # -- dendrimers -------------------------------------------------------------------
 
 
-def _keep_x(mode: WeightMode) -> WeightMode:
-    """The mode itself, unless it drops the vertex variables that name the
-    attach sites."""
-    if mode.x_to_one:
-        raise ValueError(f"mode {mode.name} removes vertex variables; not usable here")
-    return mode
-
-
 def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
     """The component weights the mode leaves symbolic; no cycle of a unit or
     a core is longer than p."""
@@ -440,19 +432,6 @@ def weight_gens(mode: WeightMode, p: int) -> tuple[Var, ...]:
 
 
 _SITE = yvar(1)
-
-
-def _attached(targets: Sequence[tuple], p: Poly, q: Poly) -> list[Poly]:
-    """Rooted products of small cores with the branch p, of root-deleted
-    graph q, at their attach sites, as plain polynomials: the tier step of
-    the plain path, for modes that leave some component weight symbolic.
-
-    targets holds (core polynomial, k) per core: the core keeps its own loops,
-    its k attach sites are named y1 and every other vertex x, and the unit is
-    already divided out of it.  The attachment ratio p / q replaces y1, and
-    the bare vertices need nothing.
-    """
-    return [ratio_substitute(core, [(_SITE, p, q)]) for core, _ in targets]
 
 
 def _site_rows(core: Poly) -> tuple[int, list[list[int]]]:
@@ -469,7 +448,8 @@ def _site_rows(core: Poly) -> tuple[int, list[list[int]]]:
     return den, rows
 
 
-def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[tuple]) -> list[tuple]:
+def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple,
+              cores: Sequence[tuple[int, list[list[int]]]]) -> list[tuple]:
     """The tier step over the base, with P, Q and the products as (constant,
     exponents).  The base factors g that P and Q share cancel from the ratio,
     which leaves p_hat / q_hat in lowest terms and of small degree.  With
@@ -477,7 +457,8 @@ def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[t
     c * Q for integer lists P and Q, and the core sum_e row_e * y1**e of
     degree k in y1 gives the product c**k * sum_e row_e * P**e * Q**(k - e),
     formed by Horner's rule in P on integer lists and refined into the base;
-    the shared factors come back as g**k.
+    the shared factors come back as g**k.  Each core is its (den, rows)
+    from _site_rows, computed once by the caller for all tiers.
     """
     (cp, ep), (cq, eq) = p_cur, q_cur
     shared = {i: min(e, eq[i]) for i, e in ep.items() if i in eq}
@@ -487,10 +468,9 @@ def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[t
     p = [ratio.numerator * c for c in reversed(p_hat.coeffs())]
     q = [ratio.denominator * c for c in reversed(q_hat.coeffs())]
     q_powers = [[1], q]
-    carried = [{i: k * e for i, e in shared.items()} for _, k in targets]
+    carried = [{i: (len(rows) - 1) * e for i, e in shared.items()} for _, rows in cores]
     found = []
-    for core, _ in targets:
-        den, rows = _site_rows(core)
+    for den, rows in cores:
         k = len(rows) - 1
         while len(q_powers) <= k:
             q_powers.append(_times(q_powers[-1], q))
@@ -502,32 +482,36 @@ def _products(base: CoprimeBase, p_cur: tuple, q_cur: tuple, targets: Sequence[t
             acc.pop()
         scale = Fraction(cq, ratio.denominator) ** k / den
         found.append(base.absorb_coeffs(scale, acc[::-1], held=carried + [e for _, e in found]))
-    return [(c, _merge(e, g)) for (c, e), g in zip(found, carried)]
+    return [(c, {**e, **{i: e.get(i, 0) + n for i, n in g.items()}})
+            for (c, e), g in zip(found, carried)]
 
 
 def _site_core(g: Graph, names: dict[int, Var], mode: WeightMode, cap: int) -> Poly:
     """Polynomial of a tier core with the given vertex names, the unit
-    divided out of its attach sites."""
-    return _unit_divide_terms(circuit_poly(g, cap, _keep_x(mode), names), [_SITE], mode.w1_unit)
+    divided out of its attach sites; a mode that drops the vertex variables
+    naming the sites is refused."""
+    if mode.x_to_one:
+        raise ValueError(f"mode {mode.name} removes vertex variables; not usable here")
+    return _unit_divide_terms(circuit_poly(g, cap, mode, names), [_SITE], mode.w1_unit)
 
 
 def _unit_targets(unit: Graph, attach_sites: Sequence[int], mode: WeightMode,
-                  cap: int) -> list[tuple[Poly, int]]:
+                  cap: int) -> list[Poly]:
     """The unit and the unit without its root, the two cores of every tier:
     every unit vertex takes an attachment, the previous branch at the attach
     sites and a bare vertex elsewhere."""
     sites = set(attach_sites)
-    targets = []
+    cores = []
     for g, kept in ((unit, range(1, unit.p + 1)),
                     (delete_root(unit), [v for v in range(1, unit.p + 1) if v != unit.root])):
         names = {i: _SITE if v in sites else X for i, v in enumerate(kept, start=1)}
-        targets.append((_site_core(g, names, mode, cap), len(sites.intersection(kept))))
-    return targets
+        cores.append(_site_core(g, names, mode, cap))
+    return cores
 
 
-def _core_target(core: Graph, mode: WeightMode, cap: int) -> tuple[Poly, int]:
+def _core_target(core: Graph, mode: WeightMode, cap: int) -> Poly:
     """The dendrimer core with a branch at every vertex."""
-    return _site_core(core, dict.fromkeys(range(1, core.p + 1), _SITE), mode, cap), core.p
+    return _site_core(core, dict.fromkeys(range(1, core.p + 1), _SITE), mode, cap)
 
 
 def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: WeightMode,
@@ -538,9 +522,9 @@ def _branch_factored(unit: Graph, attach_sites: Sequence[int], tiers: int, mode:
     q_cur = (1, {})                                                  # nothing left
     if tiers == 0:
         return p_cur, q_cur
-    targets = _unit_targets(unit, attach_sites, mode, cap)
+    cores = [_site_rows(core) for core in _unit_targets(unit, attach_sites, mode, cap)]
     for _ in range(tiers):
-        p_cur, q_cur = _products(base, p_cur, q_cur, targets)
+        p_cur, q_cur = _products(base, p_cur, q_cur, cores)
     return p_cur, q_cur
 
 
@@ -548,21 +532,15 @@ def _branch_plain(unit: Graph, attach_sites: Sequence[int], tiers: int, mode: We
                   cap: int) -> tuple[Poly, Poly]:
     """The branch P and its root-deleted graph Q as plain polynomials, tier
     by tier: the path for modes that leave some component weight symbolic,
-    which a coprime base in x cannot hold."""
+    which a coprime base in x cannot hold.  The attachment ratio P / Q
+    replaces y1 in each core, and the bare vertices need nothing."""
     p, q = _unit_mul(Poly.variable(X), mode.w1_unit), Poly.one()
     if tiers == 0:
         return p, q
-    targets = _unit_targets(unit, attach_sites, mode, cap)
+    cores = _unit_targets(unit, attach_sites, mode, cap)
     for _ in range(tiers):
-        p, q = _attached(targets, p, q)
+        p, q = [ratio_substitute(core, [(_SITE, p, q)]) for core in cores]
     return p, q
-
-
-def _merge(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out = dict(a)
-    for i, e in b.items():
-        out[i] = out.get(i, 0) + e
-    return out
 
 
 def monodendron_polys(unit: Graph, attach_sites: Sequence[int], tiers: int,
@@ -594,8 +572,17 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
                          "only polynomials in x are factored")
     base = CoprimeBase()
     p_cur, q_cur = _branch_factored(spec.unit, spec.attach_sites, spec.generations, mode, cap, base)
-    [(const, exps)] = _products(base, p_cur, q_cur, [_core_target(spec.core, mode, cap)])
+    [(const, exps)] = _products(base, p_cur, q_cur, [_site_rows(_core_target(spec.core, mode, cap))])
     return base.factored(const, exps)
+
+
+def dendrimer_spectrum(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP,
+                       cluster_tol: float = 1e-7) -> RootSet:
+    """Spectrum of a dendrimer from its factored polynomial, found one
+    coprime factor at a time; the product graph is never built and the
+    polynomial never expanded.  A mode that leaves a component weight
+    symbolic is rejected before the recursion runs."""
+    return numeric_roots(dendrimer_factored(spec, mode, cap), cluster_tol)
 
 
 def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
@@ -604,6 +591,5 @@ def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP
     tier recursion on plain polynomials."""
     if weight_gens(mode, max(spec.unit.p, spec.core.p)):
         p, q = _branch_plain(spec.unit, spec.attach_sites, spec.generations, mode, cap)
-        [poly] = _attached([_core_target(spec.core, mode, cap)], p, q)
-        return poly
+        return ratio_substitute(_core_target(spec.core, mode, cap), [(_SITE, p, q)])
     return dendrimer_factored(spec, mode, cap).expand()

@@ -16,6 +16,8 @@ merged within the cluster tolerance.
 Residuals are |f(z)| on the float coefficients of the factor a root was
 extracted from, which keeps them meaningful for huge-coefficient inputs.
 The exact multiplicity of one given root comes from factored.multiplicity_at.
+Nothing here knows about graphs: factor.dendrimer_spectrum hands a
+dendrimer's factored polynomial to roots.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from functools import partial
 import numpy as np
 
 from .factored import Factored, _horner, _prem
-from .oracle import DEFAULT_CAP
 from .poly import Poly, X
 
 
@@ -154,23 +155,6 @@ def _times_power_of_two(z: complex, shift: int) -> complex:
             return math.copysign(math.inf, v)
 
     return z if shift == 0 else complex(part(z.real), part(z.imag))
-
-
-def dendrimer_spectrum(spec, mode, cap: int = DEFAULT_CAP, cluster_tol: float = 1e-7) -> RootSet:
-    """Spectrum of a dendrimer, computed from its factorized polynomial.
-
-    The simple circuit polynomial is assembled tier by tier from the unit's
-    polynomials and kept as a product of small coprime factors, whose roots
-    are found one factor at a time; the full product graph is never
-    constructed and the polynomial is never expanded.  A mode that leaves
-    a component weight symbolic is rejected before the recursion runs.
-    """
-    from . import factor  # local import; factor uses this module's root finder
-
-    symbolic = factor.weight_gens(mode, max(spec.unit.p, spec.core.p))
-    if symbolic:
-        raise ValueError(f"polynomial is not univariate in x: contains {list(map(str, symbolic))}")
-    return roots(factor.dendrimer_factored(spec, mode, cap), cluster_tol)
 
 
 # -- internals ------------------------------------------------------------

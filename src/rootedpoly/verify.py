@@ -9,9 +9,11 @@ rooted attachment graphs, with and without injected loop weights.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 from . import factor, spectra
 from .factored import divides, multiplicity_at
@@ -397,8 +399,6 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
 def bipartite_graph_classes(max_vertices: int = 8):
     """All loopless bipartite graphs with at most max_vertices vertices, one
     representative per part-preserving isomorphism class."""
-    from itertools import permutations
-
     yield k1(rooted=False).with_parts((1,)), 1, 0
     for p2 in range(1, max_vertices // 2 + 1):
         for p1 in range(p2, max_vertices - p2 + 1):
@@ -533,8 +533,6 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
     rep_monoid = IdentityReport("branch-monoid")
     rep_scale = IdentityReport("factorized-scaling")
     mode = CHARACTERISTIC_STANDARD
-    import math
-
     twig = complete(2).with_root(1)
     for j in range(0, 9):
         spec = DendrimerSpec(core=k1(rooted=False), unit=twig, attach_sites=(2,), generations=j)
@@ -571,7 +569,7 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                      detail=f"degree={degree} elapsed={elapsed:.2f}s")
 
     deep = DendrimerSpec(core=k1(rooted=False), unit=twig, attach_sites=(2,), generations=12)
-    rs = spectra.dendrimer_spectrum(deep, mode)
+    rs = factor.dendrimer_spectrum(deep, mode)
     rep_scale.record(rs.source_degree == 13, detail="deep path")
 
     report = SuiteReport("dendrimer", [rep_path, rep_monoid, rep_scale])

@@ -14,7 +14,7 @@ import pytest
 from _brute import (brute_char_poly, cycle_index_sym, permanental_poly_check, random_graph,
                     six_vertex_tree)
 from rootedpoly import factor, verify
-from rootedpoly.factor import (bipartite_bivariate, bipartite_delta,
+from rootedpoly.factor import (bipartite_bivariate, bipartite_delta, dendrimer_spectrum,
                                restricted_product_poly, restricted_substitution_poly)
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, delete_root, k1, path,
                               restricted_rooted_product)
@@ -22,7 +22,7 @@ from rootedpoly.oracle import (CHARACTERISTIC_UNIFORM, CHARACTERISTIC_STANDARD, 
                                PERMANENTAL, circuit_poly, simple_circuit_poly,
                                specialize)
 from rootedpoly.poly import parse_poly, xvar
-from rootedpoly.spectra import dendrimer_spectrum, roots
+from rootedpoly.spectra import roots
 
 CHAR = CHARACTERISTIC_STANDARD
 TWIG = complete(2).with_root(1)

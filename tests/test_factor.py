@@ -19,8 +19,8 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
-                               MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS, WeightMode,
-                               circuit_poly, simple_circuit_poly, specialize)
+                               MATCHING_MINUS, MODES, PERMANENTAL, SIMPLE, UNDIRECTED_COVERS,
+                               WeightMode, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.factored import divides, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import roots
@@ -295,6 +295,13 @@ def test_mu_squares_star_and_edge():
     assert [round(v.real, 9) for v in mu.root_set.expanded()] == [1.0]
 
 
+def test_mu_squares_of_a_core_without_a_second_part():
+    # K1 has p2 = 0: q is the constant 1 and there are no squared roots
+    mu = mu_squares(bipartite_delta(k1(rooted=False), CHAR))
+    assert mu.q == Poly.one()
+    assert mu.root_set.roots == () and mu.root_set.source_degree == 0
+
+
 def test_restricted_spectral_form_balanced_zero_roots():
     # two isolated vertices: the only squared root is zero
     t = Graph(p=2, parts=(1, 2))
@@ -469,6 +476,17 @@ def test_monodendron_polys_match_explicit_graphs():
         assert p_poly == simple_circuit_poly(m.graph, CHAR)
         if m.graph.p > 1:
             assert q_poly == simple_circuit_poly(delete_root(m.graph), CHAR)
+
+
+def test_monodendron_polys_in_a_symbolic_mode_match_explicit_graphs():
+    # SIMPLE leaves every w_l symbolic, so the tier recursion runs on plain polynomials
+    from rootedpoly.graph import monodendron
+    unit, sites = path(3).with_root(2), (1, 3)
+    for tiers in range(4):
+        p_poly, q_poly = monodendron_polys(unit, sites, tiers, SIMPLE)
+        g = monodendron(unit, sites, tiers).graph
+        assert p_poly == circuit_poly(g, g.p, SIMPLE)
+        assert q_poly == circuit_poly(delete_root(g), g.p, SIMPLE)
 
 
 def test_dendrimer_poly_zero_generations_is_core():

@@ -8,14 +8,14 @@ from sympy import ZZ
 from sympy.polys.rootisolation import dup_count_real_roots
 
 from _brute import tree_char_value
-from rootedpoly.factor import dendrimer_factored, dendrimer_poly
+from rootedpoly.factor import dendrimer_factored, dendrimer_poly, dendrimer_spectrum
 from rootedpoly.factored import CoprimeBase, Factored, _exquo, _gcd, divides, multiplicity_at
 from rootedpoly.graph import DendrimerSpec, Graph, complete, cycle, dendrimer, k1, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
                                MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, WeightMode,
                                simple_circuit_poly)
 from rootedpoly.poly import Poly, X, parse_poly, wvar
-from rootedpoly.spectra import _real_root_count, dendrimer_spectrum
+from rootedpoly.spectra import _real_root_count
 
 # UNIT_TWO has a one-vertex unit other than +-1, so the tier step's division
 # by the unit cannot pass for a multiplication

@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 
 from _brute import brute_char_poly
 from rootedpoly import factor
-from rootedpoly.factor import dendrimer_factored, dendrimer_poly
+from rootedpoly.factor import dendrimer_factored, dendrimer_poly, dendrimer_spectrum
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root, k1, path,
                               star)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
                                SIMPLE, circuit_poly, simple_circuit_poly)
 from rootedpoly.factored import Factored, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly
-from rootedpoly.spectra import (RootSet, _exact_step, _exact_value, _float_coeffs,
-                                dendrimer_spectrum, roots)
+from rootedpoly.spectra import RootSet, _exact_step, _exact_value, _float_coeffs, roots
 
 CHAR = CHARACTERISTIC_STANDARD
 
@@ -137,9 +136,9 @@ def test_dendrimer_spectrum_rejects_symbolic_weights_before_the_recursion(monkey
     def recursion(*args, **kwargs):
         raise AssertionError("the tier recursion ran")
 
-    monkeypatch.setattr(factor, "dendrimer_factored", recursion)
+    monkeypatch.setattr(factor, "_branch_factored", recursion)
     for mode in (GENERIC, SIMPLE):
-        with pytest.raises(ValueError, match="polynomial is not univariate in x: contains"):
+        with pytest.raises(ValueError, match="symbolic; only polynomials in x are factored"):
             dendrimer_spectrum(path_spec(3), mode)
 
 
