@@ -4,8 +4,7 @@ Subcommands: poly (circuit polynomial of a graph file), product (construct
 rooted products), verify (identity suites), spectrum (numeric roots).
 Exit codes: 0 success, 2 input or validation problem or a numeric failure,
 3 enumeration cap exceeded (or a cover recursion too deep), 4 verification
-failure.  ROOTEDPOLY_CAP
-overrides the default cap.
+failure.
 """
 
 from __future__ import annotations
@@ -31,14 +30,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_VERIFY = 4
-
-
-def _default_cap() -> int:
-    value = os.environ.get("ROOTEDPOLY_CAP")
-    try:
-        return DEFAULT_CAP if value is None else _positive_int(value)
-    except argparse.ArgumentTypeError as exc:
-        raise GraphFormatError(f"ROOTEDPOLY_CAP {exc}") from None
 
 
 def _read_json(path: str):
@@ -136,7 +127,7 @@ def cmd_product(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    reports = verify.run_suites(names, cap=args.cap, tol=args.tol)
+    reports = verify.run_suites(names, cap=args.cap)
     payload = {"suites": [r.to_dict() for r in reports],
                "status": "pass" if all(r.passed for r in reports) else "fail"}
     print(json.dumps(payload, indent=2))
@@ -183,12 +174,12 @@ def cmd_spectrum(args) -> int:
     mode = mode_by_name(args.mode)
     if args.dendrimer:
         spec = _load_dendrimer_spec(args.dendrimer)
-        rs = dendrimer_spectrum(spec, mode, cap=args.cap, cluster_tol=args.tol)
+        rs = dendrimer_spectrum(spec, mode, cap=args.cap)
     else:
         if not args.graph:
             raise GraphFormatError("need a graph file or --dendrimer spec")
         g = _load_graph(args.graph)
-        rs = roots(simple_circuit_poly(g, mode, args.cap), cluster_tol=args.tol)
+        rs = roots(simple_circuit_poly(g, mode, args.cap))
     _print_rootset(rs, args.format)
     return EXIT_OK
 
@@ -199,15 +190,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0 <= value <= sys.float_info.max:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return value
+CAP_HELP = ("the largest vertex count a graph may have, checked before every route, "
+            "the determinant and permanent included; a larger graph exits 3")
 
 
-@functools.cache  # one parser per cap; main still reads ROOTEDPOLY_CAP on every call
-def build_parser(cap: int) -> argparse.ArgumentParser:
+@functools.cache  # built once, on the first call of main
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootedpoly",
         description="Circuit polynomials of weighted directed pseudographs and their rooted products")
@@ -216,12 +204,10 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="circuit polynomial of a graph file")
     p_poly.add_argument("graph", help="graph JSON file")
     p_poly.add_argument("--mode", default="generic", help="weight mode name")
-    group = p_poly.add_mutually_exclusive_group()
-    group.add_argument("--simple", action="store_true", default=True,
-                       help="collapse all vertex variables into x (default)")
-    group.add_argument("--full", action="store_true",
-                       help="keep the per-vertex variables")
-    p_poly.add_argument("--cap", type=_positive_int, default=cap)
+    p_poly.add_argument("--full", action="store_true",
+                        help="keep the per-vertex variables; without it they collapse into x")
+    p_poly.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                        help=CAP_HELP + " (default %(default)s)")
     p_poly.add_argument("--format", choices=("text", "json"), default="text")
     p_poly.set_defaults(func=cmd_poly)
 
@@ -237,17 +223,19 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run identity verification suites")
     p_ver.add_argument("--suite", choices=tuple(verify.SUITES) + ("all",), default="all")
-    p_ver.add_argument("--cap", type=_positive_int, default=max(cap, verify.SUITE_CAP))
-    p_ver.add_argument("--tol", type=_tolerance, default=1e-8)
+    p_ver.add_argument("--cap", type=_positive_int, default=verify.SUITE_CAP,
+                       help="the largest vertex count of a graph the suites enumerate: "
+                            "larger products are skipped and show as fewer instances, and "
+                            "a suite whose fixed graphs exceed it exits 3 (default %(default)s)")
     p_ver.set_defaults(func=cmd_verify)
 
     p_spec = sub.add_parser("spectrum", help="numeric roots of the simple polynomial")
     p_spec.add_argument("graph", nargs="?", help="graph JSON file")
     p_spec.add_argument("--dendrimer", help="dendrimer spec JSON file")
     p_spec.add_argument("--mode", default="characteristic-standard")
-    p_spec.add_argument("--cap", type=_positive_int, default=cap)
-    p_spec.add_argument("--tol", type=_tolerance, default=1e-7,
-                        help="reported as cluster_tol; the roots of exact input are never merged")
+    p_spec.add_argument("--cap", type=_positive_int, default=DEFAULT_CAP,
+                        help=CAP_HELP + "; with --dendrimer it bounds the core and the unit "
+                             "(default %(default)s)")
     p_spec.add_argument("--format", choices=("text", "json"), default="text")
     p_spec.set_defaults(func=cmd_spectrum)
     return parser
@@ -255,8 +243,7 @@ def build_parser(cap: int) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser(_default_cap())
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OracleCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,7 +39,7 @@ from .graph import (DendrimerSpec, Graph, attach_root_loop, bipartition, delete_
 from .oracle import DEFAULT_CAP, WeightMode, circuit_poly
 from .poly import (_FIELD, Poly, Var, X, _from_keys, _shift, multilinear_ratio_substitute,
                    ratio_substitute, wvar, xvar, yvar)
-from .spectra import RootSet, roots as numeric_roots
+from .spectra import CLUSTER_TOL, RootSet, roots as numeric_roots
 
 Unit = Poly | int | Fraction
 
@@ -344,15 +344,15 @@ def one_sided_product_poly(delta: BipartiteExpansion, ph: Poly, pl: Poly,
     return restricted_product_poly(delta, unit, Poly.one(), ph, pl)
 
 
-def mu_squares(delta: BipartiteExpansion, cluster_tol: float = 1e-7) -> MuSquares:
+def mu_squares(delta: BipartiteExpansion) -> MuSquares:
     """Squared symmetric roots of the core: the roots of q(z), whose
     descending coefficients are the expansion coefficients; none when q is
     constant."""
     qc = delta.constants()
     q = Poly.from_univariate_coeffs(qc)
     if len(qc) == 1:
-        return MuSquares(RootSet(roots=(), source_degree=0, cluster_tol=cluster_tol, residuals=()), q)
-    return MuSquares(numeric_roots(q, cluster_tol), q)
+        return MuSquares(RootSet(roots=(), source_degree=0, cluster_tol=CLUSTER_TOL, residuals=()), q)
+    return MuSquares(numeric_roots(q), q)
 
 
 def restricted_spectral_form(mu2: RootSet, ph1: Poly, pl1: Poly, ph2: Poly,
@@ -576,13 +576,12 @@ def dendrimer_factored(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT
     return base.factored(const, exps)
 
 
-def dendrimer_spectrum(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP,
-                       cluster_tol: float = 1e-7) -> RootSet:
+def dendrimer_spectrum(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> RootSet:
     """Spectrum of a dendrimer from its factored polynomial, found one
     coprime factor at a time; the product graph is never built and the
     polynomial never expanded.  A mode that leaves a component weight
     symbolic is rejected before the recursion runs."""
-    return numeric_roots(dendrimer_factored(spec, mode, cap), cluster_tol)
+    return numeric_roots(dendrimer_factored(spec, mode, cap))
 
 
 def dendrimer_poly(spec: DendrimerSpec, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:

@@ -68,26 +68,6 @@ def _primitive(f: list[int]) -> list[int]:
     return f if c == 1 else [a // c for a in f]
 
 
-def _prem(f: list[int], g: list[int]) -> list[int]:
-    """A multiple of the remainder of f by g by a power of g's leading
-    coefficient, as a list with no leading zeros; [] when g divides f over
-    the rationals.  A step multiplies by that coefficient only when it does
-    not divide the leading term, so the multiple is positive when the
-    coefficient is, which the Sturm count in spectra relies on."""
-    r, n, lead = f, len(g), g[0]
-    while len(r) >= n:
-        q, rem = divmod(r[0], lead)
-        if rem:
-            r, q = [lead * a for a in r], r[0]
-        r = [a - q * b for a, b in zip(r[1:n], g[1:])] + r[n:]
-        k = 0
-        while k < len(r) and not r[k]:
-            k += 1
-        if k:
-            r = r[k:]
-    return r
-
-
 def _gcd(f: list[int], g: list[int]) -> tuple[list[int], list[int], list[int]]:
     """(G, f / G, g / G) for two nonzero integer lists, G their gcd with a
     positive leading coefficient, by the heuristic gcd of Char, Geddes and

@@ -29,8 +29,11 @@ from functools import partial
 
 import numpy as np
 
-from .factored import Factored, _horner, _prem
+from .factored import Factored, _horner
 from .poly import Poly, X
+
+# the distance within which the roots of a float-coefficient polynomial merge
+CLUSTER_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,7 @@ class RootSet:
         return [value for value, _ in self.roots]
 
 
-def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
+def roots(p: Poly | Factored, cluster_tol: float = CLUSTER_TOL) -> RootSet:
     """All complex roots of a univariate polynomial in x.
 
     An exact polynomial is split into square-free, pairwise coprime factors
@@ -70,7 +73,8 @@ def roots(p: Poly | Factored, cluster_tol: float = 1e-7) -> RootSet:
     A real or imaginary part beyond the double range (magnitude above about
     1.8e308) comes out as inf with its sign; the root keeps its exact
     multiplicity and the other roots are unaffected.  This is the contract,
-    not an error.
+    not an error.  A factor with roots beyond that range at both ends, which
+    no single power-of-two scaling fits, raises ValueError.
     """
     if isinstance(p, Poly):
         coeffs = p.univariate_coeffs(X)
@@ -146,6 +150,26 @@ def _real_root_count(f: list[int]) -> int:
             - changes([g[0] > 0 for g in chain]))
 
 
+def _prem(f: list[int], g: list[int]) -> list[int]:
+    """A multiple of the remainder of f by g by a power of g's leading
+    coefficient, as a list with no leading zeros; [] when g divides f over
+    the rationals.  A step multiplies by that coefficient only when it does
+    not divide the leading term, so the multiple is positive when the
+    coefficient is, which the Sturm count relies on."""
+    r, n, lead = f, len(g), g[0]
+    while len(r) >= n:
+        q, rem = divmod(r[0], lead)
+        if rem:
+            r, q = [lead * a for a in r], r[0]
+        r = [a - q * b for a, b in zip(r[1:n], g[1:])] + r[n:]
+        k = 0
+        while k < len(r) and not r[k]:
+            k += 1
+        if k:
+            r = r[k:]
+    return r
+
+
 def _times_power_of_two(z: complex, shift: int) -> complex:
     """z * 2**shift; a part beyond the double range becomes infinite."""
     def part(v: float) -> float:
@@ -171,7 +195,8 @@ def _float_coeffs(f: list[int]) -> tuple[list[complex], int, int]:
     Coefficients far outside the double range are scaled exactly: s puts
     the geometric mean of the nonzero roots near 1 and t the largest
     coefficient near 1, both read off the coefficient bit sizes.  The roots
-    of f are 2**s times those of the result.
+    of f are 2**s times those of the result.  A ValueError when the scaled
+    leading coefficient rounds to 0: then no single scaling fits f.
     """
     exps = [abs(c).bit_length() - 1 if c else None for c in f]  # floor(log2 |c|)
     if all(e is None or e <= _PLAIN_EXPONENT for e in exps):
@@ -180,7 +205,11 @@ def _float_coeffs(f: list[int]) -> tuple[list[complex], int, int]:
     last = max(i for i, e in enumerate(exps) if e is not None)
     shift = round((exps[last] - exps[0]) / last) if last else 0
     top = max(e + shift * (n - i) for i, e in enumerate(exps) if e is not None)
-    return [complex(_times_2_to(c, shift * (n - i) - top)) for i, c in enumerate(f)], shift, top
+    fc = [complex(_times_2_to(c, shift * (n - i) - top)) for i, c in enumerate(f)]
+    if not fc[0]:
+        raise ValueError(f"a factor of degree {n} has roots too far apart for one "
+                         "power-of-two scaling: its scaled leading coefficient rounds to 0")
+    return fc, shift, top
 
 
 def _times_2_to(c: int, e: int) -> float:

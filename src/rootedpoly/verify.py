@@ -2,7 +2,7 @@
 
 Each suite checks a family of composition identities against the enumeration
 oracle on explicitly constructed product graphs (exact suites, zero
-tolerance) or against the exact routes (numeric suites, relative tolerance).
+tolerance) or against the exact routes (numeric suites, relative tolerance TOL).
 The corpus is every connected core on up to four vertices crossed with six
 rooted attachment graphs, with and without injected loop weights.
 """
@@ -25,6 +25,10 @@ from .oracle import CHARACTERISTIC_STANDARD, GENERIC, PERMANENTAL, WeightMode, c
 from .poly import Poly, X, ratio_substitute, wvar, xvar
 
 SUITE_CAP = 13
+TOL = 1e-8  # the largest relative coefficient deviation the numeric suites accept
+RECIPROCAL_SEED = 20260809  # the bipartite suite's random reciprocal products
+RECIPROCAL_SAMPLES = 24
+STRUCTURE_MAX_VERTICES = 8  # the size bound of the structure suite's graphs
 
 
 @dataclass
@@ -261,8 +265,7 @@ def _simple_pairs(attachments, mode: WeightMode, cap: int) -> dict[str, tuple[Po
     return {name: factor.attachment_polys(h, mode, cap)[:2] for name, h in attachments}
 
 
-def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
-                        reciprocal_samples: int = 24) -> SuiteReport:
+def run_bipartite_suite(cap: int = SUITE_CAP) -> SuiteReport:
     """Exact identities special to bipartite cores."""
     t0 = time.perf_counter()
     w1 = Poly.variable(wvar(1))
@@ -335,10 +338,10 @@ def run_bipartite_suite(cap: int = SUITE_CAP, seed: int = 20260809,
                     rep.record(got == want, detail=f"{core_name}+{h_name} b={b}")
 
     # reciprocal products on random equipartite cores
-    rng = random.Random(seed)
+    rng = random.Random(RECIPROCAL_SEED)
     attach_pool = corpus_attachments()
     done = 0
-    while done < reciprocal_samples:
+    while done < RECIPROCAL_SAMPLES:
         n = rng.choice((2, 3))
         edges = [(i, n + j) for i in range(1, n + 1) for j in range(1, n + 1)
                  if rng.random() < 0.6]
@@ -370,7 +373,7 @@ def _from_delta(delta: factor.BipartiteExpansion) -> Poly:
     return sum((d * Poly.monomial([(X, p - 2 * k)]) for k, d in enumerate(delta.delta)), Poly.zero())
 
 
-def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -> SuiteReport:
+def run_bipartite_structure_suite(cap: int = SUITE_CAP) -> SuiteReport:
     """Structural facts for every loopless bipartite graph up to a size bound:
     single-parity simple polynomial, divisibility by the part-difference power,
     synchronous bivariate expansion with leading coefficient 1."""
@@ -379,7 +382,7 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
     rep_div = IdentityReport("part-difference-divisibility")
     rep_sync = IdentityReport("synchronous-expansion")
     mode = CHARACTERISTIC_STANDARD
-    for g, p1, p2 in bipartite_graph_classes(max_vertices):
+    for g, p1, p2 in bipartite_graph_classes():
         simple = circuit_poly(g, cap, mode.simple())
         parity_ok, divisible = _parity_and_divisibility(simple, p1, p2)
         detail = f"p1={p1} p2={p2}"
@@ -396,12 +399,12 @@ def run_bipartite_structure_suite(max_vertices: int = 8, cap: int = SUITE_CAP) -
     return report
 
 
-def bipartite_graph_classes(max_vertices: int = 8):
-    """All loopless bipartite graphs with at most max_vertices vertices, one
-    representative per part-preserving isomorphism class."""
+def bipartite_graph_classes():
+    """All loopless bipartite graphs with at most STRUCTURE_MAX_VERTICES
+    vertices, one representative per part-preserving isomorphism class."""
     yield k1(rooted=False).with_parts((1,)), 1, 0
-    for p2 in range(1, max_vertices // 2 + 1):
-        for p1 in range(p2, max_vertices - p2 + 1):
+    for p2 in range(1, STRUCTURE_MAX_VERTICES // 2 + 1):
+        for p1 in range(p2, STRUCTURE_MAX_VERTICES - p2 + 1):
             tables = []
             for pm in permutations(range(p2)):
                 table = [0] * (1 << p2)
@@ -429,7 +432,7 @@ def bipartite_graph_classes(max_vertices: int = 8):
 # -- spectral suite -------------------------------------------------------------------
 
 
-def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
+def run_spectral_suite(cap: int = SUITE_CAP) -> SuiteReport:
     """Numeric root-product routes against the exact expansions."""
     t0 = time.perf_counter()
     rep_roots = IdentityReport("core-roots-product")
@@ -477,10 +480,10 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                                                               mode.w1)
                     dev = coeff_deviation(exact, factor.spectral_product_form(
                         free_roots, ph_b, pl, mode.w1))
-                    rep_roots.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
+                    rep_roots.record(dev <= TOL, dev, f"{core_name}+{h_name} {mode.name}")
                     dev = coeff_deviation(exact, factor.spectral_product_from_loops(
                         free_roots, hb, mode, cap))
-                    rep_loops.record(dev <= tol, dev, f"{core_name}+{h_name} {mode.name}")
+                    rep_loops.record(dev <= TOL, dev, f"{core_name}+{h_name} {mode.name}")
 
     for core_name, core in bipartite_cores():
         parts, p1, p2 = factor.core_parts(core)
@@ -499,10 +502,10 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                 detail = f"{core_name}({n1},{n2}) {mode.name}"
                 dev = coeff_deviation(exact, factor.restricted_spectral_form(
                     mu.root_set, ph1, pl1, ph2, pl2, p1, p2))
-                rep_mu.record(dev <= tol, dev, detail)
+                rep_mu.record(dev <= TOL, dev, detail)
                 dev = coeff_deviation(exact, factor.restricted_product_from_edge_join(
                     mu.root_set, h1, h2, mode, p1, p2, cap))
-                rep_join.record(dev <= tol, dev, detail)
+                rep_join.record(dev <= TOL, dev, detail)
 
             # one-sided squared-root forms with loop-weighted bare vertices
             for b in (0, 2):
@@ -517,7 +520,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
                         numeric = factor.restricted_spectral_form(
                             mu.root_set, unit, Poly.one(), ph, pl, p1, p2)
                     dev = coeff_deviation(exact, numeric)
-                    rep_one.record(dev <= tol, dev, f"{core_name} b={b} {mode.name}")
+                    rep_one.record(dev <= TOL, dev, f"{core_name} b={b} {mode.name}")
 
     report = SuiteReport("spectral", [rep_roots, rep_loops, rep_mu, rep_one, rep_join])
     report.elapsed = time.perf_counter() - t0
@@ -527,7 +530,7 @@ def run_spectral_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
 # -- dendrimer suite ------------------------------------------------------------------
 
 
-def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
+def run_dendrimer_suite(cap: int = SUITE_CAP) -> SuiteReport:
     t0 = time.perf_counter()
     rep_path = IdentityReport("path-eigenvalues")
     rep_monoid = IdentityReport("branch-monoid")
@@ -544,7 +547,7 @@ def run_dendrimer_suite(cap: int = SUITE_CAP, tol: float = 1e-8) -> SuiteReport:
         got = sorted((v.real for v in rs.expanded()), reverse=True)
         dev = max(abs(a - b) for a, b in zip(expect, got))
         built_ok = factored.expand() == circuit_poly(path(n), cap, mode.simple())
-        rep_path.record(dev <= tol and built_ok, dev, f"generations={j}")
+        rep_path.record(dev <= TOL and built_ok, dev, f"generations={j}")
 
     branch_units = [(complete(2).with_root(1), (2,), [(0, 3), (2, 3), (3, 2), (1, 4)]),
                     (path(3).with_root(2), (1, 3), [(0, 2), (1, 1), (2, 0)])]
@@ -585,7 +588,6 @@ SUITES = {
 }
 
 
-def run_suites(names, cap: int = SUITE_CAP, tol: float = 1e-8) -> list[SuiteReport]:
-    """Run the named suites; tol reaches the numeric ones, the exact ones have none."""
-    return [SUITES[name](cap=cap) if name in ("products", "bipartite")
-            else SUITES[name](cap=cap, tol=tol) for name in names]
+def run_suites(names, cap: int = SUITE_CAP) -> list[SuiteReport]:
+    """Run the named suites."""
+    return [SUITES[name](cap=cap) for name in names]

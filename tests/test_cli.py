@@ -42,7 +42,7 @@ def files(tmp_path):
 
 
 def test_poly_simple_characteristic(files, capsys):
-    rc = main(["poly", files["k2"], "--mode", "characteristic-standard", "--simple"])
+    rc = main(["poly", files["k2"], "--mode", "characteristic-standard"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.strip() == "x^2 - 1"
 
@@ -94,15 +94,6 @@ def test_bad_graph_exit_code(files, capsys):
     assert main(["poly", str(files["dir"] / "missing.json")]) == EXIT_INPUT
 
 
-def test_cap_exit_code(files, monkeypatch, capsys):
-    monkeypatch.setenv("ROOTEDPOLY_CAP", "1")
-    assert main(["poly", files["k2"]]) == EXIT_CAP
-    monkeypatch.setenv("ROOTEDPOLY_CAP", "9")
-    assert main(["poly", files["k2"]]) == EXIT_OK
-    monkeypatch.setenv("ROOTEDPOLY_CAP", "zero")
-    assert main(["poly", files["k2"]]) == EXIT_INPUT
-
-
 def test_explicit_cap_flag(files):
     assert main(["poly", files["tree"], "--cap", "5"]) == EXIT_CAP
 
@@ -119,6 +110,7 @@ def test_spectrum_dendrimer_json(files, capsys):
     assert rc == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["degree"] == 4
+    assert doc["cluster_tol"] == 1e-7
     golden = (1 + 5 ** 0.5) / 2
     assert abs(float(doc["roots"][0]["re"]) - golden) < 1e-9
 
@@ -140,7 +132,7 @@ def test_verify_failure_exit_code(files, capsys, monkeypatch):
     import rootedpoly.verify as verify_mod
     from rootedpoly.cli import EXIT_VERIFY
 
-    def broken(cap=0, tol=0.0):
+    def broken(cap=0):
         report = verify_mod.SuiteReport("dendrimer")
         failing = verify_mod.IdentityReport("path-eigenvalues")
         failing.record(False, detail="forced")
@@ -174,6 +166,20 @@ def test_spectrum_beyond_double_range_is_infinite(tmp_path, capsys):
     assert [(r["re"], r["im"], r["multiplicity"]) for r in got] == [("inf", "0", 1), ("-inf", "0", 1)]
 
 
+def test_spectrum_roots_beyond_the_double_range_at_both_ends_exit_code(tmp_path, capsys):
+    # x^2 + 2^1400 x + 1: roots near -2^1400 and -2^-1400, which no single
+    # power-of-two scaling brings into the double range
+    doc = {"p": 2, "arcs": [{"from": 1, "to": 2, "w": 1}, {"from": 2, "to": 1, "w": -1}],
+           "loops": [{"at": 1, "b": -2 ** 1400}]}
+    path = tmp_path / "apart.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "scaled leading coefficient rounds to 0" in captured.err
+
+
 def test_spectrum_keeps_close_simple_roots_apart(tmp_path, capsys):
     # x^2 - 10^-16: the roots +-1e-8 lie within the cluster tolerance but are simple
     w = "1/100000000"
@@ -181,7 +187,9 @@ def test_spectrum_keeps_close_simple_roots_apart(tmp_path, capsys):
     path = tmp_path / "close.json"
     path.write_text(json.dumps(doc))
     assert main(["spectrum", str(path), "--format", "json"]) == EXIT_OK
-    got = json.loads(capsys.readouterr().out)["roots"]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["cluster_tol"] == 1e-7
+    got = doc["roots"]
     assert [r["multiplicity"] for r in got] == [1, 1]
     assert [float(r["re"]) for r in got] == pytest.approx([1e-8, -1e-8], rel=1e-11)
 
@@ -240,7 +248,8 @@ def test_poly_output_is_pinned(case, tmp_path, capsys):
     mode, form, fmt = case.split()
     path = tmp_path / "g.json"
     path.write_text(json.dumps(PINNED_GRAPH))
-    assert main(["poly", str(path), "--mode", mode, f"--{form}", "--format", fmt]) == EXIT_OK
+    flags = ["--full"] if form == "full" else []
+    assert main(["poly", str(path), "--mode", mode, *flags, "--format", fmt]) == EXIT_OK
     assert capsys.readouterr().out == PINNED[case]
 
 
@@ -315,6 +324,7 @@ def test_product_unwritable_output_exit_code(files, capsys):
     assert err.startswith(f"error: {out}: ") and err.count("\n") == 1
 
 
+# the --tol rows check that the removed tolerance options are refused
 @pytest.mark.parametrize("argv", [
     ["spectrum", "{k2}", "--tol", "nan", "--format", "json"],
     ["spectrum", "{k2}", "--tol", "inf"],
@@ -334,8 +344,8 @@ def test_bad_numeric_option_exits_through_argparse(files, capsys, argv):
 
 
 def test_boundary_numeric_options_accepted(files, capsys):
-    assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "1"]) == EXIT_CAP
-    assert main(["spectrum", files["k2"], "--tol", "0", "--cap", "2"]) == EXIT_OK
+    assert main(["spectrum", files["k2"], "--cap", "1"]) == EXIT_CAP
+    assert main(["spectrum", files["k2"], "--cap", "2"]) == EXIT_OK
 
 
 def cli_env() -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, reject, strategies as st
 
 from _brute import brute_char_poly
 from rootedpoly import factor
@@ -181,6 +181,15 @@ def test_roots_scale_huge_coefficients_exactly():
     assert [(v.real, m) for v, m in rs.roots] == pytest.approx([(2.0 ** 1000, 1), (1, 1)], rel=1e-12)
 
 
+@pytest.mark.parametrize("c", [2 ** 1400, 2 ** 1400 + 12345, 3 ** 950])
+def test_roots_refuse_a_factor_no_scaling_fits(c):
+    """x^2 + c x + 1 has roots near -c and -1/c, beyond the double range at
+    both ends: its scaled leading coefficient rounds to 0, so the factor is
+    refused before any root finding."""
+    with pytest.raises(ValueError, match="scaled leading coefficient rounds to 0"):
+        roots(Poly.from_univariate_coeffs([1, c, 1]))
+
+
 def test_roots_never_merge_coprime_factors():
     x = Poly.variable(X)
     near = 1 + Fraction(1, 10 ** 9)
@@ -244,8 +253,12 @@ def test_exact_step_keeps_the_iterate_when_it_cannot_step():
 @given(st.lists(st.integers(-2 ** 1200, 2 ** 1200), min_size=2, max_size=9).filter(lambda f: f[0]),
        st.floats(), st.floats())
 def test_exact_step_never_raises(f, re, im):
-    """From any iterate, finite or not, on any integer list, scaled or not."""
-    fc, shift, top = _float_coeffs(f)
+    """From any iterate, finite or not, on any integer list, scaled or not,
+    that _float_coeffs accepts."""
+    try:
+        fc, shift, top = _float_coeffs(f)
+    except ValueError:  # roots refuses the list before any step
+        reject()
     deriv = [c * (len(fc) - 1 - i) for i, c in enumerate(fc[:-1])]
     z = complex(re, im)
     assert isinstance(_exact_step(deriv, z, lambda a, b, k: _exact_value(f, shift, top, a, b, k)),
