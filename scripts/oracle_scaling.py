@@ -12,8 +12,11 @@ which computes it as a determinant and enumerates nothing.  The
 last column, spec_s, times the route of `rootedpoly spectrum`,
 `simple_circuit_poly` (the full polynomial, then `specialize`), on the same
 graph with rational arc weights, which put Fraction coefficients into the
-full polynomial.  Complete graphs are the dense case, where the cycle sums
-and the cover recursion grow fastest; cycles and grids are sparse.
+full polynomial.  The columns json_s and text_s time writing the full
+polynomial as `rootedpoly poly --full` prints it, with `--format json`
+(`cli._poly_json`) and as text (`str`), to set beside the seconds it takes
+to compute.  Complete graphs are the dense case, where the cycle sums and
+the cover recursion grow fastest; cycles and grids are sparse.
 
 A second table times the simple matching-minus polynomial, whatever
 --max-vertices is, of the k x 2k grids for k = 2..5 and of ladders of 10 to
@@ -39,6 +42,7 @@ import argparse
 import time
 from fractions import Fraction
 
+from rootedpoly.cli import _poly_json
 from rootedpoly.graph import Graph, complete, cycle, from_edges, path
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, MATCHING_MINUS, PERMANENTAL, circuit_poly,
                                simple_circuit_poly)
@@ -69,7 +73,8 @@ def main():
     graphs += [(f"C{n}", cycle(n)) for n in range(3, n_max + 1)]
     graphs += [(f"grid{k}x{k}", grid(k, k)) for k in range(2, n_max + 1) if k * k <= n_max]
     simple_char = CHARACTERISTIC_STANDARD.simple()
-    print(f"{'graph':>9} {'vertices':>9} {'seconds':>9} {'terms':>7} {'char_s':>9} {'spec_s':>9}")
+    print(f"{'graph':>9} {'vertices':>9} {'seconds':>9} {'terms':>7} {'char_s':>9} {'spec_s':>9}"
+          f" {'json_s':>9} {'text_s':>9}")
     for name, g in graphs:
         rational = rational_weights(g)
         t0 = time.perf_counter()
@@ -79,7 +84,12 @@ def main():
         t2 = time.perf_counter()
         simple_circuit_poly(rational, CHARACTERISTIC_STANDARD, g.p)
         t3 = time.perf_counter()
-        print(f"{name:>9} {g.p:>9} {t1 - t0:>9.4f} {len(poly.terms()):>7} {t2 - t1:>9.4f} {t3 - t2:>9.4f}")
+        _poly_json(poly)
+        t4 = time.perf_counter()
+        str(poly)
+        t5 = time.perf_counter()
+        print(f"{name:>9} {g.p:>9} {t1 - t0:>9.4f} {len(poly.terms()):>7} {t2 - t1:>9.4f} {t3 - t2:>9.4f}"
+              f" {t4 - t3:>9.4f} {t5 - t4:>9.4f}")
 
     graphs = [(f"grid{k}x{2 * k}", grid(k, 2 * k)) for k in range(2, 6)]
     graphs += [(f"ladder{n}", grid(n // 2, 2)) for n in (10, 20, 40, 80)]

@@ -14,8 +14,7 @@ import functools
 import json
 import os
 import sys
-from itertools import compress
-from operator import add, itemgetter
+from operator import itemgetter
 
 from . import verify
 from .factor import dendrimer_spectrum
@@ -23,7 +22,7 @@ from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
                      simple_circuit_poly)
-from .poly import Poly, _exponents, _format_coeff, _format_terms
+from .poly import Poly, _write
 from .spectra import roots
 
 EXIT_OK = 0
@@ -51,31 +50,15 @@ def _poly_json(p: Poly) -> str:
     written directly.
 
     A term is {"coeff": its text, "monomial": {name: exponent}}, with the
-    variables in canonical order.  The terms come in the order of the text of
-    their monomial tuples, str(((Var(kind, index), e), ...)), which
-    tests/data/poly_outputs.json pins.  Factor by factor, that text compares
-    the kind, then the index and the exponent as decimal strings (so x10
-    comes before x2).  Where one monomial's factors begin the other's, one
-    of two or more factors comes first, one of a single factor comes last,
-    and the constant comes after every other term.
+    variables in canonical order.  The text and the terms come from one pass
+    over the terms (poly._write), each in its pinned order: the text by
+    descending total degree, the terms by the text of their monomial tuples,
+    so x10 comes before x2 and the constant comes last.  The text holds only
+    ASCII letters, digits, spaces and "+-*/^().", none of which json.dumps
+    escapes.
     """
-    variables, exponents = _exponents(list(p._terms))
-    names = [str(v) for v in variables]
-    texts = [(v.kind, str(v.index)) for v in variables]
-    lines = [f'\n        "{name}": ' for name in names]
-    indices = range(len(variables))
-    entries = []
-    for e, c in zip(exponents, p._terms.values()):
-        used = list(compress(indices, e))
-        powers = list(map(str, compress(e, e)))
-        key = [x for pair in zip(map(texts.__getitem__, used), powers) for x in pair]
-        key.append((-1,) if len(used) > 1 else (4,))  # before or after every (kind, index)
-        mono = "{" + ",".join(map(add, map(lines.__getitem__, used), powers)) + "\n      }" if used else "{}"
-        entries.append((key, f'\n    {{\n      "coeff": "{_format_coeff(c)}",\n      "monomial": {mono}\n    }}'))
-    entries.sort(key=itemgetter(0))
-    terms = "[" + ",".join(map(itemgetter(1), entries)) + "\n  ]" if entries else "[]"
-    text = json.dumps(_format_terms(names, exponents, p._terms.values()))
-    return f'{{\n  "text": {text},\n  "terms": {terms}\n}}'
+    text, terms = _write(p._terms, with_json=True)
+    return f'{{\n  "text": "{text}",\n  "terms": {terms}\n}}'
 
 
 def cmd_poly(args) -> int:
@@ -87,6 +70,47 @@ def cmd_poly(args) -> int:
     else:
         print(result)
     return EXIT_OK
+
+
+def _json_scalar(value) -> str:
+    return f'"{value}"' if type(value) is str else str(value)
+
+
+def _json_item(item) -> str:
+    if type(item) is dict:
+        return "{\n      " + ",\n      ".join(f'"{k}": {_json_scalar(x)}' for k, x in item.items()) + "\n    }"
+    return _json_scalar(item)
+
+
+def _indented_json(doc: dict) -> str:
+    """The text of json.dumps(doc, indent=2), written directly, for a dict
+    whose values are ints, strings JSON does not escape, or lists of those or
+    of flat dicts of those: the shape of graph_to_json's document."""
+    fields = []
+    for key, value in doc.items():
+        if type(value) is list:
+            items = ",".join("\n    " + _json_item(item) for item in value)
+            value = f"[{items}\n  ]" if items else "[]"
+        else:
+            value = _json_scalar(value)
+        fields.append(f'"{key}": {value}')
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
+def _product_doc(product: Graph, core_p: int, maps: list[dict[int, int]]) -> dict:
+    """graph_to_json(product) with "provenance": one {"vertex", "origin":
+    "core", "core_vertex"} per core vertex, then member by member, in product
+    vertex order, one {"vertex", "origin": "attachment", "core_vertex",
+    "member_vertex"} per vertex the member adds."""
+    doc = graph_to_json(product)
+    provenance = [{"vertex": v, "origin": "core", "core_vertex": v} for v in range(1, core_p + 1)]
+    for k, mapping in enumerate(maps, start=1):
+        for member_vertex, product_vertex in sorted(mapping.items(), key=itemgetter(1)):
+            if product_vertex > core_p:
+                provenance.append({"vertex": product_vertex, "origin": "attachment",
+                                   "core_vertex": k, "member_vertex": member_vertex})
+    doc["provenance"] = provenance
+    return doc
 
 
 def cmd_product(args) -> int:
@@ -105,15 +129,7 @@ def cmd_product(args) -> int:
                 f"--gamma lists {len(args.gamma)} graphs but the core has {core.p} vertices")
         gamma = [_load_graph(f) for f in args.gamma]
         product, maps = rooted_product(core, gamma)
-    doc = graph_to_json(product)
-    provenance = [{"vertex": v, "origin": "core", "core_vertex": v} for v in range(1, core.p + 1)]
-    for k, mapping in enumerate(maps, start=1):
-        for member_vertex, product_vertex in sorted(mapping.items(), key=lambda kv: kv[1]):
-            if product_vertex > core.p:
-                provenance.append({"vertex": product_vertex, "origin": "attachment",
-                                   "core_vertex": k, "member_vertex": member_vertex})
-    doc["provenance"] = provenance
-    text = json.dumps(doc, indent=2)
+    text = _indented_json(_product_doc(product, core.p, maps))
     if args.output:
         try:
             with open(args.output, "w") as fh:

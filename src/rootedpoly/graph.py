@@ -410,8 +410,9 @@ def _weight_from_json(value, where: str) -> Weight:
     if isinstance(value, str):
         if not _RATIONAL.fullmatch(value):
             raise GraphFormatError(f"{where}: bad rational {value!r}, expected 'num' or 'num/den'")
-        try:
-            return Fraction(value)
+        num, _, den = value.partition("/")
+        try:  # a zero den, or digits past int's limit on string conversion
+            return Fraction(int(num), int(den)) if den else int(num)
         except (ValueError, ZeroDivisionError) as exc:
             raise GraphFormatError(f"{where}: bad rational {value!r}") from exc
     raise GraphFormatError(f"{where}: weight must be an integer or 'num/den' string")
@@ -438,6 +439,11 @@ def _weight_to_json(w: Weight):
     raise GraphFormatError("only exact rational weights can be serialized")
 
 
+def _accumulate(weights: dict, key, w: Weight) -> None:
+    """Add w to weights[key]; a first weight is stored as it is."""
+    weights[key] = weights[key] + w if key in weights else w
+
+
 def graph_from_json(data: Mapping) -> Graph:
     """Build a graph from the JSON interchange dict.
 
@@ -459,8 +465,7 @@ def graph_from_json(data: Mapping) -> Graph:
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"arcs[{k}]: need 'from' and 'to'") from exc
         i, j = _index_from_json(i, f"arcs[{k}].from"), _index_from_json(j, f"arcs[{k}].to")
-        w = _weight_from_json(entry.get("w", 1), f"arcs[{k}]")
-        arcs[(i, j)] = arcs.get((i, j), 0) + w
+        _accumulate(arcs, (i, j), _weight_from_json(entry.get("w", 1), f"arcs[{k}]"))
     for k, entry in enumerate(_json_array(data, "edges")):
         try:
             a, b = entry["a"], entry["b"]
@@ -468,8 +473,8 @@ def graph_from_json(data: Mapping) -> Graph:
             raise GraphFormatError(f"edges[{k}]: need 'a' and 'b'") from exc
         a, b = _index_from_json(a, f"edges[{k}].a"), _index_from_json(b, f"edges[{k}].b")
         w = _weight_from_json(entry.get("w", 1), f"edges[{k}]")
-        arcs[(a, b)] = arcs.get((a, b), 0) + w
-        arcs[(b, a)] = arcs.get((b, a), 0) + w
+        _accumulate(arcs, (a, b), w)
+        _accumulate(arcs, (b, a), w)
     loops: dict[int, Weight] = {}
     for k, entry in enumerate(_json_array(data, "loops")):
         try:
@@ -477,8 +482,7 @@ def graph_from_json(data: Mapping) -> Graph:
         except (TypeError, KeyError) as exc:
             raise GraphFormatError(f"loops[{k}]: need 'at'") from exc
         at = _index_from_json(at, f"loops[{k}].at")
-        b = _weight_from_json(entry.get("b", 0), f"loops[{k}]")
-        loops[at] = loops.get(at, 0) + b
+        _accumulate(loops, at, _weight_from_json(entry.get("b", 0), f"loops[{k}]"))
     root, parts = data.get("root"), data.get("parts")
     try:
         if root is not None:

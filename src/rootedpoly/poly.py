@@ -40,9 +40,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import compress
+from itertools import compress, repeat
 from math import lcm
-from operator import itemgetter, or_
+from operator import getitem, itemgetter, or_
 from struct import Struct
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -382,8 +382,7 @@ class Poly:
     # -- printing ---------------------------------------------------------
 
     def __str__(self) -> str:
-        variables, exponents = _exponents(list(self._terms))
-        return _format_terms([str(v) for v in variables], exponents, self._terms.values())
+        return _write(self._terms)[0]
 
     def __repr__(self) -> str:
         return f"Poly({self})"
@@ -400,37 +399,104 @@ def _as_poly(value) -> Poly:
 # -- coefficient and term formatting --------------------------------------
 
 
-def _format_coeff(c: Coeff) -> str:
-    if isinstance(c, int):
-        return str(c)
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+def _format_numeric(c: float | complex) -> str:
+    """The text of a float or complex coefficient."""
     if isinstance(c, complex):
         return f"({c.real:.12g}{c.imag:+.12g}j)"
     return f"{c:.12g}"
 
 
-def _format_terms(names: Sequence[str], exponents: Sequence[tuple[int, ...]],
-                  coeffs: Iterable[Coeff]) -> str:
-    """The text of str(Poly), from the names of the variables in canonical
-    order and each term's exponents of them."""
-    if not exponents:
-        return "0"
-    # descending total degree, then graded-lex on the canonical variable order
-    rows = sorted(zip(exponents, coeffs), key=lambda r: (sum(r[0]), r[0]), reverse=True)
-    return " ".join(_format_term(_pairs(names, e), c, first=(i == 0)) for i, (e, c) in enumerate(rows))
+class _Fragments(dict):
+    """Exponent -> make(v, exponent) for one variable v, made on first use."""
+
+    __slots__ = ("make", "v")
+
+    def __init__(self, make, v: Var):
+        self.make, self.v = make, v
+
+    def __missing__(self, e: int):
+        self[e] = made = self.make(self.v, e)
+        return made
 
 
-def _format_term(mono: Iterable[tuple[Var | str, int]], coeff: Coeff, first: bool) -> str:
-    negative = not isinstance(coeff, complex) and coeff < 0
-    mag = -coeff if negative else coeff
-    factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
-    if not factors or mag != 1 or not _is_exact(mag):
-        factors.insert(0, _format_coeff(mag))
-    body = "*".join(factors)
-    if first:
-        return f"-{body}" if negative else body
-    return f"- {body}" if negative else f"+ {body}"
+def _factor_text(v: Var, e: int) -> str:
+    return str(v) if e == 1 else f"{v}^{e}"
+
+
+def _factor_texts(v: Var, e: int) -> tuple[str, str, str]:
+    """The factor's text, its line of a JSON monomial and its part of the
+    JSON sort key."""
+    return _factor_text(v, e), f'\n        "{v}": {e}', f"{v.kind}{v.index}\x01{e}\x01"
+
+
+def _write(terms: Mapping[int, Coeff], with_json: bool = False) -> tuple[str, str]:
+    """The text of str(Poly) of the packed terms and, with_json, the "terms"
+    array of `rootedpoly poly --format json` in the json.dumps(..., indent=2)
+    layout ("" without), both from one pass over the terms.
+
+    Each term's fragments are made once: its coefficient's text, read off its
+    numerator and denominator (or its float formatting) with no arithmetic on
+    it, its sign, and per factor the text ("x3^2"), the JSON monomial line and
+    the JSON sort key, each cached per variable and exponent.
+
+    The text lists the terms by descending total degree, then graded-lex on
+    the canonical variable order.  A term is its sign ("-" first, "- " or
+    "+ " after), its coefficient's magnitude and its factors, joined by "*";
+    an exact coefficient of magnitude 1 is left out unless the term is a
+    constant, while a float or complex one is always written.
+
+    The JSON array orders the terms by the text of their monomial tuples,
+    str(((Var(kind, index), e), ...)), which tests/data/poly_outputs.json
+    pins.  Factor by factor, that text compares the kind, then the index and
+    the exponent as decimal strings (so x10 comes before x2).  Where one
+    monomial's factors begin the other's, one of two or more factors comes
+    first, one of a single factor comes last, and the constant comes after
+    every other term.  The sort key spells this out as one string: per factor
+    the kind digit, the index and the exponent, each ended by "\\x01", which
+    sorts below every digit, then "\\x00" after two or more factors and
+    "\\x7f" after one; the constant's key is "\\x7f".
+    """
+    if not terms:
+        return "0", "[]"
+    variables, exponents = _exponents(list(terms))
+    tables = [_Fragments(_factor_texts if with_json else _factor_text, v) for v in variables]
+    # per term, its factors' fragments: the texts joined by "*", or with_json
+    # an iterator of (text, line, key) per factor
+    fragments = map(map, repeat(getitem), map(compress, repeat(tables), exponents),
+                    map(compress, exponents, exponents))
+    if not with_json:
+        fragments = map("*".join, fragments)
+    rows, entries = [], []
+    for c, factors in zip(terms.values(), fragments):
+        kind = type(c)
+        if kind is int:
+            coeff = str(c)
+            minus = coeff[0] == "-"
+        elif kind is Fraction:
+            coeff = f"{c.numerator}/{c.denominator}"
+            minus = coeff[0] == "-"
+        else:
+            coeff = _format_numeric(c)
+            minus = kind is not complex and c < 0
+        if with_json:
+            texts, lines, keys = tuple(zip(*factors)) or ((), (), ())
+            factors = "*".join(texts)
+            mono = "{" + ",".join(lines) + "\n      }" if lines else "{}"
+            entries.append(("".join(keys) + ("\x00" if len(keys) > 1 else "\x7f"),
+                            f'\n    {{\n      "coeff": "{coeff}",\n      "monomial": {mono}\n    }}'))
+        mag = coeff[1:] if minus else coeff
+        if not factors:
+            factors = mag
+        elif mag != "1" or kind not in (int, Fraction):
+            factors = mag + "*" + factors
+        rows.append(("- " if minus else "+ ") + factors)
+    rows = sorted(zip(map(sum, exponents), exponents, rows), reverse=True)
+    first = rows[0][2]
+    text = " ".join([first[2:] if first[0] == "+" else "-" + first[2:], *map(itemgetter(2), rows[1:])])
+    if not with_json:
+        return text, ""
+    entries.sort()
+    return text, "[" + ",".join(map(itemgetter(1), entries)) + "\n  ]"
 
 
 # -- substitution -------------------------------------------------------------

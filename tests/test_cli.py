@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from _brute import ladder, lowest_vertex_matching_poly, reweighted, six_vertex_tree
-from rootedpoly.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, _poly_json, _rootset_json, main
-from rootedpoly.graph import graph_from_json, graph_to_json
+from rootedpoly.cli import (EXIT_CAP, EXIT_INPUT, EXIT_OK, _indented_json, _poly_json, _product_doc,
+                           _rootset_json, main)
+from rootedpoly.graph import (Graph, NotBipartiteError, bipartition, graph_from_json, graph_to_json,
+                              rooted_product)
 from rootedpoly.oracle import CHARACTERISTIC_STANDARD, MODES, simple_circuit_poly
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
 from rootedpoly.spectra import RootSet
@@ -405,6 +407,41 @@ def test_permanental_poly_of_a_long_path(tmp_path):
 # -- the JSON writers against json.dumps ---------------------------------------
 
 
+def reference_text(p: Poly) -> str:
+    """str(p) by the documented rules, from p.terms(): descending total degree,
+    then graded-lex on the canonical variable order; the sign as "-" on the
+    first term and "- " or "+ " on the others; an exact coefficient of
+    magnitude 1 left out of a non-constant term, a float or complex one kept."""
+    terms = p.terms()
+    if not terms:
+        return "0"
+    variables = sorted({v for mono in terms for v, _ in mono})
+
+    def order(item):
+        exps = dict(item[0])
+        row = [exps.get(v, 0) for v in variables]
+        return sum(row), row
+
+    out = []
+    for mono, c in sorted(terms.items(), key=order, reverse=True):
+        negative = not isinstance(c, complex) and c < 0
+        mag = -c if negative else c
+        if isinstance(mag, Fraction):
+            coeff = f"{mag.numerator}/{mag.denominator}"
+        elif isinstance(mag, int):
+            coeff = str(mag)
+        elif isinstance(mag, complex):
+            coeff = f"({mag.real:.12g}{mag.imag:+.12g}j)"
+        else:
+            coeff = f"{mag:.12g}"
+        factors = [str(v) if e == 1 else f"{v}^{e}" for v, e in mono]
+        if not (mono and isinstance(mag, (int, Fraction)) and mag == 1):
+            factors.insert(0, coeff)
+        sign = ("-" if negative else "") if not out else ("- " if negative else "+ ")
+        out.append(sign + "*".join(factors))
+    return " ".join(out)
+
+
 def reference_poly_json(p: Poly) -> str:
     """The `poly --format json` document as json.dumps builds it, with the
     terms sorted by the text of their monomial tuples."""
@@ -417,7 +454,7 @@ def reference_poly_json(p: Poly) -> str:
         else:
             text = f"{coeff:.12g}"
         terms.append({"coeff": text, "monomial": {str(v): e for v, e in mono}})
-    return json.dumps({"text": str(p), "terms": terms}, indent=2)
+    return json.dumps({"text": reference_text(p), "terms": terms}, indent=2)
 
 
 WRITER_VARS = [X, xvar(1), xvar(2), xvar(10), xvar(13), yvar(1), yvar(2), wvar(1), wvar(2), wvar(10)]
@@ -425,13 +462,18 @@ EXACT = st.one_of(st.integers(-10 ** 20, 10 ** 20),
                   st.fractions(min_value=-50, max_value=50, max_denominator=60))
 
 
+# float and complex coefficients, as the numeric pipelines make them; 1.0 and -1.0 are kept in the text
+NUMERIC = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([1.0, -1.0, -0.5]),
+                    st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6))
+
+
 @st.composite
-def writer_polys(draw):
+def writer_polys(draw, coeffs=EXACT):
     p = Poly.zero()
     for _ in range(draw(st.integers(0, 6))):
         pairs = [(v, draw(st.integers(1, 12)))
                  for v in draw(st.sets(st.sampled_from(WRITER_VARS), max_size=4))]
-        p = p + Poly.monomial(pairs, draw(EXACT))
+        p = p + Poly.monomial(pairs, draw(coeffs))
     return p
 
 
@@ -444,6 +486,15 @@ def writer_polys(draw):
 @example(Poly({((X, 2),): 0.5, ((wvar(1), 1),): -1e-30, (): 3.25}))
 def test_poly_writer_matches_json_dumps(p):
     assert _poly_json(p) == reference_poly_json(p)
+
+
+@given(writer_polys(st.one_of(EXACT, NUMERIC)))
+@example(Poly.zero())
+@example(Poly({((X, 2),): 1.0, ((xvar(1), 1),): -1.0, ((wvar(2), 3),): 1, (): -1}))
+@example(Poly({((X, 1),): complex(1, -2), ((X, 2),): complex(-1, 0), ((xvar(10), 1), (xvar(2), 1)): -1}))
+@example(Poly({((X, 1),): Fraction(-1, 2), (): 1.0}))
+def test_poly_text_matches_the_documented_rules(p):
+    assert str(p) == reference_text(p)
 
 
 def reference_rootset_json(rs: RootSet) -> str:
@@ -474,3 +525,54 @@ def rootsets(draw):
                  source_degree=4, cluster_tol=0.0, residuals=(math.inf, math.nan, 3e-16)))
 def test_rootset_writer_matches_json_dumps(rs):
     assert _rootset_json(rs) == reference_rootset_json(rs)
+
+
+def reference_product_json(product: Graph, core_p: int, maps: list[dict[int, int]]) -> str:
+    """The `product` document as json.dumps builds it: the product graph's
+    interchange dict, then one provenance entry per core vertex and per
+    vertex a member adds, in product vertex order."""
+    doc = graph_to_json(product)
+    provenance = [{"vertex": v, "origin": "core", "core_vertex": v} for v in range(1, core_p + 1)]
+    for k, mapping in enumerate(maps, start=1):
+        for member_vertex, product_vertex in sorted(mapping.items(), key=lambda kv: kv[1]):
+            if product_vertex > core_p:
+                provenance.append({"vertex": product_vertex, "origin": "attachment",
+                                   "core_vertex": k, "member_vertex": member_vertex})
+    doc["provenance"] = provenance
+    return json.dumps(doc, indent=2)
+
+
+GRAPH_WEIGHTS = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                          st.fractions(min_value=-50, max_value=50, max_denominator=60))
+
+
+@st.composite
+def weighted_graphs(draw, min_p=0, max_p=4, rooted=False):
+    p = draw(st.integers(min_p, max_p))
+    vertex = st.integers(1, p)
+    arcs = draw(st.dictionaries(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]), GRAPH_WEIGHTS,
+                                max_size=2 * p)) if p > 1 else {}
+    loops = draw(st.dictionaries(vertex, GRAPH_WEIGHTS, max_size=p)) if p else {}
+    root = draw(vertex) if rooted else draw(st.none() | vertex) if p else None
+    return Graph(p=p, arcs=arcs, loops=loops, root=root)
+
+
+@st.composite
+def products(draw):
+    core = draw(weighted_graphs())
+    product, maps = rooted_product(core, [draw(weighted_graphs(1, 3, rooted=True)) for _ in range(core.p)])
+    if draw(st.booleans()):
+        try:
+            product = Graph(p=product.p, arcs=product.arcs, loops=product.loops, root=product.root,
+                            parts=bipartition(product))
+        except NotBipartiteError:
+            pass
+    return product, core.p, maps
+
+
+@given(products())
+@example((Graph(p=0, parts=()), 0, []))
+@example((Graph(p=2, arcs={(1, 2): Fraction(-3, 4), (2, 1): 5}, loops={2: Fraction(1, 3)}, root=2,
+                parts=(1, 2)), 1, [{1: 1, 2: 2}]))
+def test_product_writer_matches_json_dumps(case):
+    assert _indented_json(_product_doc(*case)) == reference_product_json(*case)

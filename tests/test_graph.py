@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from _brute import six_vertex_tree
 from rootedpoly.graph import (DendrimerSpec, Graph, GraphFormatError, NotBipartiteError,
@@ -258,6 +260,54 @@ def test_json_errors():
                        ({"p": 2, "parts": 5}, "'parts'")]:
         with pytest.raises(GraphFormatError, match=where):
             graph_from_json(doc)
+
+
+# strings of the form -?num(/den)? with a nonzero den; leading zeros allowed
+RATIONAL_TEXT = st.one_of(st.from_regex(r"-?[0-9]{1,30}(/0*[1-9][0-9]{0,30})?", fullmatch=True),
+                          st.builds(lambda n, d: f"{n}/{d}", st.integers(-10 ** 600, 10 ** 600),
+                                    st.integers(1, 10 ** 40)))
+
+
+@given(RATIONAL_TEXT)
+@example("-0/7")
+@example("007/014")
+@example("-000")
+@example("9" * 4300)
+@example("1/" + "9" * 4300)
+def test_rational_weight_equals_fraction_of_its_text(text):
+    want = Fraction(text)
+    g = graph_from_json({"p": 2, "arcs": [{"from": 1, "to": 2, "w": text}],
+                         "edges": [{"a": 1, "b": 2, "w": text}], "loops": [{"at": 2, "b": text}]})
+    assert (g.arc(1, 2), g.arc(2, 1), g.loop(2)) == (2 * want, want, want)
+    # exact values are stored as int when whole, as Graph normalises them
+    assert all(type(w) is (int if w.denominator == 1 else Fraction)
+               for w in (*g.arcs.values(), *g.loops.values()))
+
+
+def test_duplicate_weights_sum_exactly():
+    doc = {"p": 3,
+           "arcs": [{"from": 1, "to": 2, "w": "1/3"}, {"from": 1, "to": 2, "w": "1/6"},
+                    {"from": 2, "to": 3, "w": "2/5"}, {"from": 2, "to": 3, "w": "-2/5"},
+                    {"from": 3, "to": 1}, {"from": 3, "to": 1, "w": -3}],
+           "edges": [{"a": 1, "b": 2, "w": "-1/2"}, {"a": 3, "b": 1, "w": 5}],
+           "loops": [{"at": 1, "b": "1/4"}, {"at": 1, "b": "3/4"}, {"at": 2, "b": 2}, {"at": 2, "b": "-2"},
+                     {"at": 3, "b": "5/7"}, {"at": 3, "b": 0}]}
+    g = graph_from_json(doc)
+    # 1/3 + 1/6 - 1/2 = 0 drops the arc 1 -> 2, as 2/5 - 2/5 drops 2 -> 3 and 2 - 2 the loop at 2
+    assert g.arcs == {(2, 1): Fraction(-1, 2), (1, 3): 5, (3, 1): 3}
+    assert g.loops == {1: 1, 3: Fraction(5, 7)}
+    assert type(g.loops[1]) is int
+
+
+def test_bad_rational_in_a_file_exit_code(tmp_path, capsys):
+    from rootedpoly.cli import EXIT_INPUT, main
+    for text in ["1/0", "-3/000", "1" * 4301, "1/" + "1" * 4301]:
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"p": 2, "edges": [{"a": 1, "b": 2, "w": text}]}))
+        assert main(["poly", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: edges[0]: bad rational {text!r}\n"
 
 
 def test_graph_validation():

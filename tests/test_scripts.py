@@ -44,12 +44,12 @@ def test_oracle_scaling():
     # vertex and term counts: K4 has 13 monomials, C4 7 and the 2x2 grid is C4
     assert rows == {"K1": (1, 1), "K2": (2, 2), "K3": (3, 5), "K4": (4, 13), "C3": (3, 5),
                     "C4": (4, 7), "grid2x2": (4, 7)}
-    # the last columns time the simple characteristic polynomial, in the
-    # recursion and by the route through the full polynomial on rational arc weights
-    assert full[0].split()[4:] == ["char_s", "spec_s"]
+    # then the simple characteristic polynomial, in the recursion and by the
+    # route through the full polynomial on rational arc weights, then writing
+    # the full polynomial as JSON and as text
+    assert full[0].split()[4:] == ["char_s", "spec_s", "json_s", "text_s"]
     for line in full[1:]:
-        assert float(line.split()[4]) >= 0
-        assert float(line.split()[5]) >= 0
+        assert all(float(x) >= 0 for x in line.split()[4:8])
     # the matching-minus rows, past --max-vertices: every graph has a perfect
     # matching, so a polynomial on p vertices has a term for each even power
     assert matching[0].split() == ["graph", "vertices", "matching_s", "terms"]
