@@ -15,8 +15,11 @@ graph with rational arc weights, which put Fraction coefficients into the
 full polynomial.  The columns json_s and text_s time writing the full
 polynomial as `rootedpoly poly --full` prints it, with `--format json`
 (`cli._poly_json`) and as text (`str`), to set beside the seconds it takes
-to compute.  Complete graphs are the dense case, where the cycle sums and
-the cover recursion grow fastest; cycles and grids are sparse.
+to compute.  The column peak_kb is the tracemalloc peak, in kB, of one more
+call of the full polynomial, made apart from the timed ones: the memory of
+the cover sweep's reached sets and of the result.  Complete graphs are the
+dense case, where the cycle sums and the cover sweep grow fastest; cycles
+and grids are sparse.
 
 A second table times the simple matching-minus polynomial, whatever
 --max-vertices is, of the k x 2k grids for k = 2..5 and of ladders of 10 to
@@ -40,6 +43,7 @@ bandwidth n - 1, grow fastest.
 
 import argparse
 import time
+import tracemalloc
 from fractions import Fraction
 
 from rootedpoly.cli import _poly_json
@@ -74,7 +78,7 @@ def main():
     graphs += [(f"grid{k}x{k}", grid(k, k)) for k in range(2, n_max + 1) if k * k <= n_max]
     simple_char = CHARACTERISTIC_STANDARD.simple()
     print(f"{'graph':>9} {'vertices':>9} {'seconds':>9} {'terms':>7} {'char_s':>9} {'spec_s':>9}"
-          f" {'json_s':>9} {'text_s':>9}")
+          f" {'json_s':>9} {'text_s':>9} {'peak_kb':>9}")
     for name, g in graphs:
         rational = rational_weights(g)
         t0 = time.perf_counter()
@@ -88,8 +92,12 @@ def main():
         t4 = time.perf_counter()
         str(poly)
         t5 = time.perf_counter()
+        tracemalloc.start()
+        circuit_poly(g, cap=g.p)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         print(f"{name:>9} {g.p:>9} {t1 - t0:>9.4f} {len(poly.terms()):>7} {t2 - t1:>9.4f} {t3 - t2:>9.4f}"
-              f" {t4 - t3:>9.4f} {t5 - t4:>9.4f}")
+              f" {t4 - t3:>9.4f} {t5 - t4:>9.4f} {peak / 1024:>9.1f}")
 
     graphs = [(f"grid{k}x{2 * k}", grid(k, 2 * k)) for k in range(2, 6)]
     graphs += [(f"ladder{n}", grid(n // 2, 2)) for n in (10, 20, 40, 80)]

@@ -3,8 +3,8 @@ products, restricted rooted products, dendrimers and their spectra."""
 
 from .graph import DendrimerSpec, Graph
 from .oracle import (CHARACTERISTIC_UNIFORM, CHARACTERISTIC_STANDARD, UNDIRECTED_COVERS,
-                     GENERIC, MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, SIMPLE,
-                     WeightMode, circuit_poly, simple_circuit_poly, specialize)
+                     GENERIC, MATCHING_MINUS, MATCHING_PLUS, PERMANENTAL, WeightMode,
+                     circuit_poly, simple_circuit_poly, specialize)
 from .poly import Poly, Var, X, parse_poly, wvar, xvar, yvar
 
 __all__ = [
@@ -12,7 +12,7 @@ __all__ = [
     "circuit_poly", "simple_circuit_poly", "specialize", "parse_poly",
     "wvar", "xvar", "yvar",
     "GENERIC", "UNDIRECTED_COVERS", "PERMANENTAL", "CHARACTERISTIC_UNIFORM",
-    "CHARACTERISTIC_STANDARD", "MATCHING_PLUS", "MATCHING_MINUS", "SIMPLE",
+    "CHARACTERISTIC_STANDARD", "MATCHING_PLUS", "MATCHING_MINUS",
 ]
 
 __version__ = "0.1.0"

@@ -3,8 +3,7 @@
 Subcommands: poly (circuit polynomial of a graph file), product (construct
 rooted products), verify (identity suites), spectrum (numeric roots).
 Exit codes: 0 success, 2 input or validation problem or a numeric failure,
-3 enumeration cap exceeded (or a cover recursion too deep), 4 verification
-failure.
+3 a graph with more vertices than the vertex cap, 4 verification failure.
 """
 
 from __future__ import annotations

@@ -138,12 +138,12 @@ def attachment_polys(h: Graph, mode: WeightMode, cap: int = DEFAULT_CAP,
     ones that keep the vertex variables, renamed from H's vertex v to x_vmap[v].
 
     Only H~ and H - r are enumerated, each once, with the names applied in
-    the recursion: a loop of weight b at the root adds sigma_b * b * w1 *
+    the enumeration: a loop of weight b at the root adds sigma_b * b * w1 *
     P(H - r) to P(H~).
     """
-    mode = mode.simple() if vmap is None else replace(mode, collapse_x=False)
-    names_tri = names_rest = None
-    if vmap is not None:
+    if vmap is None:
+        mode, names_tri, names_rest = mode.simple(), None, None
+    else:
         others = [v for v in range(1, h.p + 1) if v != h.root]  # H - r numbers them 1, 2, ...
         names_tri = {v: xvar(g) for v, g in vmap.items()}
         names_rest = {k: xvar(vmap[v]) for k, v in enumerate(others, start=1)}
@@ -278,7 +278,7 @@ def _part_collapsed(core: Graph, mode: WeightMode, cap: int) -> tuple[Poly, int,
     parts, p1, p2 = core_parts(core)
     names = {i: yvar(parts[i - 1]) for i in range(1, core.p + 1)}
     # the part variables stand in for the vertex variables, which no mode removes here
-    mode = replace(mode, collapse_x=False, x_to_one=False)
+    mode = replace(mode, x_to_one=False)
     return circuit_poly(core, cap, mode, names), p1, p2
 
 

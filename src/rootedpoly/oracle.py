@@ -3,7 +3,7 @@
 The full polynomial of a graph sums, over all permutations of the vertex set,
 the product of matrix entries x_i + b_i on fixed points and arc weights along
 longer cycles, times w_l per cycle of length l.  The enumeration route
-computes it by one memoized recursion over the set of covered vertices, the
+computes it by one forward sweep over the sets of covered vertices, the
 directed cycles on one vertex set entering once with their arc weights
 summed; it equals the permutation sum.  A frontier table over (vertex set,
 last vertex) gives those cycle sums (Held & Karp, 1962).  When the weights
@@ -37,8 +37,7 @@ DEFAULT_CAP = 9
 
 
 class OracleCapExceeded(ValueError):
-    """Raised when a graph is too large for factorial-flavoured enumeration,
-    or for the depth of the cover recursion."""
+    """Raised when a graph has more vertices than the cap."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +86,9 @@ CHARACTERISTIC_UNIFORM = WeightMode("characteristic-uniform", sigma_b=-1, w1=-1,
 CHARACTERISTIC_STANDARD = WeightMode("characteristic-standard", sigma_b=-1, w1=1, w2=-1, w_rest=-1)
 MATCHING_PLUS = WeightMode("matching-plus", w1=1, w2=1, w_rest=0)
 MATCHING_MINUS = WeightMode("matching-minus", sigma_b=-1, w1=-1, w2=-1, w_rest=0)
-SIMPLE = WeightMode("simple", collapse_x=True)
 
 MODES = {m.name: m for m in (GENERIC, UNDIRECTED_COVERS, PERMANENTAL, CHARACTERISTIC_UNIFORM,
-                             CHARACTERISTIC_STANDARD, MATCHING_PLUS, MATCHING_MINUS, SIMPLE)}
+                             CHARACTERISTIC_STANDARD, MATCHING_PLUS, MATCHING_MINUS)}
 
 
 def mode_by_name(name: str) -> WeightMode:
@@ -112,14 +110,17 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     modes, a permanent in the permanental modes, both described below, and
     otherwise the enumeration of cycle covers.
 
-    cover(covered) sums the covers of the other vertices.  The lowest of them,
-    v, is a fixed point with factor (x_v + b_v) * w_1, or the lowest vertex of
-    directed cycles on a vertex set of size l, with factor w_l times their
-    summed arc weights.  The memo lives for one call; its term dicts are keyed
-    by Poly's own monomial keys, so multiplying in a factor adds its key.
+    The enumeration sweeps forward over covered vertex sets, each holding the
+    sum over the ways to reach it as a term dict on Poly's keys, where
+    multiplying in a factor adds its key.  A set is extended once, at its
+    lowest uncovered vertex v, by a fixed point with factor (x_v + b_v) * w_1
+    or by the directed cycles with lowest vertex v on a vertex set of size l,
+    with factor w_l times their summed arc weights, then dropped; the sets
+    that reach it cover fewer of 1..v, so it is extended after all of them.
+    Float sums may round differently from those of a cover recursion.
 
     The mode and the vertex names are applied to these factors before the
-    recursion, so every memo entry is a polynomial in the variables the mode
+    sweep, so every reached set holds a polynomial in the variables the mode
     keeps.  A fixed point becomes (y_v + sigma_b * b_v) * w_1, where y_v is
     names[v] when names is given, else x under collapse_x, else x_v; under
     x_to_one it is w_1 alone and its loop is dropped.  w_l becomes its value,
@@ -139,7 +140,7 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     characteristic modes, while in the matching modes, where w_l = 0 for
     l >= 3, the table holds only 2-cycles.
 
-    The simple characteristic modes skip the table and the recursion: when
+    The simple characteristic modes skip the table and the sweep: when
     names is None, collapse_x is set, x_to_one is not, sigma_b = -1,
     w1 = +-1 and w_l = -1 for every l >= 2, the polynomial is
     w1^p * det(x*I - (diag b + w1 * A)), that is det(x*I - A - diag b) in
@@ -168,7 +169,7 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
 
     When every weight is an int or a Fraction and one is a Fraction, each arc
     and loop weight is multiplied by the lcm D of their denominators, and the
-    fixed-point choice carries D, so the recursion runs on integers.  A
+    fixed-point choice carries D, so the sweep runs on integers.  A
     choice covering t vertices then carries D^t: D for a fixed point, D * b_v
     for a loop, D^|T| for the cycle sum of a set T.  Every complete cover
     carries exactly D^p, and each final coefficient is divided by D^p once;
@@ -178,21 +179,20 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
     divides the coefficient of x^(p-k) by D^k; the permanent carries D once
     per row and divides by D^p.
 
-    The recursion goes one level deeper per choice, so a graph of about a
-    thousand vertices can exceed the interpreter's recursion limit whatever
-    the cap; that raises OracleCapExceeded too.  The determinant and the
-    permanent do not recurse, so their only limit is the cap.
+    No route recurses, so OracleCapExceeded means only p > cap.  The cap is
+    the only limit: under a raised cap, a graph with many covers runs until
+    memory runs out.
     """
     p = g.p
     if p > cap:
-        raise OracleCapExceeded(f"graph has {p} vertices, enumeration cap is {cap}")
+        raise OracleCapExceeded(f"graph has {p} vertices, vertex cap is {cap}")
     arcs, loops, scale = _scaled_weights(g)
     if (names is None and mode.collapse_x and not mode.x_to_one and mode.sigma_b == -1
             and mode.w1 in (1, -1) and mode.w2 == mode.w_rest == -1):
         return _characteristic(p, arcs, loops, scale, mode.w1)
+    if names is None:
+        names = {v: X if mode.collapse_x else xvar(v) for v in range(1, p + 1)}
     if mode.w1 == mode.w2 == mode.w_rest == 1 and not mode.halve_rest and not mode.x_to_one:
-        if names is None:
-            names = {v: X if mode.collapse_x else xvar(v) for v in range(1, p + 1)}
         return _permanental(p, arcs, loops, scale, mode.sigma_b, names)
     out: dict[int, list[tuple[int, object]]] = {v: [] for v in range(1, p + 1)}
     for (i, j), w in arcs.items():
@@ -230,31 +230,28 @@ def circuit_poly(g: Graph, cap: int = DEFAULT_CAP, mode: WeightMode = GENERIC,
         if mode.x_to_one:
             atoms = [(bit, w1, scale * c1)]
         else:
-            name = names[v] if names is not None else X if mode.collapse_x else xvar(v)
-            atoms = [(bit, _key([(name, 1)]) + w1, scale * c1),
+            atoms = [(bit, _key([(names[v], 1)]) + w1, scale * c1),
                      (bit, w1, mode.sigma_b * loops.get(v, 0) * c1)]
         for t, s in found.items():
             code, c = wmode[t.bit_count() - 1]
             atoms.append((t, code, s * c))
         choices[v] = [atom for atom in atoms if atom[2] != 0]
-    memo = {(1 << p) - 1: {0: 1}}
-
-    def cover(mask: int) -> dict[int, object]:
-        if mask not in memo:
-            d = memo[mask] = {}
-            for t, code, c in choices[(~mask & (mask + 1)).bit_length()]:  # lowest uncovered v
+    reached: dict[int, dict] = {0: {0: 1}}  # covered set -> sum over the ways to reach it
+    pending = {1: [0]}  # lowest uncovered vertex -> the reached sets to extend there
+    for v in range(1, p + 1):
+        for mask in pending.pop(v, ()):
+            terms = reached.pop(mask)  # every set that reaches mask covers less of 1..v
+            for t, code, c in choices[v]:
                 if not t & mask:
-                    for key, coeff in cover(mask | t).items():
-                        d[key + code] = d.get(key + code, 0) + c * coeff
-        return memo[mask]
-
-    try:
-        terms = cover(0)
-    except RecursionError:
-        raise OracleCapExceeded(
-            f"graph has {p} vertices, too many for the depth of the cover recursion") from None
-    finally:
-        del cover  # it calls itself; unbinding it frees the memo now, not at a garbage collection
+                    covered = mask | t
+                    d = reached.get(covered)
+                    if d is None:
+                        d = reached[covered] = {}
+                        pending.setdefault((~covered & (covered + 1)).bit_length(), []).append(covered)
+                    for key, coeff in terms.items():
+                        key += code
+                        d[key] = d.get(key, 0) + c * coeff
+    terms = reached.get((1 << p) - 1, {})  # empty when some vertex has no choice
     if scale != 1:
         denom = scale ** p
         terms = {key: Fraction(c, denom) for key, c in terms.items()}
@@ -485,6 +482,6 @@ def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> P
 __all__ = [
     "DEFAULT_CAP", "OracleCapExceeded", "WeightMode", "GENERIC", "UNDIRECTED_COVERS",
     "PERMANENTAL", "CHARACTERISTIC_UNIFORM", "CHARACTERISTIC_STANDARD",
-    "MATCHING_PLUS", "MATCHING_MINUS", "SIMPLE", "MODES", "mode_by_name",
+    "MATCHING_PLUS", "MATCHING_MINUS", "MODES", "mode_by_name",
     "circuit_poly", "specialize", "simple_circuit_poly",
 ]

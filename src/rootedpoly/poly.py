@@ -367,13 +367,15 @@ class Poly:
         return [_from_keys(b) for b in buckets]
 
     def univariate_coeffs(self, v: Var = X) -> list[Coeff]:
-        """Descending numeric coefficients; error if any other variable occurs."""
+        """Descending numeric coefficients; error if any other variable occurs,
+        naming those of the offending term with the least key."""
         shift = _shift(v)
         deg = self.degree_in(v)
         out: list[Coeff] = [0] * (deg + 1)
         for key, coeff in self._terms.items():
             e = key >> shift & _FIELD
             if key != e << shift:
+                key = min(k for k in self._terms if k != (k >> shift & _FIELD) << shift)
                 bad = [str(mv) for mv, _ in _mono(key) if mv != v]
                 raise ValueError(f"polynomial is not univariate in {v}: contains {bad}")
             out[deg - e] = coeff
@@ -520,7 +522,8 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     Coefficients are combined in this order: a term's coefficient times the
     folded factors in canonical variable order; the folded terms summed per
     group in p's term order; each group's sum times its powers; the groups
-    added up in the order their first terms come in p.  Exact coefficients
+    added up in the order their first terms come in p, the smaller of the
+    running sum and the next group added into the larger.  Exact coefficients
     give the same result in any order; float ones, which reach here from
     factor.spectral_product_from_loops, round in this order.
 
@@ -599,10 +602,9 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
                 group = _mul(group, power(v, e, 0))
             if v in degs and degs[v] - e:
                 group = _mul(group, power(v, degs[v] - e, 1))
-        if total:
-            _add_into(total, group)
-        else:
-            total = group
+        if len(group) > len(total):
+            total, group = group, total
+        _add_into(total, group)
     if scale > 1:
         total = {key: Fraction(c, scale) for key, c in total.items()}
     return _from_keys(total)

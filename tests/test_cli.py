@@ -345,6 +345,21 @@ def test_bad_numeric_option_exits_through_argparse(files, capsys, argv):
     assert "--tol" in err or "--cap" in err
 
 
+# the simple form is what `poly` prints without --full, not a mode
+@pytest.mark.parametrize("argv", [
+    ["poly", "{k2}", "--mode", "simple"],
+    ["poly", "{k2}", "--mode", "simple", "--full"],
+    ["spectrum", "{k2}", "--mode", "simple"],
+    ["spectrum", "--dendrimer", "{dendrimer}", "--mode", "simple"],
+])
+def test_unknown_mode_exit_code(files, capsys, argv):
+    assert main([a.format(**files) for a in argv]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown weight mode 'simple'; choose from [")
+    assert captured.err.count("\n") == 1
+
+
 def test_boundary_numeric_options_accepted(files, capsys):
     assert main(["spectrum", files["k2"], "--cap", "1"]) == EXIT_CAP
     assert main(["spectrum", files["k2"], "--cap", "2"]) == EXIT_OK
@@ -371,23 +386,30 @@ def test_closed_stdout_pipe_exits_quietly(files):
     assert (done.returncode, done.stderr) == (1, "")
 
 
-@pytest.mark.parametrize("command", ["poly", "spectrum"])
-def test_too_deep_cover_recursion_exits_with_the_cap_code(command, tmp_path):
-    """A 1100-vertex path under a cap that admits it needs a cover recursion
-    deeper than the interpreter allows; it ends with exit 3 and one line on
-    stderr, not a traceback."""
+def test_generic_poly_of_a_long_path(tmp_path):
+    """The cover sweep does not recurse, so a 1100-vertex path, more vertices
+    than the interpreter's recursion limit, exits 0 under a cap that admits
+    it.  Deleting an end vertex gives P_n = x * w1 * P_(n-1) + w2 * P_(n-2):
+    the term of x^i has w1^i and w2^((n - i) / 2)."""
     path = tmp_path / "path1100.json"
     path.write_text(json.dumps({"p": 1100, "edges": [{"a": i, "b": i + 1} for i in range(1, 1100)]}))
-    done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", command, str(path), "--cap", "2000"],
+    done = subprocess.run([sys.executable, "-m", "rootedpoly.cli", "poly", str(path), "--cap", "2000"],
                           capture_output=True, env=cli_env(), text=True, timeout=120)
-    assert done.returncode == EXIT_CAP
-    assert "Traceback" not in done.stderr
-    assert done.stderr.startswith("error: graph has 1100 vertices") and done.stderr.count("\n") == 1
+    assert (done.returncode, done.stderr) == (EXIT_OK, "")
+    before, current = [1], [0, 1]  # the coefficients of P_0 and P_1 by the power of x, ascending
+    for _ in range(1099):
+        nxt = [0, *current]
+        for i, c in enumerate(before):
+            nxt[i] += c
+        before, current = current, nxt
+    want = Poly({((X, i), (wvar(1), i), (wvar(2), (1100 - i) // 2)): c
+                 for i, c in enumerate(current) if c})
+    assert parse_poly(done.stdout) == want
 
 
 def test_permanental_poly_of_a_long_path(tmp_path):
-    """The permanental mode computes a permanent row by row, with no
-    recursion, so the same 1100-vertex path exits 0.  On a forest the
+    """The permanental mode computes a permanent row by row, so the same
+    1100-vertex path exits 0 there too.  On a forest the
     permanental polynomial is the matching-plus polynomial: deleting an end
     vertex gives m_n = x * m_(n-1) + m_(n-2)."""
     path = tmp_path / "path1100.json"

@@ -19,7 +19,7 @@ from rootedpoly.graph import (DendrimerSpec, Graph, attach_root_loop, bipartitio
                               restricted_rooted_product, rooted_product, star,
                               strip_all_loops, strip_root_loops)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, GENERIC,
-                               MATCHING_MINUS, MODES, PERMANENTAL, SIMPLE, UNDIRECTED_COVERS,
+                               MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS,
                                WeightMode, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.factored import divides, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
@@ -31,6 +31,8 @@ W1 = Poly.variable(wvar(1))
 CHAR = CHARACTERISTIC_STANDARD
 # a one-vertex unit other than +-1: dividing by it and multiplying by it differ
 UNIT_TWO = WeightMode("unit-two", sigma_b=-1, w1=2, w2=3, w_rest=-1)
+# every mode, and generic with collapse_x set, which a names map must override
+NAMED_MODES = {**MODES, "simple": GENERIC.simple()}
 
 
 def rename(p, mapping):
@@ -330,11 +332,11 @@ def test_restricted_spectral_and_edge_join_on_path():
         assert max(abs(a - b) for a, b in zip(ce, cn)) < 1e-9
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(NAMED_MODES))
 def test_attachment_polys_match_enumeration(mode):
     """P(H) comes from P(H~) and P(H - r) by the root-loop shift; it must equal
     the enumerated polynomial in every mode, with and without vmap."""
-    mode = MODES[mode]
+    mode = NAMED_MODES[mode]
     directed = Graph(p=3, arcs={(1, 2): Fraction(1, 2), (2, 3): -2, (3, 1): 3, (2, 1): 1},
                      loops={2: Fraction(2, 3)}, root=1)
     for h in (TWIG, path(3).with_root(2), k1(loop=2), directed):
@@ -378,11 +380,11 @@ def divide_w1_power(p: Poly, k: int) -> Poly:
     return Poly(out)
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("mode", sorted(NAMED_MODES))
 def test_bipartite_polys_match_the_specialize_route(mode):
     """The bivariate polynomial and the expansion coefficients equal those of
     the generic polynomial with part variables substituted, then specialized."""
-    mode = MODES[mode]
+    mode = NAMED_MODES[mode]
     keep = replace(mode, collapse_x=False)
     with pytest.raises(ValueError, match="not divisible"):
         divide_w1_power(W1 + W1 ** 2, 2)
@@ -479,14 +481,15 @@ def test_monodendron_polys_match_explicit_graphs():
 
 
 def test_monodendron_polys_in_a_symbolic_mode_match_explicit_graphs():
-    # SIMPLE leaves every w_l symbolic, so the tier recursion runs on plain polynomials
+    # the simple generic mode leaves every w_l symbolic, so the tier recursion
+    # runs on plain polynomials
     from rootedpoly.graph import monodendron
-    unit, sites = path(3).with_root(2), (1, 3)
+    unit, sites, mode = path(3).with_root(2), (1, 3), GENERIC.simple()
     for tiers in range(4):
-        p_poly, q_poly = monodendron_polys(unit, sites, tiers, SIMPLE)
+        p_poly, q_poly = monodendron_polys(unit, sites, tiers, mode)
         g = monodendron(unit, sites, tiers).graph
-        assert p_poly == circuit_poly(g, g.p, SIMPLE)
-        assert q_poly == circuit_poly(delete_root(g), g.p, SIMPLE)
+        assert p_poly == circuit_poly(g, g.p, mode)
+        assert q_poly == circuit_poly(delete_root(g), g.p, mode)
 
 
 def test_dendrimer_poly_zero_generations_is_core():

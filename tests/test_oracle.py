@@ -40,11 +40,28 @@ def test_cap_enforced():
         circuit_poly(path(5), cap=4)
 
 
-def test_too_deep_cover_recursion_is_a_cap_error():
-    """The cover recursion goes one level per covered vertex or cycle; past
-    the interpreter's depth it raises the cap error, not RecursionError."""
-    with pytest.raises(OracleCapExceeded, match="1100 vertices"):
-        circuit_poly(Graph(p=1100), cap=2000, mode=MATCHING_MINUS.simple())
+def test_cap_error_names_the_vertex_cap():
+    with pytest.raises(OracleCapExceeded, match="^graph has 5 vertices, vertex cap is 4$"):
+        circuit_poly(path(5), cap=4)
+
+
+def test_long_path_under_a_raised_cap():
+    """The cover sweep does not recurse, so graphs of more vertices than the
+    interpreter's recursion limit run under a cap that admits them.  The
+    matching-minus polynomial of a path follows P_n = w1 * x * P_(n-1) +
+    w2 * P_(n-2) at w1 = w2 = -1, and the edgeless graph gives (-x)^p."""
+    import sys
+
+    assert sys.getrecursionlimit() < 1100
+    mode = MATCHING_MINUS.simple()
+    before, current = [1], [0, -1]  # P_0 and P_1, ascending
+    for _ in range(1099):
+        nxt = [0, *(-c for c in current)]
+        for i, c in enumerate(before):
+            nxt[i] -= c
+        before, current = current, nxt
+    assert circuit_poly(path(1100), 2000, mode) == Poly.from_univariate_coeffs(current[::-1])
+    assert circuit_poly(Graph(p=1100), 2000, mode) == Poly.monomial([(X, 1100)])
 
 
 @st.composite
@@ -452,8 +469,8 @@ def test_float_weights_flow_through():
 
 
 def test_memo_is_freed_when_the_call_returns():
-    """Nothing of the recursion outlives a call, even with the garbage
-    collector off: the memo is not left in a reference cycle."""
+    """Nothing of the cover sweep outlives a call, even with the garbage
+    collector off: no reached set is left in a reference cycle."""
     import gc
     import tracemalloc
 
@@ -468,4 +485,4 @@ def test_memo_is_freed_when_the_call_returns():
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held < 1024  # the K7 memo alone is about 100 kB
+    assert held < 1024  # one K7 call peaks at about 50 kB

@@ -239,6 +239,14 @@ def test_divides_roundtrip(dc, pc):
     assert ok and d * got == product
 
 
+def test_univariate_error_names_the_same_term_in_any_order():
+    """The error names the other variables of the offending term with the
+    least key, whatever order the terms were summed in."""
+    for text in ("2*w3 + x^3*w1^3 + x*w1*w2", "x*w1*w2 + x^3*w1^3 + 2*w3"):
+        with pytest.raises(ValueError, match=r"^polynomial is not univariate in x: contains \['w1'\]$"):
+            parse_poly(text).univariate_coeffs(X)
+
+
 FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 POINTS = st.fixed_dictionaries({v: FRACTIONS for v in VARS})
 

@@ -46,10 +46,11 @@ def test_oracle_scaling():
                     "C4": (4, 7), "grid2x2": (4, 7)}
     # then the simple characteristic polynomial, in the recursion and by the
     # route through the full polynomial on rational arc weights, then writing
-    # the full polynomial as JSON and as text
-    assert full[0].split()[4:] == ["char_s", "spec_s", "json_s", "text_s"]
+    # the full polynomial as JSON and as text, then the memory peak of one
+    # more call of the full polynomial
+    assert full[0].split()[4:] == ["char_s", "spec_s", "json_s", "text_s", "peak_kb"]
     for line in full[1:]:
-        assert all(float(x) >= 0 for x in line.split()[4:8])
+        assert all(float(x) >= 0 for x in line.split()[4:9])
     # the matching-minus rows, past --max-vertices: every graph has a perfect
     # matching, so a polynomial on p vertices has a term for each even power
     assert matching[0].split() == ["graph", "vertices", "matching_s", "terms"]

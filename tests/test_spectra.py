@@ -12,7 +12,7 @@ from rootedpoly.factor import dendrimer_factored, dendrimer_poly, dendrimer_spec
 from rootedpoly.graph import (DendrimerSpec, Graph, complete, cycle, delete_root, k1, path,
                               star)
 from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, GENERIC, MATCHING_MINUS, PERMANENTAL,
-                               SIMPLE, circuit_poly, simple_circuit_poly)
+                               circuit_poly, simple_circuit_poly)
 from rootedpoly.factored import Factored, multiplicity_at
 from rootedpoly.poly import Poly, X, parse_poly
 from rootedpoly.spectra import RootSet, _exact_step, _exact_value, _float_coeffs, roots
@@ -137,7 +137,7 @@ def test_dendrimer_spectrum_rejects_symbolic_weights_before_the_recursion(monkey
         raise AssertionError("the tier recursion ran")
 
     monkeypatch.setattr(factor, "_branch_factored", recursion)
-    for mode in (GENERIC, SIMPLE):
+    for mode in (GENERIC, GENERIC.simple()):
         with pytest.raises(ValueError, match="symbolic; only polynomials in x are factored"):
             dendrimer_spectrum(path_spec(3), mode)
 
