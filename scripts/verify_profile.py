@@ -2,10 +2,13 @@
 """Profile the identity suites of `rootedpoly verify` layer by layer.
 
 Runs each suite once and reports, per suite, its time.perf_counter seconds,
-the number of `oracle.circuit_poly` calls it made, and how many distinct
-(graph, weight mode, vertex names) arguments those calls had.  The gap
-between the last two columns is enumeration work a suite repeats.  The
-seconds include the small cost of counting the calls.  Standard library only.
+the number of `oracle.circuit_poly` calls it made, how many distinct
+(graph, weight mode, vertex names) arguments those calls had, and the
+seconds spent inside `poly._substitute`, the one substitution engine behind
+`substitute_many` and `ratio_substitute`.  The gap between the calls and
+the distinct arguments is enumeration work a suite repeats.  The seconds
+include the small cost of counting and timing the calls.  Standard library
+only.
 """
 
 import argparse
@@ -13,7 +16,7 @@ import inspect
 import sys
 import time
 
-from rootedpoly import oracle, verify
+from rootedpoly import oracle, poly, verify
 
 
 def argument_key(bound: inspect.BoundArguments) -> tuple:
@@ -24,21 +27,45 @@ def argument_key(bound: inspect.BoundArguments) -> tuple:
             bound.arguments["mode"], None if names is None else tuple(sorted(names.items())))
 
 
+def route(module, name: str, wrap) -> None:
+    """Point every rootedpoly module's reference to module.name at
+    wrap(original)."""
+    original = getattr(module, name)
+    wrapped = wrap(original)
+    for module_name, held in list(sys.modules.items()):
+        if module_name.startswith("rootedpoly") and getattr(held, name, None) is original:
+            setattr(held, name, wrapped)
+
+
 def count_calls(calls: list) -> None:
     """Route every module's circuit_poly through a wrapper that appends the
     key of each call's arguments to calls."""
-    original = oracle.circuit_poly
-    signature = inspect.signature(original)
+    def wrap(original):
+        signature = inspect.signature(original)
 
-    def counted(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        calls.append(argument_key(bound))
-        return original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.append(argument_key(bound))
+            return original(*args, **kwargs)
+        return counted
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("rootedpoly") and getattr(module, "circuit_poly", None) is original:
-            module.circuit_poly = counted
+    route(oracle, "circuit_poly", wrap)
+
+
+def time_substitutions(spent: list) -> None:
+    """Route poly._substitute through a wrapper that adds the seconds of
+    each call to spent[0]."""
+    def wrap(original):
+        def timed(*args):
+            t0 = time.perf_counter()
+            try:
+                return original(*args)
+            finally:
+                spent[0] += time.perf_counter() - t0
+        return timed
+
+    route(poly, "_substitute", wrap)
 
 
 def main():
@@ -49,18 +76,21 @@ def main():
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     calls: list = []
+    spent = [0.0]
     count_calls(calls)
-    print(f"{'suite':>10} {'seconds':>9} {'calls':>7} {'distinct':>9}")
+    time_substitutions(spent)
+    print(f"{'suite':>10} {'seconds':>9} {'calls':>7} {'distinct':>9} {'substitute_s':>13}")
     start = time.perf_counter()
     for name in names:
-        first = len(calls)
+        first, before = len(calls), spent[0]
         t0 = time.perf_counter()
         verify.run_suites([name], cap=args.cap)
         seconds = time.perf_counter() - t0
         made = calls[first:]
-        print(f"{name:>10} {seconds:>9.3f} {len(made):>7} {len(set(made)):>9}")
+        print(f"{name:>10} {seconds:>9.3f} {len(made):>7} {len(set(made)):>9} {spent[0] - before:>13.3f}")
     if len(names) > 1:
-        print(f"{'all':>10} {time.perf_counter() - start:>9.3f} {len(calls):>7} {len(set(calls)):>9}")
+        print(f"{'all':>10} {time.perf_counter() - start:>9.3f} {len(calls):>7} {len(set(calls)):>9} "
+              f"{spent[0]:>13.3f}")
 
 
 if __name__ == "__main__":

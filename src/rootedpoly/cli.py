@@ -16,7 +16,7 @@ import sys
 from operator import itemgetter
 
 from . import verify
-from .factor import dendrimer_spectrum
+from .factor import dendrimer_spectrum, weight_gens
 from .graph import (DendrimerSpec, Graph, GraphFormatError, graph_from_json,
                     graph_to_json, rooted_product, restricted_rooted_product)
 from .oracle import (DEFAULT_CAP, OracleCapExceeded, circuit_poly, mode_by_name,
@@ -194,6 +194,10 @@ def cmd_spectrum(args) -> int:
         if not args.graph:
             raise GraphFormatError("need a graph file or --dendrimer spec")
         g = _load_graph(args.graph)
+        symbolic = weight_gens(mode, g.p)
+        if symbolic:
+            raise ValueError(f"mode {mode.name} leaves {', '.join(map(str, symbolic))} symbolic; "
+                             "a spectrum needs a polynomial in x alone")
         rs = roots(simple_circuit_poly(g, mode, args.cap))
     _print_rootset(rs, args.format)
     return EXIT_OK

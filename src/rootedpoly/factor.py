@@ -191,28 +191,22 @@ def simple_rooted_product_poly(bg_simple: Poly, bh_tri: Poly, bh_minus_r: Poly,
                                p: int, w1_unit: Unit = 1) -> Poly:
     """Same-attachment-everywhere product from the simple core polynomial.
 
-    Expands the core polynomial in powers of x and recombines the coefficients
-    with powers of the attachment polynomials; exact, and identical to the
-    substitution route.
+    Expands the unit-free core polynomial in powers of x, sum_g ghat_g *
+    x**(p - g), and recombines the coefficients by Horner's rule, S <- S *
+    bh_tri + ghat_g * bh_minus_r**g for g = 1..p from S = ghat_0 = 1, which
+    gives sum_g ghat_g * bh_tri**(p - g) * bh_minus_r**g; exact, and identical
+    to the substitution route.
     """
     ghat = _unit_divide_terms(bg_simple, [X], w1_unit).coeffs_in_x()
     if len(ghat) - 1 != p:
         raise ValueError(f"core polynomial has degree {len(ghat) - 1}, expected {p}")
     if ghat[0] != Poly.one():
         raise ValueError("gamma0 != 1: core polynomial is not monic after unit normalization")
-    tri, rest = _powers(bh_tri, p), _powers(bh_minus_r, p)
-    total = Poly.zero()
-    for g in range(p + 1):
-        total = total + ghat[g] * tri[p - g] * rest[g]
+    total, rest = ghat[0], Poly.one()
+    for g in range(1, p + 1):
+        rest = bh_minus_r * rest
+        total = bh_tri * total + ghat[g] * rest
     return total
-
-
-def _powers(p: Poly, n: int) -> list[Poly]:
-    """[1, p, p**2, ..., p**n]."""
-    out = [Poly.one()]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
 
 
 def spectral_product_form(bg_roots: RootSet, bh_tri: Poly, bh_minus_r: Poly,
@@ -312,17 +306,20 @@ def bipartite_delta(core: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Bi
 
 def restricted_product_poly(delta: BipartiteExpansion, ph1: Poly, pl1: Poly,
                             ph2: Poly, pl2: Poly) -> Poly:
-    """Restricted-product polynomial from the expansion coefficients.
+    """Restricted-product polynomial from the expansion coefficients,
+    ph1**(p1 - p2) * sum_k delta_k * (ph1 * ph2)**(p2 - k) * (pl1 * pl2)**k.
 
     ph1/ph2 are the attachment polynomials carrying the full loop weight at
-    their roots; pl1/pl2 are their root-deleted polynomials.
+    their roots; pl1/pl2 are their root-deleted polynomials.  The sum is
+    formed by Horner's rule, S <- S * (ph1 * ph2) + delta_k * (pl1 * pl2)**k
+    for k = 1..p2 from S = delta_0, and multiplied by ph1**(p1 - p2) once.
     """
-    p1, p2 = delta.p1, delta.p2
-    pow1, pow2, lpow = _powers(ph1, p1), _powers(ph2, p2), _powers(pl1 * pl2, p2)
-    total = Poly.zero()
-    for k in range(p2 + 1):
-        total = total + delta.delta[k] * pow1[p1 - k] * pow2[p2 - k] * lpow[k]
-    return total
+    both_h, both_l = ph1 * ph2, pl1 * pl2
+    total, lpow = delta.delta[0], Poly.one()
+    for d in delta.delta[1:]:
+        lpow = both_l * lpow
+        total = both_h * total + d * lpow
+    return ph1 ** (delta.p1 - delta.p2) * total
 
 
 def restricted_substitution_poly(bivariate: Poly, ph1: Poly, pl1: Poly,

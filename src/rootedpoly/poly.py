@@ -23,13 +23,18 @@ no part in storage; it is used only where terms are printed or shown, in
 terms(), whose monomials are sorted tuples of (variable, exponent) pairs, and
 for the order in which evaluation and substitution apply a term's variables.
 
-Substitution (substitute_many, ratio_substitute) runs on one common
-denominator when the polynomial has Fraction coefficients and every
-coefficient involved is exact: it scales them by the lcm of their
-denominators to integers and divides the result by it once, so the folds,
-sums and products in between run on integers wherever the replacements'
-coefficients are integers.  Float and complex coefficients keep their own
-rounding order.
+Substitution (substitute_many, ratio_substitute) folds every one-term
+replacement into each term's key and coefficient, and expands the other
+targets by a nested Horner's rule: the terms are split by their exponent of
+one target, the rest are substituted into each part, and the parts are
+combined as S * num + part * den**k, so each product is formed once per part
+and shared by all its terms.  It runs on one common denominator when the
+polynomial has Fraction coefficients and every coefficient involved is
+exact: it scales them by the lcm of their denominators to integers and
+divides the result by it once, so the folds, sums and products in between
+run on integers wherever the replacements' coefficients are integers.  Float
+and complex coefficients are not scaled; they round in the order that
+_substitute states.
 
 Exact division and root multiplicity in x live in factored, on integer
 coefficient lists.
@@ -237,8 +242,10 @@ class Poly:
     @staticmethod
     def from_univariate_coeffs(coeffs: Sequence[Coeff], v: Var = X) -> "Poly":
         """Build a univariate polynomial from descending coefficients."""
-        deg = len(coeffs) - 1
-        return _from_keys({_key([(v, deg - k)]): c for k, c in enumerate(coeffs) if c})
+        deg, shift = len(coeffs) - 1, _shift(v)
+        if deg >= _LIMIT:
+            raise OverflowError(f"exponent {deg} of {v} is outside 0..2**{_WIDTH - 1}-1")
+        return _from_keys({(deg - k) << shift: c for k, c in enumerate(coeffs) if c})
 
     # -- inspection ----------------------------------------------------
 
@@ -513,19 +520,23 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     times num's key to its kept key, checked like a product so that no
     exponent reaches 2**31, and multiplies its coefficient by num's
     coefficient**e.  A term is dropped as soon as its coefficient is 0.
-    Every other plain target, and every ratio target, is expanded: the
-    folded terms are summed in groups by their exponents of the expanded
-    targets, and each group's sum is multiplied once by num**e per plain
-    expanded target, in canonical variable order, then by num**e and
-    den**(deg - e) per ratio target, in table order.
+    Every other plain target, and every ratio target, is expanded, by a
+    nested Horner's rule over these targets: the plain ones in canonical
+    variable order, then the ratio ones in table order.  The folded terms
+    are split by their exponent e of the first target, the remaining targets
+    are substituted into each part, and the parts are combined from the
+    highest e down as S <- S * num + part_e * den**(deg - e), with deg the
+    target's degree in p and den**0 taken as 1 (a plain target has no den
+    and deg - e is 0).  A target of degree 1 splits the terms on one bit, so
+    each product of a part's sum is formed once and shared by its terms.
 
     Coefficients are combined in this order: a term's coefficient times the
-    folded factors in canonical variable order; the folded terms summed per
-    group in p's term order; each group's sum times its powers; the groups
-    added up in the order their first terms come in p, the smaller of the
-    running sum and the next group added into the larger.  Exact coefficients
-    give the same result in any order; float ones, which reach here from
-    factor.spectral_product_from_loops, round in this order.
+    folded factors in canonical variable order, the folded terms summed in
+    p's term order; then, per expanded target and part, num times S and
+    den's power times the part, each product formed with the replacement's
+    terms in the outer loop, and the two added, the smaller into the larger.
+    Exact coefficients give the same result in any order; float ones, which
+    reach here from factor.spectral_product_from_loops, round in this order.
 
     When p has a Fraction coefficient and every coefficient of p and of the
     replacements is exact, the passes run on one common denominator: p's
@@ -550,64 +561,92 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     folds.sort()
     expanded.sort()
     expanded += ratios
-    degs = {v: p.degree_in(v) for v in ratios}
-    grouping = sum(_FIELD << _shift(v) for v in expanded)
-    keep = ~sum(_FIELD << _shift(v) for v in folds + expanded)
-    reach = reduce(or_, (key for v in folds for key in table[v][0]._terms), present)
-    top = _layout(-(-reach.bit_length() // _WIDTH))[3]
-    folded: list[dict[int, tuple[int, Coeff]]] = [{} for _ in folds]  # e -> key to add, factor
+    lift = 0
+    if folds:
+        # the expanded targets' exponents move to fields above all that the
+        # folded keys reach, where no replacement's key adds to them
+        fields = sum(_FIELD << _shift(v) for v in expanded)
+        keep = ~sum(_FIELD << _shift(v) for v in folds) & ~fields
+        reach = reduce(or_, (key for v in folds for key in table[v][0]._terms), present)
+        reached = -(-reach.bit_length() // _WIDTH)
+        top, lift = _layout(reached)[3], _WIDTH * reached
+        folded: list[dict[int, tuple[int, Coeff]]] = [{} for _ in folds]  # e -> key to add, factor
 
-    def fold(i: int, e: int) -> tuple[int, Coeff]:
-        ((key, coeff),) = table[folds[i]][0]._terms.items() or [(0, 0)]
-        if e > 1 and e * max(_exponents([key])[1][0], default=0) >= _LIMIT:
-            raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
-        folded[i][e] = e * key, coeff ** e
-        return folded[i][e]
-
-    n = -(-present.bit_length() // _WIDTH)
-    unpack, at = _layout(n)[0], _picker([_shift(v) // _WIDTH for v in folds])
-    indices = range(len(folds))
-    groups: dict[int, dict[int, Coeff]] = {}
-    for key, coeff in terms.items():
-        kept = key & keep
-        exps = at(unpack(key.to_bytes(4 * n, "little")))
-        for i, e in zip(compress(indices, exps), compress(exps, exps)):
-            add, c = folded[i].get(e) or fold(i, e)
-            kept += add
-            if kept & top:
+        def fold(i: int, e: int) -> tuple[int, Coeff]:
+            ((key, coeff),) = table[folds[i]][0]._terms.items() or [(0, 0)]
+            if e > 1 and e * max(_exponents([key])[1][0], default=0) >= _LIMIT:
                 raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
-            coeff = coeff * c
-            if coeff == 0:
-                break
-        else:
-            group = groups.setdefault(key & grouping, {})
-            c = group.get(kept, 0) + coeff
-            if c == 0:
-                group.pop(kept, None)
+            folded[i][e] = e * key, coeff ** e
+            return folded[i][e]
+
+        n = -(-present.bit_length() // _WIDTH)
+        unpack, at = _layout(n)[0], _picker([_shift(v) // _WIDTH for v in folds])
+        indices = range(len(folds))
+        out: dict[int, Coeff] = {}
+        for key, coeff in terms.items():
+            kept = key & keep
+            exps = at(unpack(key.to_bytes(4 * n, "little")))
+            for i, e in zip(compress(indices, exps), compress(exps, exps)):
+                add, c = folded[i].get(e) or fold(i, e)
+                kept += add
+                if kept & top:
+                    raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
+                coeff = coeff * c
+                if coeff == 0:
+                    break
             else:
-                group[kept] = c
-
-    powers: dict[tuple[Var, int, int], dict[int, Coeff]] = {}
-
-    def power(v: Var, e: int, side: int) -> dict[int, Coeff]:
-        if (v, e, side) not in powers:
-            powers[v, e, side] = (table[v][side] ** e)._terms
-        return powers[v, e, side]
-
-    total: dict[int, Coeff] = {}
-    for shared, group in groups.items():
-        for v in expanded:
-            e = shared >> _shift(v) & _FIELD
-            if e:
-                group = _mul(group, power(v, e, 0))
-            if v in degs and degs[v] - e:
-                group = _mul(group, power(v, degs[v] - e, 1))
-        if len(group) > len(total):
-            total, group = group, total
-        _add_into(total, group)
+                kept += (key & fields) << lift
+                c = out.get(kept, 0) + coeff
+                if c == 0:
+                    out.pop(kept, None)
+                else:
+                    out[kept] = c
+        terms = out
+    targets = []
+    for v in expanded:
+        num, den = table[v]
+        # exponents that OR to 1 are all 0 or 1, so no pass over the terms is needed
+        deg = 1 if present >> _shift(v) & _FIELD == 1 else p.degree_in(v)
+        targets.append((_shift(v) + lift, num._terms, None if den is None else [den._terms], deg))
+    total = _horner(terms, targets)
     if scale > 1:
         total = {key: Fraction(c, scale) for key, c in total.items()}
     return _from_keys(total)
+
+
+def _horner(terms: dict[int, Coeff], targets: Sequence[tuple]) -> dict[int, Coeff]:
+    """The terms with each target (shift, num, den powers or None, deg)
+    substituted, the first outermost; a term's exponent of a target is the
+    field at its shift.  den powers is [den, den**2, ...], extended here as
+    needed and shared by every part.  The result is a new dict whenever
+    targets is not empty."""
+    if not targets:
+        return terms
+    (shift, num, den_powers, deg), rest = targets[0], targets[1:]
+    if deg == 1:
+        bit = 1 << shift
+        parts = [{key: c for key, c in terms.items() if not key & bit},
+                 {key - bit: c for key, c in terms.items() if key & bit}]
+    else:
+        parts = [{} for _ in range(deg + 1)]
+        for key, c in terms.items():
+            e = key >> shift & _FIELD
+            parts[e][key - (e << shift)] = c
+    total: dict[int, Coeff] = {}
+    for e in range(deg, -1, -1):
+        if total:
+            total = _mul(num, total)
+        if not parts[e]:
+            continue
+        part = _horner(parts[e], rest)
+        if den_powers is not None and e < deg:
+            while len(den_powers) < deg - e:
+                den_powers.append(_mul(den_powers[-1], den_powers[0]))
+            part = _mul(den_powers[deg - e - 1], part)
+        if len(part) > len(total):
+            total, part = part, total
+        _add_into(total, part)
+    return total
 
 
 def ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly:
@@ -631,8 +670,9 @@ def multilinear_ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Pol
     den_i for each absent one, so the result is prod_i den_i * p(v_i -> num_i/den_i)
     with no fractions ever formed.
     """
+    present = reduce(or_, p._terms, 0)
     for v, _, _ in targets:
-        if p.degree_in(v) > 1:
+        if present >> _shift(v) & _FIELD > 1:  # some exponent of v is above 1
             raise ValueError(f"not multilinear: degree of {v} exceeds 1")
     return ratio_substitute(p, targets)
 

@@ -237,6 +237,19 @@ def test_numeric_failure_exit_code(files, capsys, monkeypatch):
     assert err == "error: int too large to convert to float\n"
 
 
+@pytest.mark.parametrize("mode", ["generic", "undirected-covers"])
+def test_spectrum_refuses_a_symbolic_mode_before_enumerating(files, capsys, monkeypatch, mode):
+    import rootedpoly.cli as cli_mod
+
+    def enumerating(*args, **kwargs):
+        raise AssertionError("the graph was enumerated")
+
+    monkeypatch.setattr(cli_mod, "simple_circuit_poly", enumerating)
+    assert main(["spectrum", files["k2"], "--mode", mode]) == EXIT_INPUT
+    assert capsys.readouterr().err == (f"error: mode {mode} leaves w1, w2 symbolic; "
+                                       "a spectrum needs a polynomial in x alone\n")
+
+
 # Outputs of `poly` recorded before the substitution engines were merged; any
 # change to str(Poly), the JSON term order or a coefficient shows here.
 PINNED_GRAPH = {"p": 3, "arcs": [{"from": 1, "to": 2, "w": "1/2"}, {"from": 2, "to": 3, "w": "-3/4"},

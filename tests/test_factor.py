@@ -22,7 +22,7 @@ from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM, 
                                MATCHING_MINUS, MODES, PERMANENTAL, UNDIRECTED_COVERS,
                                WeightMode, circuit_poly, simple_circuit_poly, specialize)
 from rootedpoly.factored import divides, multiplicity_at
-from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
+from rootedpoly.poly import Poly, X, parse_poly, ratio_substitute, wvar, xvar, yvar
 from rootedpoly.spectra import roots
 from rootedpoly.verify import bipartite_cores, corpus_attachments
 
@@ -586,6 +586,78 @@ def test_rooted_product_identities_on_random_directed_cores():
         got_a = rooted_product_poly(circuit_poly(core_hat), tri_pairs(triples), W1)
         got_b = rooted_product_poly(circuit_poly(strip_all_loops(core)), hat_pairs(triples), W1)
         assert got_a == want and got_b == want
+        checked += 1
+
+
+def test_restricted_routes_on_random_bipartite_cores():
+    """The expansion route, the substitution route and the built restricted
+    product agree on random directed, rationally weighted bipartite cores of
+    up to five vertices with loop-carrying attachments, at generic w."""
+    import random
+
+    from _brute import random_graph
+
+    rng = random.Random(11)
+    checked = 0
+    while checked < 20:
+        pc = rng.randint(1, 5)
+        parts = tuple(rng.choice((1, 2)) for _ in range(pc))
+        arcs = random_graph(rng, pc, directed=True, density=0.8).arcs
+        core = Graph(p=pc, arcs={(i, j): w for (i, j), w in arcs.items() if parts[i - 1] != parts[j - 1]},
+                     parts=parts)
+        h1, h2 = (random_graph(rng, n, directed=rng.random() < 0.5, loops=True, density=0.7)
+                  .with_root(rng.randint(1, n)) for n in (rng.randint(1, 3), rng.randint(1, 3)))
+        product, _ = restricted_rooted_product(core, h1, h2)
+        if product.p > 9:
+            continue
+        want = circuit_poly(product, 9, GENERIC.simple())
+        ph1, pl1, _ = attachment_polys(h1, GENERIC, 9)
+        ph2, pl2, _ = attachment_polys(h2, GENERIC, 9)
+        assert restricted_product_poly(bipartite_delta(core, GENERIC, 9), ph1, pl1, ph2, pl2) == want
+        assert restricted_substitution_poly(bipartite_bivariate(core, GENERIC, 9),
+                                            ph1, pl1, ph2, pl2, W1) == want
+        checked += 1
+
+
+def unit_free_in_x(p: Poly, unit) -> Poly:
+    """p with each term divided by unit**k, k its degree in x."""
+    out = {}
+    for mono, c in p.terms().items():
+        exps = dict(mono)
+        if isinstance(unit, Poly):
+            exps[wvar(1)] = exps.get(wvar(1), 0) - exps.get(X, 0)
+        else:
+            c /= Fraction(unit) ** exps.get(X, 0)
+        out[tuple((v, e) for v, e in exps.items() if e)] = c
+    return Poly(out)
+
+
+@pytest.mark.parametrize("mode", [GENERIC, UNIT_TWO], ids=lambda m: m.name)
+def test_simple_product_matches_substitution_on_random_cores(mode):
+    """The expansion in powers of x equals the ratio substitution x ->
+    P(H~) / P(H - r) into the unit-free core and the built product, on
+    random directed, loop-carrying cores and attachments."""
+    import random
+
+    from _brute import random_graph
+
+    rng = random.Random(13)
+    checked = 0
+    while checked < 12:
+        pc, n = rng.randint(1, 4), rng.randint(1, 3)
+        core = random_graph(rng, pc, directed=True, loops=True, density=0.7)
+        h = random_graph(rng, n, directed=rng.random() < 0.5, loops=True, density=0.7).with_root(
+            rng.randint(1, n))
+        product, _ = rooted_product(core, [h] * pc)
+        if product.p > 9:
+            continue
+        core_hat = Graph(p=pc, arcs=core.arcs,
+                         loops={v: core.loop(v) + h.loop(h.root) for v in range(1, pc + 1)})
+        bg = circuit_poly(core_hat, 9, mode.simple())
+        _, pl, ptri = attachment_polys(h, mode, 9)
+        got = simple_rooted_product_poly(bg, ptri, pl, pc, mode.w1_unit)
+        assert got == ratio_substitute(unit_free_in_x(bg, mode.w1_unit), [(X, ptri, pl)])
+        assert got == circuit_poly(product, 9, mode.simple())
         checked += 1
 
 

@@ -145,6 +145,18 @@ def test_exponent_limit():
             (Poly.variable(yvar(2)) + big) ** 2
         top = big * Poly.monomial([(v, 2 ** 30 - 1)])
         assert top.degree_in(v) == 2 ** 31 - 1 and top.variables() == {v}
+
+    class Degree31:
+        """2**31 + 1 coefficients, none of them readable."""
+
+        def __len__(self):
+            return 2 ** 31 + 1
+
+        def __getitem__(self, k):
+            raise AssertionError("a coefficient was read before the degree was checked")
+
+    with pytest.raises(OverflowError):
+        Poly.from_univariate_coeffs(Degree31())
     # a one-term replacement is folded into the key, which must not carry either
     x1, x2, w13 = (Poly.monomial([(v, 2 ** 30)]) for v in (xvar(1), xvar(2), wvar(13)))
     for p, mapping in [(x1 * x2, {xvar(1): x, xvar(2): x}),
@@ -259,6 +271,9 @@ POINTS = st.fixed_dictionaries({v: FRACTIONS for v in VARS})
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS + [wvar(3)])})
 @example(parse_poly("x1^2*x2^3*w1 + x1*x2 - x2^3"), {xvar(1): x, xvar(2): x + 1},
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+# a folded replacement names a variable that is itself expanded
+@example(parse_poly("x1^2*x2 + 3*x1*x2^3 - w1"), {xvar(1): Poly.variable(xvar(2)), xvar(2): x + 1},
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
 def test_substitution_commutes_with_evaluation(p, mapping, point):
     moved = {v: q.evaluate(point) if isinstance(q, Poly) else q for v, q in mapping.items()}
     assert p.substitute_many(mapping).evaluate(point) == p.evaluate({**point, **moved})
@@ -281,6 +296,34 @@ def test_ratio_substitution_is_scaled_evaluation(p, targets, point):
     for v, _, _ in targets:
         want *= dens[v] ** p.degree_in(v)
     assert ratio_substitute(p, targets).evaluate(point) == want
+
+
+def term_by_term(p: Poly, targets) -> Poly:
+    """The sum over p's terms c * m of c times m's other factors times
+    num**e * den**(deg - e) per target, e m's exponent of its variable and deg
+    the highest exponent of that variable in p."""
+    terms = p.terms()
+    degs = {v: max((dict(mono).get(v, 0) for mono in terms), default=0) for v, _, _ in targets}
+    total = Poly.zero()
+    for mono, c in terms.items():
+        exps = dict(mono)
+        term = Poly.monomial([(v, e) for v, e in mono if v not in degs], c)
+        for v, num, den in targets:
+            term = term * num ** exps.get(v, 0) * den ** (degs[v] - exps.get(v, 0))
+        total = total + term
+    return total
+
+
+@given(polys(), st.lists(st.tuples(st.sampled_from(VARS), polys(), polys()),
+                         min_size=1, max_size=3, unique_by=lambda t: t[0]))
+@example(parse_poly("x1^3*x2^2*w1 - 1/2*x1*x2^3 + 2/3*x2 + x1^2 - 3"),
+         [(xvar(1), x - 1, Poly.variable(xvar(2)) + Fraction(1, 2)),
+          (xvar(2), Fraction(1, 3) * x, Poly.variable(xvar(1)) - 2)])
+@example(parse_poly("y1^3*y2 + 2*y1*y2^2*w2 - y2^3 + 5/4*y1^2"),
+         [(yvar(1), x + 1, Poly.variable(wvar(2))), (yvar(2), x ** 2 - 1, x + 2),
+          (wvar(2), Poly.variable(yvar(1)), Fraction(3, 2) * one)])
+def test_ratio_substitute_matches_term_by_term_sum(p, targets):
+    assert ratio_substitute(p, targets) == term_by_term(p, targets)
 
 
 def assert_normal(p: Poly) -> None:
