@@ -3,9 +3,11 @@
 
 Runs each suite once and reports, per suite, its time.perf_counter seconds,
 the number of `oracle.circuit_poly` calls it made, how many distinct
-(graph, weight mode, vertex names) arguments those calls had, and the
-seconds spent inside `poly._substitute`, the one substitution engine behind
-`substitute_many` and `ratio_substitute`.  The gap between the calls and
+(graph, weight mode, vertex names) arguments those calls had, the seconds
+spent inside `poly._substitute`, the one substitution engine behind
+`substitute_many` and `ratio_substitute`, and the seconds spent inside
+`poly._mul_add`, the multiply-accumulate kernel behind every product and
+sum of polynomials (within a substitution too).  The gap between the calls and
 the distinct arguments is enumeration work a suite repeats.  The seconds
 include the small cost of counting and timing the calls.  Standard library
 only.
@@ -53,19 +55,19 @@ def count_calls(calls: list) -> None:
     route(oracle, "circuit_poly", wrap)
 
 
-def time_substitutions(spent: list) -> None:
-    """Route poly._substitute through a wrapper that adds the seconds of
-    each call to spent[0]."""
+def time_calls(name: str, spent: list, slot: int) -> None:
+    """Route poly.<name> through a wrapper that adds the seconds of each
+    call to spent[slot]."""
     def wrap(original):
         def timed(*args):
             t0 = time.perf_counter()
             try:
                 return original(*args)
             finally:
-                spent[0] += time.perf_counter() - t0
+                spent[slot] += time.perf_counter() - t0
         return timed
 
-    route(poly, "_substitute", wrap)
+    route(poly, name, wrap)
 
 
 def main():
@@ -76,21 +78,23 @@ def main():
 
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     calls: list = []
-    spent = [0.0]
+    spent = [0.0, 0.0]  # seconds in _substitute, in _mul_add
     count_calls(calls)
-    time_substitutions(spent)
-    print(f"{'suite':>10} {'seconds':>9} {'calls':>7} {'distinct':>9} {'substitute_s':>13}")
+    time_calls("_substitute", spent, 0)
+    time_calls("_mul_add", spent, 1)
+    print(f"{'suite':>10} {'seconds':>9} {'calls':>7} {'distinct':>9} {'substitute_s':>13} {'mul_s':>7}")
     start = time.perf_counter()
     for name in names:
-        first, before = len(calls), spent[0]
+        first, before = len(calls), list(spent)
         t0 = time.perf_counter()
         verify.run_suites([name], cap=args.cap)
         seconds = time.perf_counter() - t0
         made = calls[first:]
-        print(f"{name:>10} {seconds:>9.3f} {len(made):>7} {len(set(made)):>9} {spent[0] - before:>13.3f}")
+        print(f"{name:>10} {seconds:>9.3f} {len(made):>7} {len(set(made)):>9} "
+              f"{spent[0] - before[0]:>13.3f} {spent[1] - before[1]:>7.3f}")
     if len(names) > 1:
         print(f"{'all':>10} {time.perf_counter() - start:>9.3f} {len(calls):>7} {len(set(calls)):>9} "
-              f"{spent[0]:>13.3f}")
+              f"{spent[0]:>13.3f} {spent[1]:>7.3f}")
 
 
 if __name__ == "__main__":

@@ -28,7 +28,9 @@ replacement into each term's key and coefficient, and expands the other
 targets by a nested Horner's rule: the terms are split by their exponent of
 one target, the rest are substituted into each part, and the parts are
 combined as S * num + part * den**k, so each product is formed once per part
-and shared by all its terms.  It runs on one common denominator when the
+and shared by all its terms.  Every product and sum of term dicts goes
+through one multiply-accumulate kernel, out += a * b, which adds each
+product into out as it is formed.  It runs on one common denominator when the
 polynomial has Fraction coefficients and every coefficient involved is
 exact: it scales them by the lcm of their denominators to integers and
 divides the result by it once, so the folds, sums and products in between
@@ -175,37 +177,65 @@ def _is_exact(c: Coeff) -> bool:
     return isinstance(c, (int, Fraction))
 
 
-def _mul(a: dict[int, Coeff], b: dict[int, Coeff]) -> dict[int, Coeff]:
-    """Product of two packed term dicts; coefficients are not normalised.
-    OverflowError when an exponent reaches 2**31, before it can carry."""
-    out: dict[int, Coeff] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            c = out.get(key, 0) + ca * cb
-            if c == 0:
-                out.pop(key, None)
-            else:
-                out[key] = c
-    seen = reduce(or_, out, 0)
-    if seen & _layout(-(-seen.bit_length() // _WIDTH))[3]:
+def _overflows(seen: int) -> bool:
+    """Whether some field of seen reaches 2**31, its top bit."""
+    return bool(seen & _layout(-(-seen.bit_length() // _WIDTH))[3])
+
+
+_UNIT = {0: 1}
+
+
+def _mul_add(a: Mapping[int, Coeff], b: Mapping[int, Coeff],
+             out: dict[int, Coeff] | None = None) -> dict[int, Coeff]:
+    """out + a * b on packed term dicts, in one pass: out is updated in
+    place and returned, or with no out a new dict is.
+
+    a's terms are the outer loop.  Without out, a's first term makes it as a
+    shifted and scaled copy of b, so a product by a one-term a is one
+    comprehension; every other product is added into out as it is formed.
+    The unit term (key 0, int coefficient 1) adds b's coefficients as they
+    are.  out holds no zero on entry; zeros, from cancellation or a product
+    that underflows, are dropped once after the loops.  Coefficients are not
+    normalised.  OverflowError when an exponent reaches 2**31, checked once
+    after the loops, before any field can carry: a field of a written key is
+    at most that field of a's ORed keys plus b's, so only when such a sum
+    reaches 2**31 are out's keys read, and a constant a writes only b's keys.
+    """
+    items = iter(a.items())
+    if out is None:
+        for ka, ca in items:  # a's first term only
+            unit = not ka and ca == 1 and type(ca) is int
+            out = dict(b) if unit else {kb + ka: ca * cb for kb, cb in b.items()}
+            break
+        else:
+            return {}
+    get = out.get
+    for ka, ca in items:
+        if not ka and ca == 1 and type(ca) is int:
+            for kb, cb in b.items():
+                out[kb] = get(kb, 0) + cb
+        else:
+            for kb, cb in b.items():
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
+    if 0 in out.values():
+        for key in [key for key, c in out.items() if c == 0]:
+            del out[key]
+    shift = reduce(or_, a, 0)
+    if shift and _overflows(shift + reduce(or_, b, 0)) and _overflows(reduce(or_, out, 0)):
         raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
     return out
 
 
-def _add_into(out: dict[int, Coeff], terms: dict[int, Coeff]) -> None:
-    for key, coeff in terms.items():
-        c = _norm_coeff(out.get(key, 0) + coeff)
-        if c == 0:
-            out.pop(key, None)
-        else:
-            out[key] = c
-
-
-def _from_keys(terms: Mapping[int, Coeff]) -> "Poly":
-    """A Poly from packed keys, dropping zero terms and normalising the rest."""
+def _from_keys(terms: dict[int, Coeff]) -> "Poly":
+    """A Poly holding the packed terms, zero terms dropped and the rest
+    normalised.  When no coefficient is a Fraction or zero, which two C-level
+    scans tell, the dict itself is kept: the caller hands it over."""
+    values = terms.values()
+    if Fraction in set(map(type, values)) or 0 in values:
+        terms = {key: _norm_coeff(c) for key, c in terms.items() if c != 0}
     p = Poly.__new__(Poly)
-    p._terms = {key: _norm_coeff(c) for key, c in terms.items() if c != 0}
+    p._terms = terms
     return p
 
 
@@ -280,9 +310,7 @@ class Poly:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        _add_into(out, other._terms)
-        return _from_keys(out)
+        return _from_keys(_mul_add(_UNIT, other._terms, dict(self._terms)))
 
     __radd__ = __add__
 
@@ -299,7 +327,10 @@ class Poly:
         other = _as_poly(other)
         if not self._terms or not other._terms:
             return Poly.zero()
-        return _from_keys(_mul(self._terms, other._terms))
+        a, b = self._terms, other._terms
+        if len(b) == 1:  # a one-term factor outside: one scaled copy of the other
+            a, b = b, a
+        return _from_keys(_mul_add(a, b))
 
     __rmul__ = __mul__
 
@@ -532,11 +563,13 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
 
     Coefficients are combined in this order: a term's coefficient times the
     folded factors in canonical variable order, the folded terms summed in
-    p's term order; then, per expanded target and part, num times S and
-    den's power times the part, each product formed with the replacement's
-    terms in the outer loop, and the two added, the smaller into the larger.
-    Exact coefficients give the same result in any order; float ones, which
-    reach here from factor.spectral_product_from_loops, round in this order.
+    p's term order; then, per expanded target and part, num times S is formed
+    as a new sum, num's terms in the outer loop, and den's power times the
+    part is added into it product by product, as it is formed, the power's
+    terms in the outer loop (the part itself when there is no power).
+    Exact coefficients give the same result in any order.  Float and complex
+    ones, which reach here through oracle.specialize on graphs with float
+    weights and through library calls, round in this order.
 
     When p has a Fraction coefficient and every coefficient of p and of the
     replacements is exact, the passes run on one common denominator: p's
@@ -618,8 +651,9 @@ def _horner(terms: dict[int, Coeff], targets: Sequence[tuple]) -> dict[int, Coef
     """The terms with each target (shift, num, den powers or None, deg)
     substituted, the first outermost; a term's exponent of a target is the
     field at its shift.  den powers is [den, den**2, ...], extended here as
-    needed and shared by every part.  The result is a new dict whenever
-    targets is not empty."""
+    needed and shared by every part.  Each step makes num * S the only new
+    dict and accumulates den's power times the part into it.  The result is
+    a new dict whenever targets is not empty."""
     if not targets:
         return terms
     (shift, num, den_powers, deg), rest = targets[0], targets[1:]
@@ -635,17 +669,16 @@ def _horner(terms: dict[int, Coeff], targets: Sequence[tuple]) -> dict[int, Coef
     total: dict[int, Coeff] = {}
     for e in range(deg, -1, -1):
         if total:
-            total = _mul(num, total)
+            total = _mul_add(num, total)
         if not parts[e]:
             continue
-        part = _horner(parts[e], rest)
-        if den_powers is not None and e < deg:
+        part = _horner(parts[e], rest)  # parts[e] itself or a new dict: total may take it
+        if den_powers is None or e == deg:
+            total = _mul_add(_UNIT, part, total) if total else part
+        else:
             while len(den_powers) < deg - e:
-                den_powers.append(_mul(den_powers[-1], den_powers[0]))
-            part = _mul(den_powers[deg - e - 1], part)
-        if len(part) > len(total):
-            total, part = part, total
-        _add_into(total, part)
+                den_powers.append(_mul_add(den_powers[-1], den_powers[0]))
+            _mul_add(den_powers[deg - e - 1], part, total)
     return total
 
 

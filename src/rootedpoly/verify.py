@@ -208,10 +208,11 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 if core.p + h.p - 1 > cap:
                     continue
                 product, maps = rooted_product(core, [h] + [k1()] * (core.p - 1))
-                want = circuit_poly(product, cap)
+                hat = hatted(core_name, core, {1: h.loop(h.root)})
+                # a one-vertex attachment adds only its root loop: the product is hat's graph
+                want = hat if h.p == 1 else circuit_poly(product, cap)
                 ph, pl, ptri = triple(h_name, h, core.loop(1), maps[0])
-                got = factor.coalescence_poly(hatted(core_name, core, {1: h.loop(h.root)}), pl, ptri,
-                                              xvar(1), w1_unit=w1)
+                got = factor.coalescence_poly(hat, pl, ptri, xvar(1), w1_unit=w1)
                 rep_coal.record(got == want, detail=f"{core_name}+{h_name} loops={loops}")
 
             # generalized rooted products: uniform sorts plus one mixed family
@@ -223,11 +224,14 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                 if total > cap:
                     continue
                 product, maps = rooted_product(core, gamma)
-                want = circuit_poly(product, cap)
+                root_loops = {k + 1: h.loop(h.root) for k, h in enumerate(gamma)}
+                hat = hatted(core_name, core, root_loops)
+                # one-vertex attachments add only their root loops: the product is hat's graph
+                single = all(h.p == 1 for h in gamma)
+                want = hat if single else circuit_poly(product, cap)
                 triples = [triple(h_name, h, core.loop(k + 1), maps[k])
                            for k, (h_name, h) in enumerate(members)]
-                root_loops = {k + 1: h.loop(h.root) for k, h in enumerate(gamma)}
-                got_a = factor.rooted_product_poly(hatted(core_name, core, root_loops),
+                got_a = factor.rooted_product_poly(hat,
                                                    [(ptri, pl) for _, pl, ptri in triples], w1)
                 got_c = factor.rooted_product_poly(free, [(ph, pl) for ph, pl, _ in triples], w1)
                 detail = f"{core_name} family {fam_idx} loops={loops}"
@@ -236,8 +240,8 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
 
                 if fam_idx < len(attachments):  # uniform: simple-polynomial routes
                     h_name = attachments[fam_idx][0]
-                    want_simple = circuit_poly(product, cap, simple_generic)
                     bg = hatted(core_name, core, root_loops, simple_generic)
+                    want_simple = bg if single else circuit_poly(product, cap, simple_generic)
                     _, pl, ptri = simple_triples[h_name]
                     # direct substitution into the simple core polynomial
                     got_sub = ratio_substitute(factor._unit_divide_terms(bg, [X], w1), [(X, ptri, pl)])
@@ -247,9 +251,11 @@ def run_products_suite(cap: int = SUITE_CAP) -> SuiteReport:
                     rep_exp.record(got_exp == want_simple, detail=detail)
 
                     # zero-root divisibility of the product polynomial
-                    s = multiplicity_at(hatted(core_name, core, root_loops, simple_char), 0)
+                    bc = hatted(core_name, core, root_loops, simple_char)
+                    s = multiplicity_at(bc, 0)
                     if s >= 1:
-                        ok, _ = divides(tri_chars[h_name] ** s, circuit_poly(product, cap, simple_char))
+                        ok, _ = divides(tri_chars[h_name] ** s,
+                                        bc if single else circuit_poly(product, cap, simple_char))
                         rep_div.record(ok, detail=detail)
 
     report = SuiteReport("products", [rep_coal, rep_attach, rep_core, rep_sub, rep_exp, rep_div])

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from rootedpoly.factored import divides
-from rootedpoly.poly import (Poly, X, multilinear_ratio_substitute, parse_poly, ratio_substitute,
-                             wvar, xvar, yvar)
+from rootedpoly.poly import (Poly, X, _from_keys, _mul_add, _shift, multilinear_ratio_substitute,
+                             parse_poly, ratio_substitute, wvar, xvar, yvar)
 
 x = Poly.variable(X)
 one = Poly.one()
@@ -157,6 +157,19 @@ def test_exponent_limit():
 
     with pytest.raises(OverflowError):
         Poly.from_univariate_coeffs(Degree31())
+    # the kernel checks the keys it writes, on the one-term path (a copy of
+    # b) and when it accumulates into out
+    for v in (X, wvar(13)):
+        half, rest, one_up = 2 ** 30 << _shift(v), (2 ** 30 - 1) << _shift(v), 1 << _shift(v)
+        for out in (None, {}, {0: 5}):
+            into = (lambda: None) if out is None else out.copy
+            with pytest.raises(OverflowError):
+                _mul_add({half: 1}, {half: 2}, into())
+            with pytest.raises(OverflowError):
+                _mul_add({0: 3, half: 1}, {0: 1, half: 2}, into())
+            # no field of a written key reaches 2**31, though the ORed keys' fields sum to it
+            got = _mul_add({half: 1, rest: 1}, {one_up: 1}, into())
+            assert got == {**(out or {}), half + one_up: 1, half: 1}
     # a one-term replacement is folded into the key, which must not carry either
     x1, x2, w13 = (Poly.monomial([(v, 2 ** 30)]) for v in (xvar(1), xvar(2), wvar(13)))
     for p, mapping in [(x1 * x2, {xvar(1): x, xvar(2): x}),
@@ -165,6 +178,18 @@ def test_exponent_limit():
                        (w13, {wvar(13): Poly.variable(wvar(13)) ** 2})]:
         with pytest.raises(OverflowError):
             p.substitute_many(mapping)
+
+
+def test_from_keys_normalises_only_what_needs_it():
+    # Fraction coefficients are normalised and zeros dropped, into a new dict
+    terms = {0: Fraction(3, 1), 1: Fraction(1, 2), 2: 0, 3: 4}
+    got = _from_keys(dict(terms))._terms
+    assert got == {0: 3, 1: Fraction(1, 2), 3: 4} and type(got[0]) is int
+    assert _from_keys({0: 0, 1: 0.0}).is_zero()
+    assert _from_keys({0: 2, 1: 0}).terms() == {(): 2}
+    # a dict of nonzero ints, or of floats, is kept as it is
+    for terms in ({0: 2, 1 << 32: -1}, {0: 0.5}):
+        assert _from_keys(terms)._terms is terms
 
 
 def test_common_denominator_cases():
@@ -316,6 +341,8 @@ def term_by_term(p: Poly, targets) -> Poly:
 
 @given(polys(), st.lists(st.tuples(st.sampled_from(VARS), polys(), polys()),
                          min_size=1, max_size=3, unique_by=lambda t: t[0]))
+# den 1 and a one-term num: num * S is a scaled copy, and the part is added as it is
+@example(parse_poly("x1^2*w1 - 2*x1*w2 + 3/2"), [(xvar(1), Fraction(2, 3) * Poly.variable(wvar(2)), one)])
 @example(parse_poly("x1^3*x2^2*w1 - 1/2*x1*x2^3 + 2/3*x2 + x1^2 - 3"),
          [(xvar(1), x - 1, Poly.variable(xvar(2)) + Fraction(1, 2)),
           (xvar(2), Fraction(1, 3) * x, Poly.variable(xvar(1)) - 2)])
@@ -346,3 +373,37 @@ def assert_normal(p: Poly) -> None:
 def test_substituted_coefficients_are_normal(p, mapping, targets):
     assert_normal(p.substitute_many(mapping))
     assert_normal(ratio_substitute(p, targets))
+
+
+def mul_add_reference(out: dict, a: dict, b: dict) -> dict:
+    """out + a * b summed term by term, zeros dropped at the end."""
+    total = dict(out)
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            total[ka + kb] = total.get(ka + kb, 0) + ca * cb
+    return {key: c for key, c in total.items() if c != 0}
+
+
+TERMS = polys().map(lambda p: p._terms)
+
+
+@given(st.one_of(TERMS, st.just(one._terms)), TERMS, st.one_of(TERMS, st.none(), st.just("negated")))
+@example(one._terms, parse_poly("x1 - 1/2*w1")._terms, None)  # the unit: a copy of b
+@example(one._terms, parse_poly("x1 - 1/2*w1")._terms, parse_poly("3*x1 + w2")._terms)
+@example(parse_poly("-2/3*x1*w1")._terms, parse_poly("x1 + 3")._terms, None)  # one term
+@example(parse_poly("-2/3*x1*w1")._terms, parse_poly("x1 + 3")._terms, parse_poly("2*x1^2*w1")._terms)
+@example(parse_poly("x1 + x2")._terms, parse_poly("x1 - x2")._terms, None)  # x1*x2 cancels
+@example(parse_poly("x1 + 1/2")._terms, parse_poly("2*x1 - 1")._terms, "negated")
+@example(parse_poly("x1 + 1/2")._terms, parse_poly("2*x1 - 1")._terms, {})
+def test_mul_add_matches_term_by_term_sum(a, b, out):
+    if out == "negated":  # the product itself, negated: out + a * b cancels to zero
+        out = {key: -c for key, c in mul_add_reference({}, a, b).items()}
+    want = mul_add_reference(out or {}, a, b)
+    if out is None:
+        got = _mul_add(a, b)
+    else:
+        into = dict(out)
+        got = _mul_add(a, b, into)
+        assert got is into
+    assert got == want and 0 not in got.values()
+    assert _from_keys(got) == _from_keys(want)

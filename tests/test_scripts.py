@@ -82,12 +82,15 @@ def test_oracle_scaling():
 def test_verify_profile():
     out = run_script("verify_profile.py", "--suite", "dendrimer")
     header, *rows = (line.split() for line in out.splitlines())
-    assert header == ["suite", "seconds", "calls", "distinct", "substitute_s"]
-    [(suite, seconds, calls, distinct, substitute_s)] = rows
+    assert header == ["suite", "seconds", "calls", "distinct", "substitute_s", "mul_s"]
+    [(suite, seconds, calls, distinct, substitute_s, mul_s)] = rows
     assert suite == "dendrimer" and float(seconds) > 0
     assert 0 < int(distinct) <= int(calls)
     assert 0 <= float(substitute_s) <= float(seconds)
-    # the products suite spends a share of its time in the substitutions
-    suite, seconds, _, _, substitute_s = run_script(
+    assert 0 <= float(mul_s) <= float(seconds)
+    # the products suite spends a share of its time in the substitutions and
+    # in the multiply-accumulate kernel
+    suite, seconds, _, _, substitute_s, mul_s = run_script(
         "verify_profile.py", "--suite", "products").splitlines()[1].split()
     assert suite == "products" and 0 < float(substitute_s) < float(seconds)
+    assert 0 < float(mul_s) < float(seconds)
