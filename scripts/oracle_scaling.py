@@ -9,13 +9,13 @@ one call takes, the number of terms of the polynomial, and, as char_s, the
 seconds the simple characteristic polynomial det(x*I - A) takes by the route
 of `rootedpoly poly`, `circuit_poly(g, cap, CHARACTERISTIC_STANDARD.simple())`,
 which computes it as a determinant and enumerates nothing.  The
-last column, spec_s, times the route of `rootedpoly spectrum`,
-`simple_circuit_poly` (the full polynomial, then `specialize`), on the same
-graph with rational arc weights, which put Fraction coefficients into the
-full polynomial.  The columns json_s and text_s time writing the full
-polynomial as `rootedpoly poly --full` prints it, with `--format json`
-(`cli._poly_json`) and as text (`str`), to set beside the seconds it takes
-to compute.  The column peak_kb is the tracemalloc peak, in kB, of one more
+column spec_s times the route of `rootedpoly spectrum`,
+`simple_circuit_poly` (the sweep in the mode's own weights, every looped
+vertex kept as its own variable, then `specialize`), on the same graph with
+rational arc weights, which put Fraction coefficients into the sweep.  The
+columns json_s and text_s time writing the full polynomial as `rootedpoly
+poly --full` prints it, with `--format json` (`cli._poly_json`) and as text
+(`str`), to set beside the seconds it takes to compute.  The column peak_kb is the tracemalloc peak, in kB, of one more
 call of the full polynomial, made apart from the timed ones: the memory of
 the cover sweep's reached sets and of the result.  Complete graphs are the
 dense case, where the cycle sums and the cover sweep grow fastest; cycles

@@ -430,17 +430,18 @@ def _row_order(p: int, arcs: Mapping) -> Sequence[int]:
 
 
 def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
-    """Apply a weight mode to the full polynomial P of g.
+    """Apply a weight mode to a polynomial P of g in which each vertex
+    variable x_v occurs only in factors (x_v + b_v), b_v the loop weight of v.
 
-    In P a vertex variable x_v occurs only on a fixed point of a cover, and
-    there always in the factor (x_v + b_v), so P is a polynomial in the sums
-    x_v + b_v.  Substituting x_v -> x_v + (sigma_b - 1) * b_v therefore turns
-    every such factor into x_v + sigma_b * b_v exactly, and x_v -> 1 - b_v
-    turns it into 1.
+    The full polynomial is one such P: there x_v occurs only on a fixed point
+    of a cover, always in that factor.  So P is a polynomial in the sums
+    x_v + b_v, and substituting x_v -> x_v + (sigma_b - 1) * b_v turns every
+    such factor into x_v + sigma_b * b_v exactly, x_v -> 1 - b_v turns it
+    into 1, and collapse_x merges every x_v into x.  Each w_l in P is set to
+    the mode's value, or, left symbolic, halved for l >= 3 under halve_rest.
 
-    circuit_poly(g, cap, mode) gives the same polynomial without expanding
-    the full one.  This route stays for simple_circuit_poly and as a check in
-    the tests.
+    circuit_poly(g, cap, mode) gives the same polynomial from the full P
+    without expanding it.
     """
     mapping: dict = {}
     for v in P.variables():
@@ -465,18 +466,33 @@ def specialize(P: Poly, mode: WeightMode, g: Graph) -> Poly:
 def simple_circuit_poly(g: Graph, mode: WeightMode, cap: int = DEFAULT_CAP) -> Poly:
     """Specialized polynomial with all vertex variables collapsed into x.
 
-    It still expands the full polynomial and then specializes it, where
-    circuit_poly(g, cap, mode.simple()) would not.  Its one remaining CLI
-    caller is `spectrum`; `poly`, the verify suites and the factor routes
-    call circuit_poly directly.  Three benchmark tests hold spectrum on this
-    route: tests/test_bench_targets.py::test_traced_run_records_probes wants
-    an oracle.specialize span from spectrum,
+    circuit_poly runs in the mode's own weights, so numeric w_l enter as
+    numbers and the matching modes' frontier table stops after the 2-cycles,
+    but with sigma_b = +1 and halve_rest off, and with every unlooped vertex
+    named x and every looped vertex v named x_v.  Its result
+    has at most (p + 1) * 2^loops terms, and x_v occurs in it only in factors
+    (x_v + b_v); specialize then does what is left of the mode: the loop sign
+    x_v -> x + (sigma_b - 1) * b_v, the halving of a symbolic w_l >= 3, and
+    the collapse into x.  This costs about 2^loops times the sweep in x
+    alone, not the full polynomial in x_1..x_p and w_1..w_p.  Float weights
+    may round differently from specializing that full polynomial, since the
+    w values enter inside the sweep and the loop sign after it.
+
+    circuit_poly(g, cap, mode.simple()) would give the same polynomial
+    without the 2^loops factor, and by a determinant in the characteristic
+    modes.  Its one remaining CLI caller is `spectrum`; `poly`, the verify
+    suites and the factor routes call circuit_poly(g, cap, mode.simple())
+    directly.  Three benchmark tests hold spectrum on this route:
+    tests/test_bench_targets.py::test_traced_run_records_probes wants an
+    oracle.specialize span from spectrum,
     bench/test_bench.py::test_tracer_patches_every_alias_and_restores_them
     calls this function, and test_smoke_traced[small-graphs] wants a nonzero
-    oracle.reenumerations count.  Switching spectrum waits for the change to
-    the benchmark in ROADMAP item 2.
+    oracle.reenumerations count.  Switching spectrum, ROADMAP item 9, waits
+    for the change to the benchmark in item 2.
     """
-    return specialize(circuit_poly(g, cap), mode.simple(), g)
+    names = {v: xvar(v) if g.loop(v) else X for v in range(1, g.p + 1)}
+    swept = replace(mode, sigma_b=1, halve_rest=False, collapse_x=False)
+    return specialize(circuit_poly(g, cap, swept, names), mode.simple(), g)
 
 
 __all__ = [

@@ -17,9 +17,10 @@ from rootedpoly.cli import (EXIT_CAP, EXIT_INPUT, EXIT_OK, _indented_json, _poly
                            _rootset_json, main)
 from rootedpoly.graph import (Graph, NotBipartiteError, bipartition, graph_from_json, graph_to_json,
                               rooted_product)
-from rootedpoly.oracle import CHARACTERISTIC_STANDARD, MODES, simple_circuit_poly
+from rootedpoly.oracle import (CHARACTERISTIC_STANDARD, DEFAULT_CAP, MATCHING_MINUS, MODES, circuit_poly,
+                               simple_circuit_poly, specialize)
 from rootedpoly.poly import Poly, X, parse_poly, wvar, xvar, yvar
-from rootedpoly.spectra import RootSet
+from rootedpoly.spectra import RootSet, roots
 
 
 @pytest.fixture()
@@ -301,8 +302,9 @@ def test_simple_poly_in_the_recursion_matches_specialize(tmp_path_factory, doc):
     path = tmp_path_factory.mktemp("doc") / "g.json"
     path.write_text(json.dumps(doc))
     g = graph_from_json(doc)
+    full = circuit_poly(g, DEFAULT_CAP)
     for name, mode in MODES.items():
-        want = simple_circuit_poly(g, mode)
+        want = specialize(full, mode.simple(), g)
         assert run_main(["poly", str(path), "--mode", name]) == (EXIT_OK, f"{want}\n")
         assert run_main(["poly", str(path), "--mode", name, "--format", "json"]) == (
             EXIT_OK, _poly_json(want) + "\n")
@@ -316,6 +318,19 @@ def test_matching_poly_past_the_default_cap(tmp_path, capsys):
     path.write_text(json.dumps(graph_to_json(g)))
     assert main(["poly", str(path), "--mode", "matching-minus", "--cap", "60"]) == EXIT_OK
     assert capsys.readouterr().out == f"{lowest_vertex_matching_poly(g, -1, -1, -1)}\n"
+
+
+def test_matching_spectrum_of_a_looped_ladder_past_the_default_cap(tmp_path, capsys):
+    """`spectrum` on the same 30-vertex ladder, 12 of its vertices looped:
+    the sweep runs in matching-minus's weights with only the looped vertices
+    kept apart, so it finishes, and prints the roots of the simple polynomial."""
+    g = reweighted(ladder(15), random.Random(15))
+    assert len(g.loops) == 12
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    assert main(["spectrum", str(path), "--mode", "matching-minus", "--cap", "60", "--format", "json"]) == EXIT_OK
+    want = _rootset_json(roots(circuit_poly(g, 60, MATCHING_MINUS.simple())))
+    assert capsys.readouterr().out == f"{want}\n"
 
 
 def test_non_array_graph_field_exit_code(tmp_path, capsys):

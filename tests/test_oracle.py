@@ -161,6 +161,42 @@ def test_stopped_table_matches_specialize(g):
             assert circuit_poly(g, DEFAULT_CAP, m) == specialize(full, m, g)
 
 
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def rational_graphs_up_to_six(draw):
+    """Graphs of 1 to 6 vertices with rational arc and loop weights."""
+    p = draw(st.integers(1, 6))
+    vertex = st.integers(1, p)
+    arcs = draw(st.dictionaries(st.tuples(vertex, vertex).filter(lambda a: a[0] != a[1]), RATIONALS,
+                                max_size=p * (p - 1)))
+    return Graph(p=p, arcs=arcs, loops=draw(st.dictionaries(vertex, RATIONALS, max_size=p)))
+
+
+# undirected-covers halves its 3-cycle sum once; the characteristic modes sign its loops once
+LOOPED_TRIANGLE = Graph(p=3, arcs={a: w for (i, j), w in {(1, 2): Fraction(1, 2), (2, 3): 2,
+                                                          (1, 3): Fraction(-3, 4)}.items()
+                                   for a in ((i, j), (j, i))},
+                        loops={1: Fraction(2, 3), 2: -1, 3: Fraction(5, 2)})
+
+
+@given(rational_graphs_up_to_six())
+@example(Graph(p=5, arcs=random_graph(random.Random(5), 5, directed=True).arcs,  # every vertex looped
+               loops={v: Fraction(v - 3, v + 1) or 2 for v in range(1, 6)}))
+@example(random_graph(random.Random(6), 6, directed=True, density=0.6))  # no loop
+@example(LOOPED_TRIANGLE)
+def test_simple_circuit_poly_matches_the_full_expansion(g):
+    """simple_circuit_poly sweeps in the mode's weights with the looped
+    vertices kept apart, then specializes; in every mode it equals the full
+    polynomial, expanded and then specialized, also as text."""
+    full = circuit_poly(g, DEFAULT_CAP)
+    for mode in MODES.values():
+        got, want = simple_circuit_poly(g, mode), specialize(full, mode.simple(), g)
+        assert got == want
+        assert str(got) == str(want)
+
+
 CHARACTERISTIC = (CHARACTERISTIC_STANDARD, CHARACTERISTIC_UNIFORM)
 
 
