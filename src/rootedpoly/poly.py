@@ -23,20 +23,20 @@ no part in storage; it is used only where terms are printed or shown, in
 terms(), whose monomials are sorted tuples of (variable, exponent) pairs, and
 for the order in which evaluation and substitution apply a term's variables.
 
-Substitution (substitute_many, ratio_substitute) folds every one-term
-replacement into each term's key and coefficient, and expands the other
-targets by a nested Horner's rule: the terms are split by their exponent of
-one target, the rest are substituted into each part, and the parts are
-combined as S * num + part * den**k, so each product is formed once per part
-and shared by all its terms.  Every product and sum of term dicts goes
-through one multiply-accumulate kernel, out += a * b, which adds each
-product into out as it is formed.  It runs on one common denominator when the
-polynomial has Fraction coefficients and every coefficient involved is
-exact: it scales them by the lcm of their denominators to integers and
-divides the result by it once, so the folds, sums and products in between
-run on integers wherever the replacements' coefficients are integers.  Float
-and complex coefficients are not scaled; they round in the order that
-_substitute states.
+Substitution (substitute_many, ratio_substitute) expands every target by
+one nested Horner's rule: the terms are split by the exponents of one target
+that they hold, the rest are substituted into each part, and the parts are
+combined as S * num**gap + part * den**k, so each product is formed once per
+part and shared by all its terms.  Powers, those of num and den there and
+Poly's own, are made by squaring in one routine.  Every product and sum of
+term dicts goes through one multiply-accumulate kernel, out += a * b, which
+adds each product into out as it is formed.  It runs on one common
+denominator when the polynomial has Fraction coefficients and every
+coefficient involved is exact: it scales them by the lcm of their
+denominators to integers and divides the result by it once, so the sums and
+products in between run on integers wherever the replacements' coefficients
+are integers.  Float and complex coefficients are not scaled; they round in
+the order that _horner and _power state.
 
 Exact division and root multiplicity in x live in factored, on integer
 coefficient lists.
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from collections import defaultdict
 from functools import cache, reduce
 from itertools import compress, repeat
 from math import lcm
@@ -337,18 +338,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        if n == 0:
-            return Poly.one()
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        while n := n >> 1:
-            base = base * base
-            if n & 1:
-                result = result * base
-        return result
+        return _from_keys(_power({1: self._terms}, n)) if n else Poly.one()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -546,37 +536,25 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
     """p with every v in table replaced at once by num, or by num/den times
     den**deg_v(p) when den is given.
 
-    A plain target whose num has at most one term (a constant, zero, or a
-    monomial such as x, y_k, x_g or w/2) is folded: a term with v**e adds e
-    times num's key to its kept key, checked like a product so that no
-    exponent reaches 2**31, and multiplies its coefficient by num's
-    coefficient**e.  A term is dropped as soon as its coefficient is 0.
-    Every other plain target, and every ratio target, is expanded, by a
-    nested Horner's rule over these targets: the plain ones in canonical
-    variable order, then the ratio ones in table order.  The folded terms
-    are split by their exponent e of the first target, the remaining targets
-    are substituted into each part, and the parts are combined from the
-    highest e down as S <- S * num + part_e * den**(deg - e), with deg the
-    target's degree in p and den**0 taken as 1 (a plain target has no den
-    and deg - e is 0).  A target of degree 1 splits the terms on one bit, so
-    each product of a part's sum is formed once and shared by its terms.
+    Every target present in p is expanded by one nested Horner's rule,
+    _horner's, over the plain targets in canonical variable order, then the
+    ratio targets in table order; deg is the target's degree in p.  A
+    one-term replacement (a constant, zero, or a monomial such as x, y_k, x_g
+    or w/2) has one-term powers, so each of its Horner steps makes one
+    shifted and scaled copy of S, whatever the exponents.
+    An exponent that would reach 2**31 raises OverflowError in the kernel.
 
-    Coefficients are combined in this order: a term's coefficient times the
-    folded factors in canonical variable order, the folded terms summed in
-    p's term order; then, per expanded target and part, num times S is formed
-    as a new sum, num's terms in the outer loop, and den's power times the
-    part is added into it product by product, as it is formed, the power's
-    terms in the outer loop (the part itself when there is no power).
-    Exact coefficients give the same result in any order.  Float and complex
-    ones, which reach here through oracle.specialize on graphs with float
-    weights and through library calls, round in this order.
+    Exact coefficients give the same result in any order.  Float and
+    complex ones, which reach here through oracle.specialize on graphs with
+    float weights and through library calls, round in the order that _horner
+    and _power state.
 
     When p has a Fraction coefficient and every coefficient of p and of the
-    replacements is exact, the passes run on one common denominator: p's
+    replacements is exact, the pass runs on one common denominator: p's
     coefficients are scaled by the lcm L of their denominators to integers,
     and each result coefficient is divided by L once at the end.  This is
     exact because the result is linear in p's coefficients, and where the
-    replacements have integer coefficients the passes then multiply and add
+    replacements have integer coefficients the pass then multiplies and adds
     integers, with no gcd per step (oracle.circuit_poly scales by D**p for
     the same reason).
     """
@@ -587,60 +565,14 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
         scale = lcm(*{c.denominator for c in terms.values()})
         terms = {key: c.numerator * (scale // c.denominator) for key, c in terms.items()}
     present = reduce(or_, terms, 0)
-    folds, expanded, ratios = [], [], []
-    for v, (num, den) in table.items():
-        if present >> _shift(v) & _FIELD:
-            (ratios if den is not None else folds if len(num._terms) < 2 else expanded).append(v)
-    folds.sort()
-    expanded.sort()
-    expanded += ratios
-    lift = 0
-    if folds:
-        # the expanded targets' exponents move to fields above all that the
-        # folded keys reach, where no replacement's key adds to them
-        fields = sum(_FIELD << _shift(v) for v in expanded)
-        keep = ~sum(_FIELD << _shift(v) for v in folds) & ~fields
-        reach = reduce(or_, (key for v in folds for key in table[v][0]._terms), present)
-        reached = -(-reach.bit_length() // _WIDTH)
-        top, lift = _layout(reached)[3], _WIDTH * reached
-        folded: list[dict[int, tuple[int, Coeff]]] = [{} for _ in folds]  # e -> key to add, factor
-
-        def fold(i: int, e: int) -> tuple[int, Coeff]:
-            ((key, coeff),) = table[folds[i]][0]._terms.items() or [(0, 0)]
-            if e > 1 and e * max(_exponents([key])[1][0], default=0) >= _LIMIT:
-                raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
-            folded[i][e] = e * key, coeff ** e
-            return folded[i][e]
-
-        n = -(-present.bit_length() // _WIDTH)
-        unpack, at = _layout(n)[0], _picker([_shift(v) // _WIDTH for v in folds])
-        indices = range(len(folds))
-        out: dict[int, Coeff] = {}
-        for key, coeff in terms.items():
-            kept = key & keep
-            exps = at(unpack(key.to_bytes(4 * n, "little")))
-            for i, e in zip(compress(indices, exps), compress(exps, exps)):
-                add, c = folded[i].get(e) or fold(i, e)
-                kept += add
-                if kept & top:
-                    raise OverflowError(f"an exponent reaches 2**{_WIDTH - 1}")
-                coeff = coeff * c
-                if coeff == 0:
-                    break
-            else:
-                kept += (key & fields) << lift
-                c = out.get(kept, 0) + coeff
-                if c == 0:
-                    out.pop(kept, None)
-                else:
-                    out[kept] = c
-        terms = out
+    found = [v for v in table if present >> _shift(v) & _FIELD]
+    plain = sorted(v for v in found if table[v][1] is None)
     targets = []
-    for v in expanded:
+    for v in plain + [v for v in found if table[v][1] is not None]:
         num, den = table[v]
         # exponents that OR to 1 are all 0 or 1, so no pass over the terms is needed
         deg = 1 if present >> _shift(v) & _FIELD == 1 else p.degree_in(v)
-        targets.append((_shift(v) + lift, num._terms, None if den is None else [den._terms], deg))
+        targets.append((_shift(v), {1: num._terms}, None if den is None else {1: den._terms}, deg))
     total = _horner(terms, targets)
     if scale > 1:
         total = {key: Fraction(c, scale) for key, c in total.items()}
@@ -648,38 +580,64 @@ def _substitute(p: Poly, table: Mapping[Var, tuple[Poly, Poly | None]]) -> Poly:
 
 
 def _horner(terms: dict[int, Coeff], targets: Sequence[tuple]) -> dict[int, Coeff]:
-    """The terms with each target (shift, num, den powers or None, deg)
-    substituted, the first outermost; a term's exponent of a target is the
-    field at its shift.  den powers is [den, den**2, ...], extended here as
-    needed and shared by every part.  Each step makes num * S the only new
-    dict and accumulates den's power times the part into it.  The result is
-    a new dict whenever targets is not empty."""
+    """The terms with each target (shift, num powers, den powers or None,
+    deg) substituted, the first outermost; a term's exponent of a target is
+    the field at its shift, and the powers are _power's memos, shared by
+    every part.
+
+    The terms are split by the exponents of the first target that they
+    hold, on one bit when deg is 1; the other targets are substituted into
+    each part, and the parts are combined from the highest exponent e down as
+    S <- num**gap * S + den**(deg - e) * part_e, gap the distance to the
+    previous exponent, and S is multiplied by num to the lowest exponent at
+    the end.  den**0, and den with a plain target, is taken as 1.
+
+    Coefficients are combined in this order: num's power times S is formed
+    as a new sum, the power's terms in the outer loop, and den's power times
+    the part is added into it product by product, as it is formed, the
+    power's terms in the outer loop (the part itself when there is no power).
+    The result is a new dict whenever targets is not empty."""
     if not targets:
         return terms
-    (shift, num, den_powers, deg), rest = targets[0], targets[1:]
+    (shift, num, den, deg), rest = targets[0], targets[1:]
     if deg == 1:
         bit = 1 << shift
-        parts = [{key: c for key, c in terms.items() if not key & bit},
-                 {key - bit: c for key, c in terms.items() if key & bit}]
+        parts = [(1, {key - bit: c for key, c in terms.items() if key & bit}),
+                 (0, {key: c for key, c in terms.items() if not key & bit})]
     else:
-        parts = [{} for _ in range(deg + 1)]
+        split = defaultdict(dict)
         for key, c in terms.items():
             e = key >> shift & _FIELD
-            parts[e][key - (e << shift)] = c
+            split[e][key - (e << shift)] = c
+        parts = sorted(split.items(), reverse=True)
     total: dict[int, Coeff] = {}
-    for e in range(deg, -1, -1):
-        if total:
-            total = _mul_add(num, total)
-        if not parts[e]:
+    low = 0
+    for e, part in parts:
+        if not part:
             continue
-        part = _horner(parts[e], rest)  # parts[e] itself or a new dict: total may take it
-        if den_powers is None or e == deg:
+        if total:
+            total = _mul_add(_power(num, low - e), total)
+        low = e
+        part = _horner(part, rest)  # the part itself or a new dict: total may take it
+        if den is None or e == deg:
             total = _mul_add(_UNIT, part, total) if total else part
         else:
-            while len(den_powers) < deg - e:
-                den_powers.append(_mul_add(den_powers[-1], den_powers[0]))
-            _mul_add(den_powers[deg - e - 1], part, total)
-    return total
+            _mul_add(_power(den, deg - e), part, total)
+    return _mul_add(_power(num, low), total) if low and total else total
+
+
+def _power(powers: dict[int, dict[int, Coeff]], k: int) -> dict[int, Coeff]:
+    """powers[1]**k for k >= 1, by squaring: the square of the power k // 2,
+    times powers[1] (its terms in the outer loop) when k is odd.  powers
+    holds the powers made so far, and each new one is stored in it, so a
+    power asked for again is not made again.  The dicts returned are shared
+    and must not be changed.  OverflowError, from the kernel, when an
+    exponent reaches 2**31."""
+    if k not in powers:
+        half = _power(powers, k >> 1)
+        square = _mul_add(half, half)
+        powers[k] = _mul_add(powers[1], square) if k & 1 else square
+    return powers[k]
 
 
 def ratio_substitute(p: Poly, targets: Sequence[tuple[Var, Poly, Poly]]) -> Poly:

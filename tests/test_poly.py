@@ -170,7 +170,8 @@ def test_exponent_limit():
             # no field of a written key reaches 2**31, though the ORed keys' fields sum to it
             got = _mul_add({half: 1, rest: 1}, {one_up: 1}, into())
             assert got == {**(out or {}), half + one_up: 1, half: 1}
-    # a one-term replacement is folded into the key, which must not carry either
+    # a one-term replacement's power is made by squaring in the power routine,
+    # which raises before an exponent can carry into the next field
     x1, x2, w13 = (Poly.monomial([(v, 2 ** 30)]) for v in (xvar(1), xvar(2), wvar(13)))
     for p, mapping in [(x1 * x2, {xvar(1): x, xvar(2): x}),
                        (x1, {xvar(1): x ** 2}),
@@ -178,6 +179,19 @@ def test_exponent_limit():
                        (w13, {wvar(13): Poly.variable(wvar(13)) ** 2})]:
         with pytest.raises(OverflowError):
             p.substitute_many(mapping)
+
+
+def test_gapped_high_exponents():
+    # only the exponents present are split off: two parts here, not 2**30 or
+    # 2**20, and the gaps between them are powers of num
+    big = 2 ** 30 - 1
+    p = Poly.monomial([(xvar(1), big)]) + Poly.variable(xvar(1))
+    assert p.substitute_many({xvar(1): -x}).terms() == {((X, big),): -1, ((X, 1),): -1}
+    top = 2 ** 20
+    p = Poly.monomial([(xvar(1), top)]) + Poly.monomial([(xvar(1), 3)])
+    got = ratio_substitute(p, [(xvar(1), -x, Poly.variable(yvar(1)))])
+    # (-x)**top + (-x)**3 * y1**(top - 3)
+    assert got.terms() == {((X, top),): 1, ((X, 3), (yvar(1), top - 3)): -1}
 
 
 def test_from_keys_normalises_only_what_needs_it():
@@ -264,6 +278,15 @@ def test_substitution_is_simultaneous(p):
     assert p.substitute_many(swap).substitute_many(swap) == p
 
 
+@given(polys())
+def test_power_is_the_repeated_product(p):
+    # term_by_term below takes its powers from the engine's power routine too
+    product = one
+    for n in range(8):
+        assert p ** n == product
+        product = product * p
+
+
 @given(st.lists(st.integers(-3, 3), min_size=1, max_size=4),
        st.lists(st.integers(-3, 3), min_size=1, max_size=4))
 def test_divides_roundtrip(dc, pc):
@@ -296,8 +319,11 @@ POINTS = st.fixed_dictionaries({v: FRACTIONS for v in VARS})
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS + [wvar(3)])})
 @example(parse_poly("x1^2*x2^3*w1 + x1*x2 - x2^3"), {xvar(1): x, xvar(2): x + 1},
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
-# a folded replacement names a variable that is itself expanded
+# simultaneous: one replacement names a variable that is itself replaced
 @example(parse_poly("x1^2*x2 + 3*x1*x2^3 - w1"), {xvar(1): Poly.variable(xvar(2)), xvar(2): x + 1},
+         {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
+# gapped exponents: the parts combine through num's powers to the gaps 5 and 2
+@example(parse_poly("x1^7 - x1^2*w1 + 3"), {xvar(1): x - Fraction(1, 2), wvar(1): Poly.variable(xvar(1))},
          {v: Fraction(k + 2, 3) for k, v in enumerate(VARS)})
 def test_substitution_commutes_with_evaluation(p, mapping, point):
     moved = {v: q.evaluate(point) if isinstance(q, Poly) else q for v, q in mapping.items()}
@@ -349,6 +375,8 @@ def term_by_term(p: Poly, targets) -> Poly:
 @example(parse_poly("y1^3*y2 + 2*y1*y2^2*w2 - y2^3 + 5/4*y1^2"),
          [(yvar(1), x + 1, Poly.variable(wvar(2))), (yvar(2), x ** 2 - 1, x + 2),
           (wvar(2), Poly.variable(yvar(1)), Fraction(3, 2) * one)])
+# gapped exponents: den's powers to 5 and 7, num's to the gaps 5 and 2
+@example(parse_poly("x1^7 - x1^2*w1 + 3"), [(xvar(1), x - 1, Poly.variable(wvar(2)) + 1)])
 def test_ratio_substitute_matches_term_by_term_sum(p, targets):
     assert ratio_substitute(p, targets) == term_by_term(p, targets)
 
